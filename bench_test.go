@@ -254,7 +254,7 @@ func BenchmarkEngineJoin(b *testing.B) {
 	liPred := predtest.MustParse("l_shipdate < DATE '1993-06-20'", tpch.LineitemSchema())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := engine.HashJoinWhere(lineitem, orders, "l_orderkey", "o_orderkey", liPred, oPred)
+		out, _, err := engine.HashJoinWherePar(lineitem, orders, "l_orderkey", "o_orderkey", liPred, oPred, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

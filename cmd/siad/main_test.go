@@ -33,7 +33,7 @@ const quickstartBody = `{
 
 func postSynthesize(t *testing.T, ts *httptest.Server, body string) (*http.Response, synthesizeResponse, string) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/synthesize", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/synthesize", "application/json", strings.NewReader(quickstartBody))
+			resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(quickstartBody))
 			if err != nil {
 				errs[i] = err
 				return
@@ -175,7 +175,7 @@ func TestBadRequests(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/synthesize")
+	resp, err := http.Get(ts.URL + "/v1/synthesize")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestStats(t *testing.T) {
 	if resp, _, _ := postSynthesize(t, ts, quickstartBody); resp.StatusCode != http.StatusOK {
 		t.Fatal("seed request failed")
 	}
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sia_cache_hits_total",
 		"sia_cache_misses_total 1",
 		"sia_http_requests_total",
-		`sia_http_request_seconds_bucket{path="/synthesize",le="+Inf"}`,
+		`sia_http_request_seconds_bucket{path="/v1/synthesize",le="+Inf"}`,
 		"sia_process_uptime_seconds",
 		// Process-wide Default registry, fed by internal packages.
 		"sia_synthesis_duration_seconds_count",
@@ -138,7 +138,7 @@ func TestAccessLog(t *testing.T) {
 
 	cold, warm, probe := lines[0], lines[1], lines[2]
 	for i, m := range []map[string]any{cold, warm} {
-		if m["method"] != "POST" || m["path"] != "/synthesize" {
+		if m["method"] != "POST" || m["path"] != "/v1/synthesize" {
 			t.Errorf("line %d: method/path = %v/%v", i, m["method"], m["path"])
 		}
 		if int(m["status"].(float64)) != http.StatusOK {

@@ -29,13 +29,8 @@ type AggSpec struct {
 	As   string
 }
 
-// Aggregate groups t by integral group-by columns and computes the given
-// aggregates over integral inputs, serially. See AggregatePar.
-func Aggregate(t *Table, groupBy []string, aggs []AggSpec) (*Table, error) {
-	return AggregatePar(t, groupBy, aggs, 1)
-}
-
-// AggregatePar is Aggregate on par workers (par <= 0 means
+// AggregatePar groups t by integral group-by columns and computes the given
+// aggregates over integral inputs, on par workers (par <= 0 means
 // DefaultParallelism). Each worker folds its morsels into a private group
 // table keyed by []int64 key tuples (value plus NULL flag per group-by
 // column — no string formatting on the hot path); the per-worker tables

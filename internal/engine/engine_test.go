@@ -60,7 +60,7 @@ func TestFilterFastPath(t *testing.T) {
 	tab := buildSmall(t, [][2]int64{{1, 10}, {2, 20}, {3, 30}, {4, 40}})
 	s := tab.Schema()
 	p := predtest.MustParse("v > 15 AND v < 40", s)
-	out := Filter(tab, p)
+	out := FilterPar(tab, p, 1)
 	if out.NumRows() != 2 {
 		t.Fatalf("filter kept %d rows", out.NumRows())
 	}
@@ -95,7 +95,7 @@ func TestFilterMatchesEvalProperty(t *testing.T) {
 	}
 	for _, src := range exprs {
 		p := predtest.MustParse(src, s)
-		out := Filter(tab, p)
+		out := FilterPar(tab, p, 1)
 		want := 0
 		for row := 0; row < tab.NumRows(); row++ {
 			if predicate.Eval(p, tab.Tuple(row)) == predicate.True {
@@ -115,12 +115,12 @@ func TestFilterSlowPathNulls(t *testing.T) {
 	tab.AppendRow(predicate.NullValue())
 	tab.AppendRow(predicate.IntVal(-5))
 	p := predtest.MustParse("x > 0", s)
-	out := Filter(tab, p)
+	out := FilterPar(tab, p, 1)
 	if out.NumRows() != 1 {
 		t.Fatalf("NULL must not pass the filter: kept %d", out.NumRows())
 	}
 	// NOT (x > 0) keeps only -5: NULL stays excluded under 3VL.
-	out = Filter(tab, predicate.NewNot(p))
+	out = FilterPar(tab, predicate.NewNot(p), 1)
 	if out.NumRows() != 1 || out.Value(0, "x").Int != -5 {
 		t.Fatalf("3VL negation broken: kept %d", out.NumRows())
 	}
@@ -136,7 +136,7 @@ func TestHashJoin(t *testing.T) {
 	for _, row := range [][2]int64{{2, 200}, {3, 300}, {5, 500}} {
 		r.AppendRow(predicate.IntVal(row[0]), predicate.IntVal(row[1]))
 	}
-	out, err := HashJoin(l, r, "id", "rid")
+	out, _, err := HashJoinWherePar(l, r, "id", "rid", nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 	r := NewTable("r", rs)
 	r.AppendRow(predicate.IntVal(1))
 	r.AppendRow(predicate.NullValue())
-	out, err := HashJoin(l, r, "k", "k2")
+	out, _, err := HashJoinWherePar(l, r, "k", "k2", nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestHashJoinBuildSideChoice(t *testing.T) {
 	)
 	small := NewTable("r", rs)
 	small.AppendRow(predicate.IntVal(3))
-	a, err := HashJoin(big, small, "id", "rid")
+	a, _, err := HashJoinWherePar(big, small, "id", "rid", nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := HashJoin(small, big, "rid", "id")
+	b, _, err := HashJoinWherePar(small, big, "rid", "id", nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,26 +196,26 @@ func TestHashJoinBuildSideChoice(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	tab := buildSmall(t, [][2]int64{{1, 10}, {2, 20}})
-	out, err := Project(tab, []string{"v"})
+	out, err := ProjectPar(tab, []string{"v"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Schema().Columns()) != 1 || out.Value(1, "v").Int != 20 {
 		t.Fatalf("projection broken")
 	}
-	if _, err := Project(tab, []string{"nope"}); err == nil {
+	if _, err := ProjectPar(tab, []string{"nope"}, 1); err == nil {
 		t.Fatal("unknown column should error")
 	}
 }
 
 func TestAggregate(t *testing.T) {
 	tab := buildSmall(t, [][2]int64{{1, 10}, {1, 20}, {2, 5}, {2, 7}, {2, 9}})
-	out, err := Aggregate(tab, []string{"id"}, []AggSpec{
+	out, err := AggregatePar(tab, []string{"id"}, []AggSpec{
 		{Func: AggCount, As: "n"},
 		{Func: AggSum, Col: "v", As: "s"},
 		{Func: AggMin, Col: "v", As: "lo"},
 		{Func: AggMax, Col: "v", As: "hi"},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestAggregate(t *testing.T) {
 		t.Fatalf("group 2 wrong: %v", row1)
 	}
 	// Global aggregation (no GROUP BY) yields one row.
-	g, err := Aggregate(tab, nil, []AggSpec{{Func: AggCount, As: "n"}})
+	g, err := AggregatePar(tab, nil, []AggSpec{{Func: AggCount, As: "n"}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,227 +7,22 @@ import (
 	"sia/internal/predicate"
 )
 
-// CompilePredicate compiles a predicate into a per-row acceptance function
-// for the table. When every referenced column is integral and NOT NULL, the
-// predicate is division-free, and the evaluation provably fits in int64,
-// the compiled form evaluates directly over the raw column arrays;
-// otherwise it falls back to tuple materialization with full three-valued
-// evaluation. Both paths accept a row exactly when the predicate evaluates
-// to TRUE.
-func CompilePredicate(p predicate.Predicate, t *Table) func(row int) bool {
-	if fn, ok := compileFast(p, t); ok {
-		return fn
-	}
-	return func(row int) bool {
-		// tribool: WHERE semantics — a row is accepted exactly when the
-		// predicate is True; Unknown rejects like False.
-		return predicate.Eval(p, t.Tuple(row)) == predicate.True
-	}
+// FilterPar returns a new table containing the rows of t that satisfy p,
+// on par workers (par <= 0 means DefaultParallelism). It compiles p and
+// calls FilterProgram.
+func FilterPar(t *Table, p predicate.Predicate, par int) *Table {
+	return FilterProgram(t, predicate.Compile(p), par)
 }
 
-type intExpr func(row int) int64
-
-// compileFastExpr compiles an integer expression into a closure over the
-// backing arrays, together with a saturating upper bound on the magnitude
-// of any value (including intermediates) the closure can produce. Callers
-// must reject the compilation when the bound exceeds int64 range — the
-// closures use wrapping machine arithmetic.
-func compileFastExpr(e predicate.Expr, t *Table) (intExpr, uint64, bool) {
-	switch x := e.(type) {
-	case *predicate.ColumnRef:
-		col, ok := t.schema.Lookup(x.Name)
-		if !ok || !col.Type.Integral() || !col.NotNull {
-			return nil, 0, false
-		}
-		cd := t.cols[x.Name]
-		data := cd.ints
-		return func(row int) int64 { return data[row] }, cd.maxAbs, true
-	case *predicate.Const:
-		if x.Val.Null || !x.Type.Integral() {
-			return nil, 0, false
-		}
-		v := x.Val.Int
-		return func(int) int64 { return v }, absU64(v), true
-	case *predicate.BinaryExpr:
-		l, lb, ok := compileFastExpr(x.Left, t)
-		if !ok {
-			return nil, 0, false
-		}
-		r, rb, ok := compileFastExpr(x.Right, t)
-		if !ok {
-			return nil, 0, false
-		}
-		switch x.Op {
-		case predicate.OpAdd:
-			return func(row int) int64 { return l(row) + r(row) }, addBound(lb, rb), true
-		case predicate.OpSub:
-			return func(row int) int64 { return l(row) - r(row) }, addBound(lb, rb), true
-		case predicate.OpMul:
-			return func(row int) int64 { return l(row) * r(row) }, mulBound(lb, rb), true
-		default:
-			// Division has rational semantics; take the slow path.
-			return nil, 0, false
-		}
-	default:
-		return nil, 0, false
-	}
-}
-
-// compileLinearCompare compiles a comparison of linear integer expressions
-// into a flat multiply-add over the backing column arrays — one closure,
-// no expression-tree walks per row. Returns ok=false when the comparison
-// is non-linear, mixes types, has fractional coefficients that do not
-// clear into int64, or could overflow int64 (see linearizeCompare).
-func compileLinearCompare(x *predicate.Compare, t *Table) (func(row int) bool, bool) {
-	lc, ok := linearizeCompare(x, t)
-	if !ok {
-		return nil, false
-	}
-	terms := make([]struct {
-		coef int64
-		data []int64
-	}, len(lc.cols))
-	for i := range lc.cols {
-		terms[i].coef = lc.coefs[i]
-		terms[i].data = lc.cols[i]
-	}
-	k := lc.k
-	sum := func(row int) int64 {
-		s := k
-		for _, tm := range terms {
-			s += tm.coef * tm.data[row]
-		}
-		return s
-	}
-	switch lc.op {
-	case predicate.CmpLT:
-		return func(row int) bool { return sum(row) < 0 }, true
-	case predicate.CmpGT:
-		return func(row int) bool { return sum(row) > 0 }, true
-	case predicate.CmpLE:
-		return func(row int) bool { return sum(row) <= 0 }, true
-	case predicate.CmpGE:
-		return func(row int) bool { return sum(row) >= 0 }, true
-	case predicate.CmpEQ:
-		return func(row int) bool { return sum(row) == 0 }, true
-	case predicate.CmpNE:
-		return func(row int) bool { return sum(row) != 0 }, true
-	default:
-		return nil, false
-	}
-}
-
-func lcmInt64(a, b int64) int64 {
-	g, x := a, b
-	// cancel: Euclid's algorithm converges in at most ~90 steps on int64.
-	for x != 0 {
-		g, x = x, g%x
-	}
-	if g == 0 {
-		return 1
-	}
-	return a / g * b
-}
-
-func compileFast(p predicate.Predicate, t *Table) (func(row int) bool, bool) {
-	switch x := p.(type) {
-	case *predicate.Compare:
-		if fn, ok := compileLinearCompare(x, t); ok {
-			return fn, true
-		}
-		l, lb, ok := compileFastExpr(x.Left, t)
-		if !ok {
-			return nil, false
-		}
-		r, rb, ok := compileFastExpr(x.Right, t)
-		if !ok {
-			return nil, false
-		}
-		// Overflow guard: the comparison itself never overflows (it is a
-		// plain int64 compare), but either side's arithmetic could wrap.
-		if lb > maxInt64U || rb > maxInt64U {
-			return nil, false
-		}
-		switch x.Op {
-		case predicate.CmpLT:
-			return func(row int) bool { return l(row) < r(row) }, true
-		case predicate.CmpGT:
-			return func(row int) bool { return l(row) > r(row) }, true
-		case predicate.CmpLE:
-			return func(row int) bool { return l(row) <= r(row) }, true
-		case predicate.CmpGE:
-			return func(row int) bool { return l(row) >= r(row) }, true
-		case predicate.CmpEQ:
-			return func(row int) bool { return l(row) == r(row) }, true
-		case predicate.CmpNE:
-			return func(row int) bool { return l(row) != r(row) }, true
-		default:
-			return nil, false
-		}
-	case *predicate.And:
-		fns := make([]func(int) bool, len(x.Preds))
-		for i, q := range x.Preds {
-			fn, ok := compileFast(q, t)
-			if !ok {
-				return nil, false
-			}
-			fns[i] = fn
-		}
-		return func(row int) bool {
-			for _, fn := range fns {
-				if !fn(row) {
-					return false
-				}
-			}
-			return true
-		}, true
-	case *predicate.Or:
-		fns := make([]func(int) bool, len(x.Preds))
-		for i, q := range x.Preds {
-			fn, ok := compileFast(q, t)
-			if !ok {
-				return nil, false
-			}
-			fns[i] = fn
-		}
-		return func(row int) bool {
-			for _, fn := range fns {
-				if fn(row) {
-					return true
-				}
-			}
-			return false
-		}, true
-	case *predicate.Not:
-		fn, ok := compileFast(x.P, t)
-		if !ok {
-			return nil, false
-		}
-		// Safe under the fast path's no-NULL precondition: two-valued
-		// negation coincides with Kleene negation.
-		return func(row int) bool { return !fn(row) }, true
-	case *predicate.Literal:
-		b := x.B
-		return func(int) bool { return b }, true
-	default:
-		return nil, false
-	}
-}
-
-// Filter returns a new table containing the rows of t that satisfy p,
-// serially. See FilterPar.
-func Filter(t *Table, p predicate.Predicate) *Table {
-	return FilterPar(t, p, 1)
-}
-
-// FilterPar is Filter on par workers (par <= 0 means DefaultParallelism):
-// the acceptance bitmap is evaluated morsel-parallel, per-morsel survivor
+// FilterProgram is FilterPar for an already compiled predicate, so a caller
+// filtering many tables by one predicate (a segment scan) compiles it once.
+// The acceptance bitmap is evaluated morsel-parallel, per-morsel survivor
 // counts are prefix-summed into output offsets, and the surviving rows are
 // gathered column-wise into disjoint ranges of a dense copy. Row order is
-// preserved, so the result is byte-identical to the serial engine.
-func FilterPar(t *Table, p predicate.Predicate, par int) *Table {
+// preserved, so the result is byte-identical at any worker count.
+func FilterProgram(t *Table, prog *predicate.Program, par int) *Table {
 	defer observeOp(opFilter, time.Now())
-	bitmap := SelectionPar(t, p, par)
+	bitmap := selectProgram(t, prog, par)
 	rows := selectedRows(bitmap, par)
 	mRowsScanned.Add(uint64(t.nRows))
 	mRowsKept.Add(uint64(len(rows)))
@@ -332,38 +127,31 @@ func gatherInto(out, src *Table, cols []string, rows []int, par int) {
 	})
 }
 
-// HashJoin performs an inner equi-join of l and r on integral key columns.
-// The output schema is the concatenation of both schemas (column names must
-// be disjoint). NULL keys never match, per SQL semantics.
-func HashJoin(l, r *Table, lkey, rkey string) (*Table, error) {
-	out, _, err := HashJoinWhere(l, r, lkey, rkey, nil, nil)
-	return out, err
-}
-
 // JoinStats reports the logical join input sizes: rows per side that
 // passed the fused predicates (if any) and carried a non-NULL key.
 type JoinStats struct {
 	LeftIn, RightIn int
 }
 
-// HashJoinWhere is HashJoin with per-side residual predicates fused into
-// the build and probe phases: rows failing their side's predicate are
-// skipped before touching the hash table, and no intermediate filtered
-// table is materialized. This is how real engines execute a pushed-down
-// filter, and it is what makes predicate pushdown pay off: the saved work
-// is hash probes and output materialization, while the added work is one
-// predicate evaluation per scanned row.
-func HashJoinWhere(l, r *Table, lkey, rkey string, lpred, rpred predicate.Predicate) (*Table, JoinStats, error) {
-	return HashJoinWherePar(l, r, lkey, rkey, lpred, rpred, 1)
-}
-
-// HashJoinWherePar is HashJoinWhere on par workers (par <= 0 means
-// DefaultParallelism). The build side is hash-partitioned into per-worker
-// maps (each partition owner scans the build column and keeps only its
-// keys, so no insert ever races), probe morsels run concurrently against
-// the read-only partitions into per-morsel match buffers, and the buffers
-// are stitched back in morsel order — exactly the serial probe order — so
-// the output is byte-identical to the serial engine at any worker count.
+// HashJoinWherePar performs an inner equi-join of l and r on integral key
+// columns, on par workers (par <= 0 means DefaultParallelism). The output
+// schema is the concatenation of both schemas (column names must be
+// disjoint). NULL keys never match, per SQL semantics.
+//
+// The per-side residual predicates (nil for none) are fused into the build
+// and probe phases: rows failing their side's predicate are skipped before
+// touching the hash table, and no intermediate filtered table is
+// materialized. This is how real engines execute a pushed-down filter, and
+// it is what makes predicate pushdown pay off: the saved work is hash probes
+// and output materialization, while the added work is one predicate
+// evaluation per scanned row.
+//
+// The build side is hash-partitioned into per-worker maps (each partition
+// owner scans the build column and keeps only its keys, so no insert ever
+// races), probe morsels run concurrently against the read-only partitions
+// into per-morsel match buffers, and the buffers are stitched back in
+// morsel order — the single-worker probe order — so the output is
+// byte-identical at any worker count.
 func HashJoinWherePar(l, r *Table, lkey, rkey string, lpred, rpred predicate.Predicate, par int) (*Table, JoinStats, error) {
 	defer observeOp(opJoin, time.Now())
 	var stats JoinStats
@@ -504,14 +292,8 @@ func partitionCount(par, buildRows int) int {
 	return n
 }
 
-// Project returns a table with only the named columns, serially. See
-// ProjectPar.
-func Project(t *Table, cols []string) (*Table, error) {
-	return ProjectPar(t, cols, 1)
-}
-
-// ProjectPar is Project on par workers (par <= 0 means DefaultParallelism).
-// Projection never touches row values: it reuses the columnar gather path
+// ProjectPar returns a table with only the named columns, on par workers
+// (par <= 0 means DefaultParallelism). Projection never touches row values: it reuses the columnar gather path
 // to copy each kept column's backing arrays, morsel-parallel, instead of
 // materializing rows one at a time.
 func ProjectPar(t *Table, cols []string, par int) (*Table, error) {

@@ -85,23 +85,23 @@ func TestParallelSelectionAndFilterMatchSerial(t *testing.T) {
 	tab := randomTable(r, "t", 3*morselRows+123)
 	s := tab.Schema()
 	preds := []string{
-		// Vectorized shapes.
+		// Kernel leaves under AND.
 		"ta < 5",
 		"ta - tb <= 7 AND tb > -50",
 		"2*ta - 3*tb >= tk - 7",
 		"ta = tb",
-		// Per-row compiled fallback shapes.
+		// Kernel leaves under OR and a pushed-in NOT; a non-linear Eval leaf.
 		"ta < 5 OR tb > 10",
 		"NOT (ta - tb < 7)",
 		"ta * tb > 0",
-		// Nullable column: tuple-at-a-time 3VL fallback.
+		// Nullable column: an Eval leaf, alone and beside a kernel leaf.
 		"tn > 0",
 		"tn > 0 OR ta < -90",
 	}
 	for _, src := range preds {
 		p := predtest.MustParse(src, s)
-		refSel := Selection(tab, p)
-		refTab := Filter(tab, p)
+		refSel := SelectionPar(tab, p, 1)
+		refTab := FilterPar(tab, p, 1)
 		for _, par := range parLevels() {
 			sel := SelectionPar(tab, p, par)
 			for i := range refSel {
@@ -127,7 +127,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 		{lp, nil},
 		{lp, rp},
 	} {
-		ref, refStats, err := HashJoinWhere(l, rt, "lk", "rk", preds.lp, preds.rp)
+		ref, refStats, err := HashJoinWherePar(l, rt, "lk", "rk", preds.lp, preds.rp, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 		}
 	}
 	// Flip which side builds: the small side of the pair above probes.
-	ref, _, err := HashJoinWhere(rt, l, "rk", "lk", rp, lp)
+	ref, _, err := HashJoinWherePar(rt, l, "rk", "lk", rp, lp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		{[]string{"tk", "tn"}, []AggSpec{{Func: AggSum, Col: "tb", As: "s"}}},
 	}
 	for ci, c := range cases {
-		ref, err := Aggregate(tab, c.groupBy, c.aggs)
+		ref, err := AggregatePar(tab, c.groupBy, c.aggs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 func TestParallelProjectMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	tab := randomTable(r, "t", 2*morselRows+9)
-	ref, err := Project(tab, []string{"tn", "ta"})
+	ref, err := ProjectPar(tab, []string{"tn", "ta"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +238,12 @@ func TestAggregateNullSemantics(t *testing.T) {
 	} {
 		tab.AppendRow(row[0], row[1])
 	}
-	out, err := Aggregate(tab, []string{"g"}, []AggSpec{
+	out, err := AggregatePar(tab, []string{"g"}, []AggSpec{
 		{Func: AggCount, As: "n"},
 		{Func: AggSum, Col: "v", As: "s"},
 		{Func: AggMin, Col: "v", As: "lo"},
 		{Func: AggMax, Col: "v", As: "hi"},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAggregateNullSemantics(t *testing.T) {
 	clamp := NewTable("c", s)
 	clamp.AppendRow(iv(1), null)
 	clamp.AppendRow(iv(1), iv(5))
-	out, err = Aggregate(clamp, []string{"g"}, []AggSpec{{Func: AggMin, Col: "v", As: "lo"}})
+	out, err = AggregatePar(clamp, []string{"g"}, []AggSpec{{Func: AggMin, Col: "v", As: "lo"}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,51 +283,49 @@ func TestAggregateNullSemantics(t *testing.T) {
 		t.Fatalf("MIN with a NULL input = %v, want 5", got)
 	}
 
-	if _, err := Aggregate(tab, []string{"g"}, []AggSpec{{Func: AggSum, Col: "missing", As: "s"}}); err == nil {
+	if _, err := AggregatePar(tab, []string{"g"}, []AggSpec{{Func: AggSum, Col: "missing", As: "s"}}, 1); err == nil {
 		t.Fatal("unknown aggregate input column should error")
 	}
+}
+
+// leafOp reports which evaluator a single-comparison predicate binds to on t.
+func leafOp(t *Table, p predicate.Predicate) nodeOp {
+	return bind(t, predicate.Compile(p)).op
 }
 
 func TestVectorizedOverflowBoundary(t *testing.T) {
 	s := predicate.NewSchema(predicate.Column{Name: "a", Type: predicate.TypeInteger, NotNull: true})
 
 	// Safe boundary: |a| = (MaxInt64-1)/2, so the bound for a+a (plus the
-	// guard's one-unit slack) is exactly MaxInt64 — the fast path must
-	// still engage, and must be correct.
+	// guard's one-unit slack) is exactly MaxInt64 — the kernel must still
+	// be bound, and must be correct.
 	edge := int64((math.MaxInt64 - 1) / 2)
 	safe := NewTable("s", s)
 	for _, v := range []int64{edge, -edge, 0, 1} {
 		safe.AppendRow(predicate.IntVal(v))
 	}
 	p := predtest.MustParse("a + a < 0", s)
-	if _, ok := compileVectorized(safe, p); !ok {
-		t.Fatal("boundary-safe comparison should vectorize")
+	if op := leafOp(safe, p); op != nodeLT {
+		t.Fatalf("boundary-safe comparison bound to %d, want the LT kernel", op)
 	}
 	want := []bool{false, true, false, false}
-	for i, got := range Selection(safe, p) {
+	for i, got := range SelectionPar(safe, p, 1) {
 		if got != want[i] {
 			t.Fatalf("safe row %d: got %v want %v", i, got, want[i])
 		}
 	}
 
 	// One past the boundary: a = 2^62 makes a+a wrap to MinInt64, which the
-	// naive kernel would accept as < 0. The guard must reject vectorization
-	// and the slow path must reject every row (2^63 > 0).
+	// wrapping kernel would accept as < 0. The leaf must bind to Eval, which
+	// rejects every row (2^63 > 0).
 	big := NewTable("b", s)
 	for _, v := range []int64{1 << 62, (1 << 62) + 5} {
 		big.AppendRow(predicate.IntVal(v))
 	}
-	if _, ok := compileVectorized(big, p); ok {
-		t.Fatal("overflowing comparison must not vectorize")
+	if op := leafOp(big, p); op != nodeEval {
+		t.Fatalf("overflowing comparison bound to %d, want Eval", op)
 	}
-	if cmp, ok := p.(*predicate.Compare); !ok {
-		t.Fatalf("parse produced %T", p)
-	} else if _, ok := compileFast(p, big); ok {
-		t.Fatal("overflowing comparison must not take the compiled fast path")
-	} else if _, ok := linearizeCompare(cmp, big); ok {
-		t.Fatal("linearizeCompare must refuse an overflowing comparison")
-	}
-	for i, got := range Selection(big, p) {
+	for i, got := range SelectionPar(big, p, 1) {
 		if got {
 			t.Fatalf("row %d: 2·2⁶² is positive and must be rejected", i)
 		}
@@ -337,21 +335,28 @@ func TestVectorizedOverflowBoundary(t *testing.T) {
 	big2 := NewTable("b2", s)
 	big2.AppendRow(predicate.IntVal(1 << 61))
 	p4 := predtest.MustParse("4*a < 1", s)
-	if _, ok := compileVectorized(big2, p4); ok {
-		t.Fatal("4·2⁶¹ overflows and must not vectorize")
+	if op := leafOp(big2, p4); op != nodeEval {
+		t.Fatalf("4·2⁶¹ overflows; bound to %d, want Eval", op)
 	}
-	if sel := Selection(big2, p4); sel[0] {
+	if sel := SelectionPar(big2, p4, 1); sel[0] {
 		t.Fatal("4·2⁶¹ is positive and must be rejected")
+	}
+
+	// Only the overflowing leaf leaves the kernels: its sibling in the same
+	// conjunction keeps them.
+	both := bind(big, predicate.Compile(predtest.MustParse("a + a < 0 AND a > 5", s)))
+	if both.kids[0].op != nodeEval || both.kids[1].op != nodeLT {
+		t.Fatalf("leaf kinds %d, %d; want Eval then the LT kernel", both.kids[0].op, both.kids[1].op)
 	}
 
 	// The magnitude bound must survive columnar copies (gather carries it),
 	// so a filtered subset of an overflow-prone table still refuses the
 	// wrapping kernel.
-	sub := Filter(big, predtest.MustParse("a >= 0", s))
+	sub := FilterPar(big, predtest.MustParse("a >= 0", s), 1)
 	if sub.NumRows() != 2 {
 		t.Fatalf("filter kept %d rows", sub.NumRows())
 	}
-	if _, ok := compileVectorized(sub, p); ok {
+	if op := leafOp(sub, p); op != nodeEval {
 		t.Fatal("gathered copy lost the overflow guard")
 	}
 }

@@ -1,247 +1,179 @@
 package engine
 
-import (
-	"math/big"
-
-	"sia/internal/predicate"
-)
-
-// Selection evaluates a predicate over every row of t and returns the
-// acceptance bitmap, serially. See SelectionPar.
-func Selection(t *Table, p predicate.Predicate) []bool {
-	return SelectionPar(t, p, 1)
-}
+import "sia/internal/predicate"
 
 // SelectionPar evaluates a predicate over every row of t on par workers
-// (par <= 0 means DefaultParallelism) and returns the acceptance bitmap.
-// Conjunctions of linear integer comparisons are compiled once into
-// column-at-a-time kernels — no per-row closure calls — and then run
-// morsel-parallel over disjoint row ranges, which makes a pushed-down
-// filter an order of magnitude cheaper than a hash probe, the cost
-// relationship predicate pushdown relies on. Anything outside that shape
-// falls back to the compiled per-row path, likewise sharded over morsels.
-// The bitmap is identical at any worker count: rows are independent and
-// each worker writes only its own range.
+// (par <= 0 means DefaultParallelism) and returns the acceptance bitmap:
+// sel[i] is true exactly when predicate.Eval is TRUE on row i. The
+// predicate is compiled once into a predicate.Program and bound to t.
+// Linear comparisons over NOT NULL integer columns then run as
+// column-at-a-time kernels, which makes a pushed-down filter an order of
+// magnitude cheaper than a hash probe — the cost relationship predicate
+// pushdown relies on. The bitmap is identical at any worker count: rows are
+// independent and each worker writes only its own range.
 func SelectionPar(t *Table, p predicate.Predicate, par int) []bool {
+	return selectProgram(t, predicate.Compile(p), par)
+}
+
+func selectProgram(t *Table, prog *predicate.Program, par int) []bool {
+	root := bind(t, prog)
 	sel := make([]bool, t.nRows)
-	if prog, ok := compileVectorized(t, p); ok {
-		forEachMorsel(t.nRows, par, func(_, _, lo, hi int) {
-			chunk := sel[lo:hi]
-			for i := range chunk {
-				chunk[i] = true
-			}
-			prog.run(chunk, lo)
-		})
-		return sel
-	}
-	accept := CompilePredicate(p, t)
 	forEachMorsel(t.nRows, par, func(_, _, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sel[i] = accept(i)
+		chunk := sel[lo:hi]
+		for i := range chunk {
+			chunk[i] = true
 		}
+		var scratch []bool
+		if root.orDepth > 0 {
+			scratch = make([]bool, 2*root.orDepth*len(chunk))
+		}
+		root.run(t, chunk, lo, scratch)
 	})
 	return sel
 }
 
-// vecKernel ANDs one predicate's acceptance into sel, where sel[i]
-// corresponds to row lo+i of the table.
-type vecKernel func(sel []bool, lo int)
+type nodeOp uint8
 
-// vecProgram is a conjunction of vectorized kernels compiled against one
-// table. Compilation happens once per (predicate, table); running is pure
-// over disjoint row ranges, so morsels execute concurrently.
-type vecProgram struct {
-	kernels []vecKernel
+const (
+	nodeAnd nodeOp = iota
+	nodeOr
+	nodeLT   // kernel leaf: Σ coefs·cols + k < 0
+	nodeEQ   // kernel leaf: Σ coefs·cols + k = 0, or ≠ 0 when negate is set
+	nodeEval // row-wise predicate.Eval(pred) == True
+)
+
+// boundNode is a predicate.Program node bound to one table's backing
+// arrays. Binding happens once per (program, table); running is pure over
+// disjoint row ranges, so morsels execute concurrently. There are exactly
+// two leaf evaluators: the wrapping int64 kernels, taken when every column
+// the comparison mentions is a NOT NULL integer column and
+// Program.FitsInt64 holds for the table's data bounds, and predicate.Eval
+// for that leaf alone otherwise. The program is in negation normal form, so
+// AND/OR over the leaves' "is TRUE" bitmaps is exactly Kleene AND/OR.
+type boundNode struct {
+	op   nodeOp
+	kids []*boundNode
+
+	cols   [][]int64
+	coefs  []int64
+	k      int64
+	negate bool
+
+	pred predicate.Predicate
+
+	// orDepth is the deepest nesting of OR nodes at or below this node;
+	// each level needs two scratch bitmaps while it runs.
+	orDepth int
 }
 
-// sia:hotpath
-func (v *vecProgram) run(sel []bool, lo int) {
-	for _, k := range v.kernels {
-		// alloc: kernels are closures compiled once per (predicate, table);
-		// each writes sel in place and allocates nothing per row
-		k(sel, lo)
-	}
-}
-
-// compileVectorized compiles p into a vecProgram, or reports ok=false when
-// p is outside the vectorizable fragment (conjunctions of linear integer
-// comparisons over NOT NULL columns whose evaluation provably fits int64).
-func compileVectorized(t *Table, p predicate.Predicate) (*vecProgram, bool) {
-	prog := &vecProgram{}
-	if !prog.compile(t, p) {
-		return nil, false
-	}
-	return prog, true
-}
-
-func (v *vecProgram) compile(t *Table, p predicate.Predicate) bool {
-	switch x := p.(type) {
-	case *predicate.And:
-		for _, q := range x.Preds {
-			if !v.compile(t, q) {
-				return false
+func bind(t *Table, p *predicate.Program) *boundNode {
+	switch p.Kind {
+	case predicate.ProgAnd, predicate.ProgOr:
+		n := &boundNode{op: nodeAnd}
+		for _, kid := range p.Kids {
+			b := bind(t, kid)
+			n.kids = append(n.kids, b)
+			if b.orDepth > n.orDepth {
+				n.orDepth = b.orDepth
 			}
 		}
-		return true
-	case *predicate.Literal:
-		if !x.B {
-			v.kernels = append(v.kernels, func(sel []bool, _ int) {
-				for i := range sel {
-					sel[i] = false
-				}
-			})
+		if p.Kind == predicate.ProgOr {
+			n.op = nodeOr
+			n.orDepth++
 		}
-		return true
-	case *predicate.Compare:
-		return v.compileCompare(t, x)
-	default:
-		return false
+		return n
+	case predicate.ProgLinear:
+		if n, ok := bindKernel(t, p); ok {
+			return n
+		}
 	}
+	return &boundNode{op: nodeEval, pred: p.Leaf}
 }
 
-// compileCompare vectorizes one linear integer comparison. The comparison
-// is normalized so only three kernel shapes exist: Σ + k < 0 (after
-// negating coefficients for > and widening constants for the non-strict
-// forms over integers), Σ + k = 0, and Σ + k ≠ 0.
-func (v *vecProgram) compileCompare(t *Table, x *predicate.Compare) bool {
-	lc, ok := linearizeCompare(x, t)
-	if !ok {
-		return false
-	}
-	op := lc.op
-	// Normalize > and >= to < and <= by negating the whole term.
-	if op == predicate.CmpGT || op == predicate.CmpGE {
-		for i := range lc.coefs {
-			lc.coefs[i] = -lc.coefs[i]
+// bindKernel binds a linear leaf to the int64 kernels, normalized so only
+// three shapes exist: Σ + k < 0 (after negating the form for > and >= and
+// tightening <= over integers), Σ + k = 0, and Σ + k ≠ 0. The kernels use
+// wrapping machine arithmetic, so a leaf whose magnitude bound does not fit
+// int64 is refused rather than allowed to wrap silently.
+func bindKernel(t *Table, p *predicate.Program) (*boundNode, bool) {
+	for _, name := range p.Refs {
+		c, ok := t.schema.Lookup(name)
+		if !ok || !c.Type.Integral() || !c.NotNull {
+			return nil, false
 		}
-		lc.k = -lc.k
+	}
+	n := &boundNode{coefs: append([]int64(nil), p.Coefs...), k: p.K}
+	maxAbs := make([]uint64, len(p.Cols))
+	for i, name := range p.Cols {
+		cd := t.cols[name]
+		n.cols = append(n.cols, cd.ints)
+		maxAbs[i] = cd.maxAbs
+	}
+	if !p.FitsInt64(maxAbs) {
+		return nil, false
+	}
+	op := p.Leaf.Op
+	if op == predicate.CmpGT || op == predicate.CmpGE {
+		for i := range n.coefs {
+			n.coefs[i] = -n.coefs[i]
+		}
+		n.k = -n.k
 		op = op.Flip()
 	}
-	// Integer tightening: Σ + k <= 0  ==  Σ + k - 1 < 0. (linearizeCompare
-	// budgets one unit of slack on |k| for exactly this step.)
-	if op == predicate.CmpLE {
+	if op == predicate.CmpLE { // Σ + k <= 0  ==  Σ + k - 1 < 0 over integers
 		op = predicate.CmpLT
-		lc.k--
+		n.k--
 	}
-	cols, coefs, k := lc.cols, lc.coefs, lc.k
 	switch op {
 	case predicate.CmpLT:
-		v.kernels = append(v.kernels, func(sel []bool, lo int) {
-			vectorLT(cols, coefs, k, sel, lo)
-		})
+		n.op = nodeLT
 	case predicate.CmpEQ:
-		v.kernels = append(v.kernels, func(sel []bool, lo int) {
-			vectorEQ(cols, coefs, k, sel, lo, false)
-		})
+		n.op = nodeEQ
 	case predicate.CmpNE:
-		v.kernels = append(v.kernels, func(sel []bool, lo int) {
-			vectorEQ(cols, coefs, k, sel, lo, true)
-		})
+		n.op, n.negate = nodeEQ, true
 	default:
-		return false
+		return nil, false
 	}
-	return true
+	return n, true
 }
 
-// linearComparison is a comparison of Σ coefᵢ·colᵢ + k against zero over
-// raw int64 column arrays, proven by linearizeCompare not to overflow.
-type linearComparison struct {
-	cols  [][]int64
-	coefs []int64
-	k     int64
-	op    predicate.CmpOp
-}
-
-// linearizeCompare normalizes a comparison of linear integer expressions
-// into Σ coefᵢ·colᵢ + k `op` 0 over t's backing arrays. It returns ok=false
-// when the comparison is non-linear, references non-integral or nullable
-// columns, has fractional coefficients that do not clear into int64, or —
-// crucially — when a conservative bound on |k| + Σ |coefᵢ|·max|colᵢ| does
-// not fit in int64: the flat multiply-add kernels use wrapping machine
-// arithmetic, so large coefficients or column values must bail to the slow
-// exact path instead of silently wrapping.
-func linearizeCompare(x *predicate.Compare, t *Table) (linearComparison, bool) {
-	var lc linearComparison
-	lin, err := predicate.Linearize(predicate.Sub(x.Left, x.Right))
-	if err != nil {
-		return lc, false
-	}
-	// Clear denominators: scaling by a positive integer preserves every
-	// comparison against zero.
-	lcm := int64(1)
-	for _, col := range lin.Columns() {
-		d := lin.Coeffs[col].Denom()
-		if !d.IsInt64() {
-			return lc, false
+// run ANDs the node's "is TRUE" bitmap into sel, where sel[i] corresponds
+// to row lo+i of t. scratch holds 2·orDepth bitmaps of len(sel).
+//
+// sia:hotpath
+func (n *boundNode) run(t *Table, sel []bool, lo int, scratch []bool) {
+	switch n.op {
+	case nodeAnd:
+		for _, kid := range n.kids {
+			kid.run(t, sel, lo, scratch)
 		}
-		lcm = lcmInt64(lcm, d.Int64())
-	}
-	if d := lin.Const.Denom(); !d.IsInt64() {
-		return lc, false
-	} else {
-		lcm = lcmInt64(lcm, d.Int64())
-	}
-	if lcm <= 0 || lcm > 1<<20 {
-		return lc, false
-	}
-	lin.Scale(ratFromInt(lcm))
-
-	// The overflow guard accumulates |k| + Σ |coefᵢ|·max|colᵢ| alongside
-	// term extraction: every partial sum of Σ coefᵢ·colᵢ + k is bounded in
-	// magnitude by that total, and one extra unit covers the k-1 tightening
-	// of <= and the coefficient negation of >/>= (|−k| = |k| except at
-	// MinInt64, which the +1 absorbs). Unless the bound fits in int64 the
-	// flat multiply-add kernels could silently wrap, so the comparison
-	// bails to the slow exact path.
-	var bound uint64
-	for _, col := range lin.Columns() {
-		c, ok := t.schema.Lookup(col)
-		if !ok || !c.Type.Integral() || !c.NotNull {
-			return lc, false
+	case nodeOr:
+		m := len(sel)
+		acc, tmp, rest := scratch[:m], scratch[m:2*m], scratch[2*m:]
+		for i := range acc {
+			acc[i] = false
 		}
-		coef := lin.Coeffs[col]
-		if !coef.IsInt() || !coef.Num().IsInt64() {
-			return lc, false
+		for _, kid := range n.kids {
+			copy(tmp, sel)
+			kid.run(t, tmp, lo, rest)
+			for i, ok := range tmp {
+				acc[i] = acc[i] || ok
+			}
 		}
-		cv := coef.Num().Int64()
-		cd := t.cols[col]
-		bound = addBound(bound, mulBound(absU64(cv), cd.maxAbs))
-		lc.coefs = append(lc.coefs, cv)
-		lc.cols = append(lc.cols, cd.ints)
+		copy(sel, acc)
+	case nodeLT:
+		vectorLT(n.cols, n.coefs, n.k, sel, lo)
+	case nodeEQ:
+		vectorEQ(n.cols, n.coefs, n.k, sel, lo, n.negate)
+	case nodeEval:
+		for i, ok := range sel {
+			if ok {
+				// tribool: WHERE semantics — a row is accepted exactly when
+				// the predicate is True; Unknown rejects like False.
+				sel[i] = predicate.Eval(n.pred, t.Tuple(lo+i)) == predicate.True
+			}
+		}
 	}
-	if !lin.Const.IsInt() || !lin.Const.Num().IsInt64() {
-		return lc, false
-	}
-	lc.k = lin.Const.Num().Int64()
-	lc.op = x.Op
-	bound = addBound(bound, addBound(absU64(lc.k), 1))
-	if bound > maxInt64U {
-		return lc, false
-	}
-	return lc, true
-}
-
-const maxInt64U = uint64(1<<63 - 1)
-
-// addBound adds two magnitude bounds, saturating above int64 range.
-func addBound(a, b uint64) uint64 {
-	s := a + b
-	if s < a || s > maxInt64U {
-		return maxInt64U + 1
-	}
-	return s
-}
-
-// mulBound multiplies two magnitude bounds, saturating above int64 range.
-func mulBound(a, b uint64) uint64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	p := a * b
-	if p/a != b || p > maxInt64U {
-		return maxInt64U + 1
-	}
-	return p
 }
 
 // vectorLT ANDs (Σ coefᵢ·colᵢ + k < 0) into sel for rows [lo, lo+len(sel)),
@@ -315,6 +247,3 @@ func vectorEQ(cols [][]int64, coefs []int64, k int64, sel []bool, lo int, negate
 		sel[i] = (s == 0) != negate
 	}
 }
-
-// ratFromInt returns v as a big.Rat (helper shared with exec.go).
-func ratFromInt(v int64) *big.Rat { return new(big.Rat).SetInt64(v) }

@@ -9,9 +9,9 @@ import (
 )
 
 func TestSelectionMatchesEvalDifferential(t *testing.T) {
-	// Property: the vectorized bitmap equals row-at-a-time 3VL evaluation
-	// for random predicates over random data — including predicates that
-	// force the fallback path (OR, NOT, non-linear).
+	// Property: the bitmap equals row-at-a-time 3VL evaluation over random
+	// data, for kernel leaves under AND, OR and NOT and for a non-linear
+	// leaf that only Eval can read.
 	r := rand.New(rand.NewSource(99))
 	s := predicate.NewSchema(
 		predicate.Column{Name: "a", Type: predicate.TypeInteger, NotNull: true},
@@ -27,7 +27,7 @@ func TestSelectionMatchesEvalDifferential(t *testing.T) {
 		)
 	}
 	exprs := []string{
-		// Vectorized shapes.
+		// Conjunctions of kernel leaves.
 		"a < 5",
 		"a >= -3",
 		"a - b < 7",
@@ -37,15 +37,19 @@ func TestSelectionMatchesEvalDifferential(t *testing.T) {
 		"a <> c",
 		"a - b < 7 AND c > 0 AND a <= 20",
 		"(a + b) / 2 < 4",
-		// Fallback shapes.
+		// OR, NOT, and an opaque leaf.
 		"a < 5 OR b > 10",
 		"NOT (a - b < 7)",
 		"a * b > 0",
 		"a < 5 AND (b > 0 OR c > 0)",
+		"a < 5 OR (b > 0 AND (c > 0 OR a = b))",
+		// Denominators whose LCM overruns the cap (and would wrap int64
+		// if accumulated there): an opaque leaf, still filtered by Eval.
+		"a/2147483648 + b/2147483649 + c/3 < 1",
 	}
 	for _, src := range exprs {
 		p := predtest.MustParse(src, s)
-		sel := Selection(tab, p)
+		sel := SelectionPar(tab, p, 1)
 		for row := 0; row < tab.NumRows(); row++ {
 			want := predicate.Eval(p, tab.Tuple(row)) == predicate.True
 			if sel[row] != want {
@@ -55,13 +59,13 @@ func TestSelectionMatchesEvalDifferential(t *testing.T) {
 	}
 }
 
-func TestSelectionNullableFallsBack(t *testing.T) {
+func TestSelectionNullableUsesEval(t *testing.T) {
 	s := predicate.NewSchema(predicate.Column{Name: "x", Type: predicate.TypeInteger})
 	tab := NewTable("n", s)
 	tab.AppendRow(predicate.IntVal(5))
 	tab.AppendRow(predicate.NullValue())
 	tab.AppendRow(predicate.IntVal(-5))
-	sel := Selection(tab, predtest.MustParse("x > 0", s))
+	sel := SelectionPar(tab, predtest.MustParse("x > 0", s), 1)
 	if !sel[0] || sel[1] || sel[2] {
 		t.Fatalf("nullable selection wrong: %v", sel)
 	}
@@ -73,18 +77,18 @@ func TestSelectionLiteralAndEmpty(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		tab.AppendRow(predicate.IntVal(i))
 	}
-	for _, ok := range Selection(tab, predicate.TruePred) {
+	for _, ok := range SelectionPar(tab, predicate.TruePred, 1) {
 		if !ok {
 			t.Fatal("TRUE literal must select everything")
 		}
 	}
-	for _, ok := range Selection(tab, predicate.FalsePred) {
+	for _, ok := range SelectionPar(tab, predicate.FalsePred, 1) {
 		if ok {
 			t.Fatal("FALSE literal must select nothing")
 		}
 	}
 	empty := NewTable("e", s)
-	if got := Selection(empty, predicate.TruePred); len(got) != 0 {
+	if got := SelectionPar(empty, predicate.TruePred, 1); len(got) != 0 {
 		t.Fatalf("empty table selection length %d", len(got))
 	}
 }
@@ -102,6 +106,6 @@ func BenchmarkSelectionVectorized(b *testing.B) {
 	p := predtest.MustParse("a - b < 100 AND a < 700", s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Selection(tab, p)
+		SelectionPar(tab, p, 1)
 	}
 }

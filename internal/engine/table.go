@@ -70,7 +70,7 @@ func (t *Table) AppendRow(vals ...predicate.Value) {
 		}
 		if cd.typ.Integral() {
 			cd.ints = append(cd.ints, vals[i].Int)
-			if a := absU64(vals[i].Int); a > cd.maxAbs {
+			if a := predicate.AbsUint64(vals[i].Int); a > cd.maxAbs {
 				cd.maxAbs = a
 			}
 		} else {
@@ -78,16 +78,6 @@ func (t *Table) AppendRow(vals ...predicate.Value) {
 		}
 	}
 	t.nRows++
-}
-
-// absU64 returns |v| exactly, including |math.MinInt64| = 2⁶³ which does
-// not fit in int64.
-func absU64(v int64) uint64 {
-	u := uint64(v)
-	if v < 0 {
-		u = -u
-	}
-	return u
 }
 
 // Value returns the value at (row, col).
@@ -170,7 +160,7 @@ func NewTableFromColumns(name string, schema *predicate.Schema, nRows int, cols 
 			}
 			cd.ints = cv.Ints
 			for _, v := range cv.Ints {
-				if a := absU64(v); a > cd.maxAbs {
+				if a := predicate.AbsUint64(v); a > cd.maxAbs {
 					cd.maxAbs = a
 				}
 			}
@@ -251,8 +241,12 @@ func TablesEqual(a, b *Table) bool {
 	return true
 }
 
-// Tuple materializes one row as a predicate tuple (slow path, used by tests
-// and result inspection).
+// Tuple materializes one row as a predicate tuple: the row-at-a-time path
+// behind result inspection, tests, and the filter leaves only predicate.Eval
+// can read.
+//
+// alloc: one map per row is the price of the reference evaluator; leaves
+// that can avoid it bind to the column kernels instead
 func (t *Table) Tuple(row int) predicate.Tuple {
 	out := predicate.Tuple{}
 	for _, name := range t.order {

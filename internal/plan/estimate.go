@@ -54,11 +54,10 @@ func EstimateRows(n Node, c *Catalog) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		big, bigBase, small, smallBase := l, lBase, r, rBase
+		big, small, smallBase := l, r, rBase
 		if rBase > lBase {
-			big, bigBase, small, smallBase = r, rBase, l, lBase
+			big, small, smallBase = r, l, lBase
 		}
-		_ = bigBase
 		if smallBase == 0 {
 			return 0, nil
 		}

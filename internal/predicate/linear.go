@@ -194,12 +194,8 @@ func LinearToExpr(l *Linear, schema *Schema) (Expr, *big.Int) {
 		term := monomial(coeff.Num(), Col(col, t))
 		if e == nil {
 			e = term
-		} else if coeff.Sign() < 0 {
-			// monomial already carries the sign; still print as addition
-			// of the signed term for simplicity.
-			e = Add(e, term)
 		} else {
-			e = Add(e, term)
+			e = Add(e, term) // monomial carries the sign
 		}
 	}
 	c := tmp.Mul(l.Const, new(big.Rat).SetInt(scale))

@@ -19,17 +19,13 @@ import (
 	"sia/internal/predicate"
 )
 
-// Versioned routes. The unversioned spellings from the original siad are
-// kept as aliases and answered identically, with a Deprecation header.
+// Versioned routes.
 const (
 	PathSynthesize = "/v1/synthesize"
 	PathBatch      = "/v1/batch"
 	PathStats      = "/v1/stats"
 	PathHealthz    = "/healthz"
 	PathMetrics    = "/metrics"
-
-	LegacySynthesize = "/synthesize"
-	LegacyStats      = "/stats"
 )
 
 // Custom headers.
@@ -47,8 +43,6 @@ const (
 	// it locally even when its ring view names another owner, so a
 	// transient membership disagreement cannot create a proxy loop.
 	ForwardedHeader = "X-Sia-Forwarded"
-	// DeprecationHeader is set (RFC 8594 style) on legacy alias routes.
-	DeprecationHeader = "Deprecation"
 	// RetryAfterHeader accompanies 429 and 503 responses with the number
 	// of seconds after which a retry may be admitted.
 	RetryAfterHeader = "Retry-After"
@@ -216,7 +210,7 @@ type ServeStats struct {
 	SnapshotRestored uint64 `json:"snapshot_restored"`
 }
 
-// StatsResponse is the body of GET /v1/stats (and the legacy /stats alias).
+// StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
 	UptimeSeconds float64     `json:"uptime_seconds"`
 	Requests      uint64      `json:"requests"`

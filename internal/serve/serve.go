@@ -121,7 +121,6 @@ type Server struct {
 // so label cardinality stays bounded.
 var knownPaths = []string{
 	api.PathSynthesize, api.PathBatch, api.PathStats,
-	api.LegacySynthesize, api.LegacyStats,
 	api.PathHealthz, api.PathMetrics, "/debug/vars", "other",
 }
 
@@ -290,16 +289,14 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// Handler returns the replica's HTTP handler: the v1 routes, the legacy
-// aliases (Deprecation-headered), probes, metrics and optional pprof, all
-// wrapped in the metrics/access-log middleware.
+// Handler returns the replica's HTTP handler: the v1 routes, probes,
+// metrics and optional pprof, all wrapped in the metrics/access-log
+// middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(api.PathSynthesize, s.handleSynthesize)
 	mux.HandleFunc(api.PathBatch, s.handleBatch)
 	mux.HandleFunc(api.PathStats, s.handleStats)
-	mux.HandleFunc(api.LegacySynthesize, s.legacy(s.handleSynthesize))
-	mux.HandleFunc(api.LegacyStats, s.legacy(s.handleStats))
 	mux.HandleFunc(api.PathHealthz, s.handleHealthz)
 	mux.HandleFunc(api.PathMetrics, s.handleMetrics)
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -311,17 +308,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return s.instrument(mux)
-}
-
-// legacy wraps a v1 handler for its unversioned alias: identical
-// behavior, plus the Deprecation header (RFC 8594) pointing callers at
-// the v1 route.
-func (s *Server) legacy(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(api.DeprecationHeader, "true")
-		w.Header().Set("Link", `</v1>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // statusRecorder captures the status code written by a handler.
@@ -337,7 +323,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 // instrument wraps the mux with request counting, per-endpoint latency
 // histograms, and one structured access-log line per request. Counters
-// are bumped after the handler returns, so a /stats request reports the
+// are bumped after the handler returns, so a /v1/stats request reports the
 // state before itself.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

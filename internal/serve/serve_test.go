@@ -79,43 +79,43 @@ func post(t *testing.T, url, path, body string) (*http.Response, api.SynthesizeR
 	return resp, out, string(raw)
 }
 
-// TestV1AndLegacyAliases: the v1 route and the legacy alias serve the same
-// handler; only the alias is marked deprecated.
-func TestV1AndLegacyAliases(t *testing.T) {
+// TestV1Routes: synthesize and stats answer under /v1 only; the unversioned
+// spellings of the original siad are gone.
+func TestV1Routes(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 
-	resp, v1, _ := post(t, ts.URL, api.PathSynthesize, simpleBody)
-	if resp.StatusCode != http.StatusOK || !v1.Valid {
-		t.Fatalf("v1 synthesize: status %d, %+v", resp.StatusCode, v1)
+	resp, first, _ := post(t, ts.URL, api.PathSynthesize, simpleBody)
+	if resp.StatusCode != http.StatusOK || !first.Valid {
+		t.Fatalf("v1 synthesize: status %d, %+v", resp.StatusCode, first)
 	}
-	if d := resp.Header.Get(api.DeprecationHeader); d != "" {
-		t.Fatalf("v1 route carries Deprecation header %q", d)
-	}
-
-	resp, legacy, _ := post(t, ts.URL, api.LegacySynthesize, simpleBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy synthesize: status %d", resp.StatusCode)
-	}
-	if resp.Header.Get(api.DeprecationHeader) != "true" {
-		t.Fatal("legacy alias missing Deprecation header")
-	}
-	if !legacy.Cached || legacy.Predicate != v1.Predicate {
-		t.Fatalf("legacy alias not served from the same cache: %+v vs %+v", legacy, v1)
+	resp, again, _ := post(t, ts.URL, api.PathSynthesize, simpleBody)
+	if resp.StatusCode != http.StatusOK || !again.Cached || again.Predicate != first.Predicate {
+		t.Fatalf("repeat not served from the cache: status %d, %+v vs %+v", resp.StatusCode, again, first)
 	}
 
-	for _, p := range []string{api.PathStats, api.LegacyStats} {
-		resp, err := http.Get(ts.URL + p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st api.StatsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		resp.Body.Close()
-		if st.Cache.Misses != 1 {
-			t.Fatalf("%s: stats %+v, want 1 miss", p, st.Cache)
-		}
+	sresp, err := http.Get(ts.URL + api.PathStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st api.StatsResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	sresp.Body.Close()
+	if st.Cache.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 miss", st.Cache)
+	}
+
+	if resp, _, _ := post(t, ts.URL, "/synthesize", simpleBody); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /synthesize: status %d, want 404", resp.StatusCode)
+	}
+	gresp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gresp.Body.Close()
+	if gresp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats: status %d, want 404", gresp.StatusCode)
 	}
 }
 

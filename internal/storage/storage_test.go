@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -215,40 +216,115 @@ func TestOpenSegmentMissingFile(t *testing.T) {
 	}
 }
 
-// TestZoneMapSoundness is the pruning safety property: for random
-// predicates over random segments, every truth value predicate.Eval
-// produces on some row must be contained in evalTruth's abstract set. In
-// particular a pruned segment (TRUE not in the set) must have no TRUE row.
+// TestZoneMapSoundness is the read path's soundness property, checked on
+// the one artifact every layer reads: a random predicate is compiled once
+// into a predicate.Program, and against row-by-row predicate.Eval of the
+// original predicate
+//
+//	(i)   the engine keeps exactly the TRUE rows, at par 1 and 4;
+//	(ii)  every row's outcome is inside storage's abstract truth set, so a
+//	      pruned segment (CanMatch false) holds no TRUE row;
+//	(iii) the Program's negation normal form, evaluated three-valued,
+//	      agrees on every row, NULL rows included — which pins the
+//	      NOT-pushing step on its own.
 func TestZoneMapSoundness(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
-		tbl := buildTable(t, 50, int64(trial))
-		path := writeTestSegment(t, tbl)
-		seg, err := OpenSegment(path)
+		// Most segments are small, so zone maps are tight and pruning
+		// fires; every tenth table spans several morsels so par 4 really
+		// splits the work.
+		rows := 50
+		if trial%10 == 0 {
+			rows = 2*4096 + 50
+		}
+		tbl := propTable(r, rows, trial%3 == 0, trial%7 == 0)
+		seg, err := OpenSegment(writeTestSegment(t, tbl))
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := randPredicate(r, 3)
-		set := evalTruth(p, seg.meta.stats())
+		prog := predicate.Compile(p)
+		set := seg.meta.truth(prog)
+
+		var trueRows []int
 		for row := 0; row < tbl.NumRows(); row++ {
-			got := predicate.Eval(p, tbl.Tuple(row))
+			tu := tbl.Tuple(row)
+			got := predicate.Eval(p, tu)
+			if got == predicate.True { // tribool: collecting the WHERE-accepted rows
+				trueRows = append(trueRows, row)
+			}
 			if set&triBit(got) == 0 {
-				t.Fatalf("trial %d: predicate %s evaluates to %v on row %d but abstract set is %03b",
-					trial, p.String(), got, row, set)
+				t.Fatalf("trial %d: %s evaluates to %v on row %d but the abstract set is %03b", trial, p, got, row, set)
+			}
+			if nnf := evalProgram(prog, tu); nnf != got {
+				t.Fatalf("trial %d: %s evaluates to %v on row %d (%v) but its negation normal form to %v", trial, p, got, row, tu, nnf)
+			}
+		}
+		if !seg.CanMatch(prog) && len(trueRows) > 0 {
+			t.Fatalf("trial %d: %s pruned a segment with %d TRUE rows", trial, p, len(trueRows))
+		}
+		want, err := engine.ReorderRows(tbl, trueRows, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4} {
+			if got := engine.FilterProgram(tbl, prog, par); !engine.TablesEqual(want, got) {
+				t.Fatalf("trial %d par %d: %s: engine kept %d rows, Eval is TRUE on %d", trial, par, p, got.NumRows(), len(trueRows))
 			}
 		}
 	}
 }
 
-// randPredicate builds a random predicate over the test schema's integral
-// columns (plus the occasional double, which the evaluator must widen on).
+// evalProgram evaluates a compiled program three-valued on one tuple.
+func evalProgram(p *predicate.Program, tu predicate.Tuple) predicate.TriBool {
+	switch p.Kind {
+	case predicate.ProgAnd:
+		res := predicate.True
+		for _, kid := range p.Kids {
+			res = res.And(evalProgram(kid, tu))
+		}
+		return res
+	case predicate.ProgOr:
+		res := predicate.False
+		for _, kid := range p.Kids {
+			res = res.Or(evalProgram(kid, tu))
+		}
+		return res
+	default:
+		return predicate.Eval(p.Leaf, tu)
+	}
+}
+
+// propTable fills a testSchema table for the soundness property. id holds
+// small values, or — when edge is set — int64-edge values whose linear
+// forms trip the overflow bound; ts is nullable, and entirely NULL when
+// allNull is set; x is a nullable DOUBLE.
+func propTable(r *rand.Rand, rows int, edge, allNull bool) *engine.Table {
+	edges := []int64{math.MaxInt64, math.MinInt64, 1 << 62, -(1 << 62), (1 << 62) + 5, 0, 1}
+	tbl := engine.NewTable("t", testSchema())
+	for i := 0; i < rows; i++ {
+		id := predicate.IntVal(r.Int63n(200) - 100)
+		if edge {
+			id = predicate.IntVal(edges[r.Intn(len(edges))])
+		}
+		ts := predicate.IntVal(r.Int63n(1e9))
+		if allNull || r.Intn(5) == 0 {
+			ts = predicate.NullValue()
+		}
+		x := predicate.RealVal(r.NormFloat64() * 100)
+		if r.Intn(7) == 0 {
+			x = predicate.NullValue()
+		}
+		tbl.AppendRow(id, predicate.IntVal(r.Int63n(5000)-2500), ts, x)
+	}
+	return tbl
+}
+
+// randPredicate builds a random predicate over the test schema: AND/OR/NOT
+// to the given depth over comparisons with all six operators.
 func randPredicate(r *rand.Rand, depth int) predicate.Predicate {
 	if depth <= 0 || r.Intn(3) == 0 {
-		ops := []predicate.CmpOp{
-			predicate.CmpLT, predicate.CmpGT, predicate.CmpLE,
-			predicate.CmpGE, predicate.CmpEQ, predicate.CmpNE,
-		}
-		return predicate.Cmp(ops[r.Intn(len(ops))], randExpr(r, 2), randExpr(r, 2))
+		return randCompare(r)
 	}
 	switch r.Intn(3) {
 	case 0:
@@ -260,14 +336,37 @@ func randPredicate(r *rand.Rand, depth int) predicate.Predicate {
 	}
 }
 
+// randCompare builds one comparison. Most are linear over the NOT NULL d
+// and the nullable ts; some add a term in id (the column that may hold
+// int64-edge values — on one side only, so it cannot cancel out of the
+// linear form and leave Eval's float64 overflow fallback as the only
+// witness), a DOUBLE column, a halved side, or the non-linear id*d.
+func randCompare(r *rand.Rand) predicate.Predicate {
+	ops := []predicate.CmpOp{
+		predicate.CmpLT, predicate.CmpGT, predicate.CmpLE,
+		predicate.CmpGE, predicate.CmpEQ, predicate.CmpNE,
+	}
+	id := predicate.Col("id", predicate.TypeInteger)
+	left, right := randExpr(r, 2), randExpr(r, 2)
+	switch r.Intn(8) {
+	case 0, 1:
+		left = predicate.Add(predicate.Mul(predicate.IntConst(int64(1+r.Intn(4))), id), left)
+	case 2:
+		left = predicate.Add(left, predicate.Col("x", predicate.TypeDouble))
+	case 3:
+		left = predicate.Div(left, predicate.IntConst(2))
+	case 4:
+		left = predicate.Mul(id, predicate.Col("d", predicate.TypeDate))
+	}
+	return predicate.Cmp(ops[r.Intn(len(ops))], left, right)
+}
+
 func randExpr(r *rand.Rand, depth int) predicate.Expr {
 	if depth <= 0 || r.Intn(2) == 0 {
-		switch r.Intn(4) {
+		switch r.Intn(3) {
 		case 0:
-			return predicate.Col("id", predicate.TypeInteger)
-		case 1:
 			return predicate.Col("d", predicate.TypeDate)
-		case 2:
+		case 1:
 			return predicate.Col("ts", predicate.TypeTimestamp)
 		default:
 			return predicate.IntConst(r.Int63n(5000) - 2500)

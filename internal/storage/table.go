@@ -156,9 +156,13 @@ func (st *SegmentTable) ScanFilter(p predicate.Predicate, par int) (*engine.Tabl
 	segs := append([]*Segment(nil), st.segs...)
 	st.mu.RUnlock()
 
+	var prog *predicate.Program
+	if p != nil {
+		prog = predicate.Compile(p)
+	}
 	var parts []*engine.Table
 	for _, seg := range segs {
-		if !seg.CanMatch(p) {
+		if !seg.CanMatch(prog) {
 			mSegmentsPruned.Inc()
 			continue
 		}
@@ -166,8 +170,8 @@ func (st *SegmentTable) ScanFilter(p predicate.Predicate, par int) (*engine.Tabl
 		if err != nil {
 			return nil, err
 		}
-		if p != nil {
-			t = engine.FilterPar(t, p, par)
+		if prog != nil {
+			t = engine.FilterProgram(t, prog, par)
 		}
 		parts = append(parts, t)
 	}

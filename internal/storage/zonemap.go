@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"math/big"
-
-	"sia/internal/predicate"
-)
+import "sia/internal/predicate"
 
 // Zone-map pruning is a tiny abstract interpretation: each segment is
 // summarized by per-column intervals (the footer's min/max over non-NULL
@@ -14,12 +10,14 @@ import (
 // SQL filters keep only TRUE rows, so a segment that can yield at most
 // FALSE/UNKNOWN contributes nothing.
 //
-// The evaluation is a sound over-approximation: anything it cannot bound
-// (non-linear expressions, DOUBLE columns, columns the segment does not
-// carry) widens to "any outcome", which can only prevent pruning, never
-// cause a wrong skip. Soundness is pinned by a property test that checks
-// the abstract truth set against row-by-row predicate.Eval on random
-// segments.
+// The predicate arrives as the same compiled predicate.Program the engine
+// runs, so both layers read every comparison the same way. The evaluation
+// is a sound over-approximation: anything it cannot bound (opaque leaves,
+// DOUBLE columns, columns the segment does not carry, intervals too wide
+// for int64 arithmetic) widens to "any outcome", which can only prevent
+// pruning, never cause a wrong skip. Soundness is pinned by a property test
+// that checks the abstract truth set against row-by-row predicate.Eval on
+// random segments.
 
 // truthSet is a bitmask over the three-valued logic outcomes a predicate
 // can take on some row of a segment.
@@ -33,85 +31,42 @@ const (
 	truthAny = canTrue | canFalse | canUnknown
 )
 
-// colStat is the per-column abstraction the evaluator consumes.
-type colStat struct {
-	typ predicate.Type
-	zm  ZoneMap
-}
-
-// stats returns the segment's column summaries keyed by name.
-func (m *segMeta) stats() map[string]colStat {
-	out := make(map[string]colStat, len(m.cols()))
-	for i, c := range m.cols() {
-		out[c.Name] = colStat{typ: c.Type, zm: m.zones[i]}
-	}
-	return out
-}
-
-// evalTruth abstractly evaluates p over the column summaries, returning
-// every truth value some row could produce.
-func evalTruth(p predicate.Predicate, stats map[string]colStat) truthSet {
-	switch x := p.(type) {
-	case *predicate.Literal:
-		if x.B {
-			return canTrue
-		}
-		return canFalse
-	case *predicate.Not:
-		return evalTruth(x.P, stats).negate()
-	case *predicate.And:
-		// Empty AND is TRUE (mirrors the evaluator).
-		s := truthSet(canTrue)
-		for _, q := range x.Preds {
-			s = combine(s, evalTruth(q, stats), kleeneAnd)
+// truth abstractly evaluates p over the segment's zone maps, returning
+// every truth value some row could produce. The program is in negation
+// normal form, so only AND and OR need lifting.
+func (m *segMeta) truth(p *predicate.Program) truthSet {
+	switch p.Kind {
+	case predicate.ProgAnd:
+		s := canTrue
+		for _, kid := range p.Kids {
+			s = combine(s, m.truth(kid), predicate.TriBool.And)
 		}
 		return s
-	case *predicate.Or:
-		s := truthSet(canFalse)
-		for _, q := range x.Preds {
-			s = combine(s, evalTruth(q, stats), kleeneOr)
+	case predicate.ProgOr:
+		s := canFalse
+		for _, kid := range p.Kids {
+			s = combine(s, m.truth(kid), predicate.TriBool.Or)
 		}
 		return s
-	case *predicate.Compare:
-		return evalCompare(x, stats)
+	case predicate.ProgLinear:
+		return m.linearTruth(p)
 	default:
 		return truthAny
 	}
 }
 
-func (s truthSet) negate() truthSet {
-	out := s & canUnknown
-	if s&canTrue != 0 {
-		out |= canFalse
-	}
-	if s&canFalse != 0 {
-		out |= canTrue
-	}
-	return out
-}
+var triValues = [...]predicate.TriBool{predicate.True, predicate.False, predicate.Unknown}
 
 // combine lifts a three-valued connective to truth sets pointwise: the
 // result contains op(a, b) for every a in s1 and b in s2.
 func combine(s1, s2 truthSet, op func(a, b predicate.TriBool) predicate.TriBool) truthSet {
 	var out truthSet
-	for _, a := range triValues(s1) {
-		for _, b := range triValues(s2) {
-			out |= triBit(op(a, b))
+	for _, a := range triValues {
+		for _, b := range triValues {
+			if s1&triBit(a) != 0 && s2&triBit(b) != 0 {
+				out |= triBit(op(a, b))
+			}
 		}
-	}
-	return out
-}
-
-func triValues(s truthSet) []predicate.TriBool {
-	out := make([]predicate.TriBool, 0, 3)
-	if s&canTrue != 0 {
-		out = append(out, predicate.True)
-	}
-	if s&canFalse != 0 {
-		out = append(out, predicate.False)
-	}
-	if s&canUnknown != 0 {
-		out = append(out, predicate.Unknown)
 	}
 	return out
 }
@@ -127,155 +82,101 @@ func triBit(v predicate.TriBool) truthSet {
 	}
 }
 
-func kleeneAnd(a, b predicate.TriBool) predicate.TriBool {
-	switch {
-	// tribool: this IS the Kleene AND truth table — False absorbs, and the
-	// next case keeps Unknown distinct from True.
-	case a == predicate.False || b == predicate.False:
-		return predicate.False
-	case a == predicate.Unknown || b == predicate.Unknown:
-		return predicate.Unknown
-	default:
-		return predicate.True
-	}
-}
-
-func kleeneOr(a, b predicate.TriBool) predicate.TriBool {
-	switch {
-	// tribool: this IS the Kleene OR truth table — True absorbs, and the
-	// next case keeps Unknown distinct from False.
-	case a == predicate.True || b == predicate.True:
-		return predicate.True
-	case a == predicate.Unknown || b == predicate.Unknown:
-		return predicate.Unknown
-	default:
-		return predicate.False
-	}
-}
-
-// evalCompare bounds Left−Right by exact interval arithmetic over the
-// column min/max summaries and reads the comparison's possible outcomes
-// off the interval's position relative to zero. NULLs in a referenced
-// column add UNKNOWN; an all-NULL referenced column forces UNKNOWN for
-// every row; anything unboundable widens to truthAny.
-//
-// NULL handling walks the *syntactic* column set, not the linear form's
-// coefficients: a column can vanish from the linear form (0*ts, ts-ts) yet
-// still poison the expression with NULL, because NULL propagates through
-// arithmetic regardless of its coefficient.
-func evalCompare(c *predicate.Compare, stats map[string]colStat) truthSet {
+// linearTruth bounds a linear leaf's Σ coef·col + K over the column min/max
+// intervals and reads the comparison's possible outcomes off the interval's
+// position relative to zero. NULLs in a referenced column add UNKNOWN; an
+// all-NULL referenced column forces UNKNOWN for every row. NULL handling
+// walks the leaf's syntactic column set (Refs), not its coefficients: a
+// column can vanish from the linear form (0*ts, ts-ts) yet still poison the
+// comparison with NULL. The interval ends are computed in int64, which
+// Program.FitsInt64 licenses for max(|min|,|max|) per column — the same
+// bound the engine applies to its data before using the wrapping kernels.
+func (m *segMeta) linearTruth(p *predicate.Program) truthSet {
 	hasNull := false
-	refd := predicate.ExprColumns(c.Left, nil)
-	refd = predicate.ExprColumns(c.Right, refd)
-	for _, col := range refd {
-		st, ok := stats[col]
-		if !ok || !st.typ.Integral() {
+	for _, name := range p.Refs {
+		c, zm, ok := m.column(name)
+		if !ok || !c.Type.Integral() {
 			return truthAny // column not summarized as an int64 interval
 		}
-		if !st.zm.HasValues {
-			// Every row's value is NULL: the whole comparison is UNKNOWN
-			// on every row, regardless of the other terms.
+		if !zm.HasValues {
 			return canUnknown
 		}
-		if st.zm.NullCount > 0 {
+		if zm.NullCount > 0 {
 			hasNull = true
 		}
 	}
 
-	lhs, err := predicate.Linearize(c.Left)
-	if err != nil {
-		return truthAny
-	}
-	rhs, err := predicate.Linearize(c.Right)
-	if err != nil {
-		return truthAny
-	}
-	diff := lhs.Clone()
-	diff.AddScaled(rhs, big.NewRat(-1, 1))
-
-	lo := new(big.Rat).Set(diff.Const)
-	hi := new(big.Rat).Set(diff.Const)
-	for col, coeff := range diff.Coeffs {
-		st := stats[col] // present and integral: checked above
-		cmin := new(big.Rat).SetInt64(st.zm.Min)
-		cmax := new(big.Rat).SetInt64(st.zm.Max)
-		if coeff.Sign() >= 0 {
-			lo.Add(lo, new(big.Rat).Mul(coeff, cmin))
-			hi.Add(hi, new(big.Rat).Mul(coeff, cmax))
-		} else {
-			lo.Add(lo, new(big.Rat).Mul(coeff, cmax))
-			hi.Add(hi, new(big.Rat).Mul(coeff, cmin))
+	maxAbs := make([]uint64, len(p.Cols))
+	lo, hi := p.K, p.K
+	for i, name := range p.Cols {
+		_, zm, _ := m.column(name) // present and integral: Cols ⊆ Refs
+		maxAbs[i] = max(predicate.AbsUint64(zm.Min), predicate.AbsUint64(zm.Max))
+		// These wrap only when FitsInt64 fails below and discards them.
+		atMin, atMax := p.Coefs[i]*zm.Min, p.Coefs[i]*zm.Max
+		if p.Coefs[i] < 0 {
+			atMin, atMax = atMax, atMin
 		}
+		lo += atMin
+		hi += atMax
+	}
+	if !p.FitsInt64(maxAbs) {
+		return truthAny
 	}
 
-	s := intervalOutcomes(c.Op, lo, hi)
+	s := intervalOutcomes(p.Leaf.Op, lo, hi)
 	if hasNull {
 		s |= canUnknown
 	}
 	return s
 }
 
-// intervalOutcomes returns the outcomes of "x op 0" over x ∈ [lo, hi].
-func intervalOutcomes(op predicate.CmpOp, lo, hi *big.Rat) truthSet {
+// column looks a column up in the segment's catalog.
+func (m *segMeta) column(name string) (predicate.Column, ZoneMap, bool) {
+	for i, c := range m.cols() {
+		if c.Name == name {
+			return c, m.zones[i], true
+		}
+	}
+	return predicate.Column{}, ZoneMap{}, false
+}
+
+// intervalOutcomes returns the outcomes of "x op 0" over x ∈ [lo, hi]: it
+// can be FALSE exactly where the negated operator can be TRUE.
+func intervalOutcomes(op predicate.CmpOp, lo, hi int64) truthSet {
 	var s truthSet
-	loSign, hiSign := lo.Sign(), hi.Sign()
-	point := lo.Cmp(hi) == 0
-	switch op {
-	case predicate.CmpLT:
-		if loSign < 0 {
-			s |= canTrue
-		}
-		if hiSign >= 0 {
-			s |= canFalse
-		}
-	case predicate.CmpLE:
-		if loSign <= 0 {
-			s |= canTrue
-		}
-		if hiSign > 0 {
-			s |= canFalse
-		}
-	case predicate.CmpGT:
-		if hiSign > 0 {
-			s |= canTrue
-		}
-		if loSign <= 0 {
-			s |= canFalse
-		}
-	case predicate.CmpGE:
-		if hiSign >= 0 {
-			s |= canTrue
-		}
-		if loSign < 0 {
-			s |= canFalse
-		}
-	case predicate.CmpEQ:
-		if loSign <= 0 && hiSign >= 0 {
-			s |= canTrue
-		}
-		if !(point && loSign == 0) {
-			s |= canFalse
-		}
-	case predicate.CmpNE:
-		if !(point && loSign == 0) {
-			s |= canTrue
-		}
-		if loSign <= 0 && hiSign >= 0 {
-			s |= canFalse
-		}
-	default:
-		return truthAny
+	if holdsSomewhere(op, lo, hi) {
+		s |= canTrue
+	}
+	if holdsSomewhere(op.Negate(), lo, hi) {
+		s |= canFalse
 	}
 	return s
 }
 
-// CanMatch reports whether some row of the segment could satisfy p
-// (evaluate to TRUE). A false return is a proof from the zone maps that a
-// scan may skip the segment without reading any column page. A nil
-// predicate matches everything.
-func (s *Segment) CanMatch(p predicate.Predicate) bool {
-	if p == nil {
-		return true
+// holdsSomewhere reports whether "x op 0" is true for some x ∈ [lo, hi].
+func holdsSomewhere(op predicate.CmpOp, lo, hi int64) bool {
+	switch op {
+	case predicate.CmpLT:
+		return lo < 0
+	case predicate.CmpLE:
+		return lo <= 0
+	case predicate.CmpGT:
+		return hi > 0
+	case predicate.CmpGE:
+		return hi >= 0
+	case predicate.CmpEQ:
+		return lo <= 0 && hi >= 0
+	case predicate.CmpNE:
+		return lo != 0 || hi != 0
+	default:
+		return true // an operator unknown here may hold anywhere: widen
 	}
-	return evalTruth(p, s.meta.stats())&canTrue != 0
+}
+
+// CanMatch reports whether some row of the segment could satisfy the
+// compiled predicate (evaluate to TRUE). A false return is a proof from the
+// zone maps that a scan may skip the segment without reading any column
+// page. A nil program matches everything.
+func (s *Segment) CanMatch(p *predicate.Program) bool {
+	return p == nil || s.meta.truth(p)&canTrue != 0
 }

@@ -38,11 +38,10 @@ until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
 done
 echo "smoke-siad: healthy"
 
-# One real synthesis populates the cache and solver metrics. The legacy
-# /synthesize alias must keep answering (deprecated, not removed); the
+# One real synthesis populates the cache and solver metrics. The
 # explicit Content-Type matters — siad refuses non-JSON media types with
 # 415 (curl -d would otherwise send application/x-www-form-urlencoded).
-curl -fsS -X POST "$BASE/synthesize" -H 'Content-Type: application/json' -d '{
+curl -fsS -X POST "$BASE/v1/synthesize" -H 'Content-Type: application/json' -d '{
     "predicate": "a - b < 20 AND b < 0",
     "cols": ["a"],
     "schema": [{"name": "a", "type": "int"}, {"name": "b", "type": "int"}]
