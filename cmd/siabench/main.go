@@ -7,13 +7,15 @@
 //	siabench -experiment table3 -trace cegis.jsonl
 //
 // Experiments: table1, table2, table3, table4, fig6, fig7, fig8, fig9,
-// fig9-disk, motivating, serve. Table 2/3 and Fig. 7/8 share one synthesis
-// sweep; Table 4 and Fig. 9 share one runtime run. fig9-disk repeats the
-// runtime comparison over disk-backed segment storage, where the rewrite's
-// synthesized predicate additionally prunes segments via zone maps
-// (-disk-out writes the BENCH_disk.json artifact). Defaults are
-// laptop-sized; the paper's scale is -queries 200 -scale 100,1000 (TPC-H
-// SF 1 and 10).
+// fig9-disk, motivating. Table 2/3 and Fig. 7/8 share one synthesis sweep;
+// Table 4 and Fig. 9 share one runtime run. fig9-disk repeats the runtime
+// comparison over disk-backed segment storage, where the rewrite's
+// synthesized predicate additionally prunes segments via zone maps.
+// Defaults are laptop-sized; the paper's scale is -queries 200
+// -scale 100,1000 (TPC-H SF 1 and 10).
+//
+// siabench reproduces the paper; it is not how performance is judged. The
+// gated measurement is BENCHMARK.json + bench/ (see bench/README.md).
 //
 // -trace FILE records every CEGIS loop as JSONL spans (one line per
 // sampling round, learning iteration, verification and outcome — the raw
@@ -24,7 +26,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +37,6 @@ import (
 	"sia/internal/experiments"
 	"sia/internal/maxcompute"
 	"sia/internal/obs"
-	"sia/internal/smt"
 )
 
 func main() {
@@ -47,7 +47,7 @@ func main() {
 }
 
 func run() error {
-	exp := flag.String("experiment", "", "one of table1..table4, fig6..fig9, fig9-disk, motivating, serve")
+	exp := flag.String("experiment", "", "comma-separated: table1..table4, fig6..fig9, fig9-disk, motivating")
 	all := flag.Bool("all", false, "run every experiment")
 	queries := flag.Int("queries", 40, "number of benchmark queries (paper: 200)")
 	scale := flag.String("scale", "1,10", "comma-separated scale factors (x15k orders; paper SF1/SF10 = 100,1000)")
@@ -55,15 +55,6 @@ func run() error {
 	seed := flag.Int64("seed", 0, "workload seed (0 = default)")
 	parallelism := flag.Int("parallelism", 0, "engine worker count for plan execution (0 = one per CPU; results are identical at any setting)")
 	trace := flag.String("trace", "", "write CEGIS trace spans to this file as JSONL (disables synthesis caching)")
-	benchOut := flag.String("bench-out", "", "write a JSON snapshot of the process-wide SMT metrics to this file after the run (the BENCH_smt.json artifact)")
-	serveOut := flag.String("serve-out", "", "with -experiment serve: write the serving-tier report to this file (the BENCH_serve.json artifact)")
-	serveRequests := flag.Int("serve-requests", 1500, "serving experiment: stream length")
-	serveTemplates := flag.Int("serve-templates", 60, "serving experiment: recurring-template pool size")
-	serveCapacity := flag.Int("serve-capacity", 28, "serving experiment: per-replica cache capacity")
-	serveConcurrency := flag.Int("serve-concurrency", 16, "serving experiment: client worker count")
-	diskOut := flag.String("disk-out", "", "with -experiment fig9-disk: write the disk-storage report to this file (the BENCH_disk.json artifact)")
-	segmentRows := flag.Int("segment-rows", 0, "disk experiment: rows per segment file (0 = default)")
-	benchBaseline := flag.String("bench-baseline", "", "embed this previously written -bench-out file as the baseline and report speedups against it")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
@@ -91,7 +82,7 @@ func run() error {
 		}
 		sfs = append(sfs, f)
 	}
-	cfg := experiments.Config{Queries: *queries, Seed: *seed, ScaleFactors: sfs, Parallelism: *parallelism, SegmentRows: *segmentRows}
+	cfg := experiments.Config{Queries: *queries, Seed: *seed, ScaleFactors: sfs, Parallelism: *parallelism}
 
 	if *trace != "" {
 		f, err := os.Create(*trace)
@@ -138,17 +129,6 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "synthesis sweep: %d records in %v\n", len(records), time.Since(start).Round(time.Millisecond))
 	}
-	var runtimeRecords []experiments.RuntimeRecord
-	if run["table4"] || run["fig9"] {
-		start := time.Now()
-		var err error
-		runtimeRecords, err = experiments.Fig9(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "runtime experiment: %d records in %v\n", len(runtimeRecords), time.Since(start).Round(time.Millisecond))
-	}
-
 	section := func(title, body string) {
 		fmt.Printf("=== %s ===\n%s\n", title, body)
 	}
@@ -167,9 +147,20 @@ func run() error {
 	if run["fig8"] {
 		section("Fig 8: sample distribution", experiments.RenderFig8(experiments.Fig8(records)))
 	}
+	runtimeSection := func(title string, experiment func(experiments.Config) ([]experiments.RuntimeRecord, error)) error {
+		start := time.Now()
+		records, err := experiment(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "runtime experiment: %d records in %v\n", len(records), time.Since(start).Round(time.Millisecond))
+		section(title, experiments.RenderFig9(records, experiments.Summarize(records)))
+		return nil
+	}
 	if run["table4"] || run["fig9"] {
-		body := experiments.RenderFig9(runtimeRecords, experiments.Summarize(runtimeRecords))
-		section("Fig 9 / Table 4: runtime impact and selectivity", body)
+		if err := runtimeSection("Fig 9 / Table 4: runtime impact and selectivity", experiments.Fig9); err != nil {
+			return err
+		}
 	}
 	if run["fig6"] {
 		qs, err := maxcompute.Simulate(maxcompute.Config{N: *population})
@@ -187,113 +178,10 @@ func run() error {
 			section(fmt.Sprintf("Motivating example (scale %g)", sf), experiments.RenderMotivating(m))
 		}
 	}
-	if run["serve"] {
-		start := time.Now()
-		rep, err := experiments.ServeBench(experiments.ServeBenchConfig{
-			Requests:      *serveRequests,
-			Templates:     *serveTemplates,
-			Seed:          *seed,
-			Concurrency:   *serveConcurrency,
-			CacheCapacity: *serveCapacity,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "serving experiment: %d requests x2 tiers in %v\n",
-			*serveRequests, time.Since(start).Round(time.Millisecond))
-		section("Serving tier: single replica vs sharded cluster", experiments.RenderServe(rep))
-		if *serveOut != "" {
-			out, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			out = append(out, '\n')
-			if err := os.WriteFile(*serveOut, out, 0o644); err != nil {
-				return fmt.Errorf("writing serve report: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "serve report: %s\n", *serveOut)
-		}
-	}
 	if run["fig9-disk"] {
-		start := time.Now()
-		rep, err := experiments.Fig9Disk(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "disk experiment: %d records in %v\n",
-			len(rep.Records), time.Since(start).Round(time.Millisecond))
-		section("Fig 9 (disk): segment storage with zone-map pruning", experiments.RenderDisk(rep))
-		if *diskOut != "" {
-			out, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			out = append(out, '\n')
-			if err := os.WriteFile(*diskOut, out, 0o644); err != nil {
-				return fmt.Errorf("writing disk report: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "disk report: %s\n", *diskOut)
-		}
-	}
-	if *benchOut != "" {
-		if err := writeBenchOut(*benchOut, *benchBaseline, cfg); err != nil {
+		if err := runtimeSection("Fig 9 (disk): segment storage with zone-map pruning", experiments.Fig9Disk); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// benchReport is the BENCH_smt.json schema: the workload that was run, the
-// SMT metric snapshot it produced, and (when -bench-baseline names an
-// earlier report) that baseline plus per-kind mean-latency speedups.
-type benchReport struct {
-	Workload struct {
-		Queries      int       `json:"queries"`
-		Seed         int64     `json:"seed"`
-		ScaleFactors []float64 `json:"scale_factors"`
-	} `json:"workload"`
-	SMT      smt.BenchSnapshot  `json:"smt"`
-	Baseline *benchReport       `json:"baseline,omitempty"`
-	Speedup  map[string]float64 `json:"mean_speedup,omitempty"`
-}
-
-// writeBenchOut snapshots the SMT metrics accumulated by this process's run
-// and writes them as JSON. With a baseline file, the baseline is embedded
-// and a mean-latency speedup (baseline mean / current mean) is reported per
-// query kind so BENCH_smt.json carries the before/after comparison whole.
-func writeBenchOut(path, baselinePath string, cfg experiments.Config) error {
-	var rep benchReport
-	rep.Workload.Queries = cfg.Queries
-	rep.Workload.Seed = cfg.Seed
-	rep.Workload.ScaleFactors = cfg.ScaleFactors
-	rep.SMT = smt.Snapshot()
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("reading bench baseline: %w", err)
-		}
-		base := new(benchReport)
-		if err := json.Unmarshal(raw, base); err != nil {
-			return fmt.Errorf("parsing bench baseline %s: %w", baselinePath, err)
-		}
-		rep.Baseline = base
-		rep.Speedup = map[string]float64{}
-		for kind, cur := range rep.SMT.Query {
-			b, ok := base.SMT.Query[kind]
-			if !ok || cur.MeanSeconds == 0 || b.MeanSeconds == 0 {
-				continue
-			}
-			rep.Speedup[kind] = b.MeanSeconds / cur.MeanSeconds
-		}
-	}
-	out, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return fmt.Errorf("writing bench report: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "bench report: %s\n", path)
 	return nil
 }

@@ -1,50 +1,11 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"sia/internal/engine"
 	"sia/internal/tpch"
 )
-
-func TestFig9Disk(t *testing.T) {
-	cfg := smallCfg()
-	cfg.SegmentRows = 128 // many segments even at the test scale
-	rep, err := Fig9Disk(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Records) == 0 || len(rep.Summaries) != 1 {
-		t.Fatalf("records=%d summaries=%d", len(rep.Records), len(rep.Summaries))
-	}
-	s := rep.Summaries[0]
-	if s.Rewritten == 0 {
-		t.Fatal("no queries were rewritten; the experiment is vacuous")
-	}
-	if s.SegmentsPruned == 0 {
-		t.Fatal("rewritten plans pruned no segments; zone maps never fired")
-	}
-	if s.BytesReadRw >= s.BytesReadOrig {
-		t.Fatalf("rewrite read more bytes than the original: %d vs %d", s.BytesReadRw, s.BytesReadOrig)
-	}
-	for _, r := range rep.Records {
-		if r.OriginalNs <= 0 || r.OrigScanned == 0 {
-			t.Fatalf("incomplete original record: %+v", r)
-		}
-		if r.Rewritten && r.RewrittenNs <= 0 {
-			t.Fatalf("incomplete rewritten record: %+v", r)
-		}
-	}
-	// The streaming probe must show the full loop: fill, hit, append,
-	// invalidate, miss.
-	if rep.Probe.InvalidatedEntries == 0 || !rep.Probe.ResynthesisMiss {
-		t.Fatalf("probe did not observe invalidation: %+v", rep.Probe)
-	}
-	if out := RenderDisk(rep); !strings.Contains(out, "streaming probe") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
 
 func TestSameRows(t *testing.T) {
 	orders, _ := tpch.Generate(tpch.Config{ScaleFactor: 0.01})
@@ -70,17 +31,5 @@ func TestSameRows(t *testing.T) {
 	}
 	if sameRows(orders, swapped) {
 		t.Fatal("a replaced row must be detected")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m := median(nil); m != 0 {
-		t.Fatalf("median(nil) = %v", m)
-	}
-	if m := median([]float64{3, 1, 2}); m != 2 {
-		t.Fatalf("odd median = %v", m)
-	}
-	if m := median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Fatalf("even median = %v", m)
 	}
 }

@@ -12,7 +12,7 @@
 //	Fig. 6   — MaxCompute case study              → maxcompute.Simulate + RenderFig6
 //	Fig. 7   — iterations to converge             → Fig7()
 //	Fig. 8   — sample-count distribution          → Fig8()
-//	Fig. 9   — original vs rewritten runtimes     → Fig9()
+//	Fig. 9   — original vs rewritten runtimes     → Fig9() (Fig9Disk() over segment files)
 //	§2       — motivating example speedup         → Motivating()
 package experiments
 

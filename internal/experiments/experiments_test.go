@@ -110,57 +110,86 @@ func TestSweepAndAggregations(t *testing.T) {
 }
 
 func TestFig9AndSummaries(t *testing.T) {
-	records, err := Fig9(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) == 0 {
-		t.Fatal("no runtime records")
-	}
-	rewritten := 0
-	for _, r := range records {
-		if r.Original <= 0 {
-			t.Fatalf("missing original time: %+v", r)
-		}
-		if r.Rewritten {
-			rewritten++
-			if r.Synthesized == nil || r.RewrittenTime <= 0 {
-				t.Fatalf("incomplete rewritten record: %+v", r)
+	diskCfg := smallCfg()
+	diskCfg.SegmentRows = 128 // many segments even at the test scale
+	for _, tc := range []struct {
+		name       string
+		experiment func(Config) ([]RuntimeRecord, error)
+		cfg        Config
+		disk       bool
+	}{
+		{"memory", Fig9, smallCfg(), false},
+		{"disk", Fig9Disk, diskCfg, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			records, err := tc.experiment(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if r.Selectivity < 0 || r.Selectivity > 1 {
-				t.Fatalf("selectivity out of range: %+v", r)
+			if len(records) == 0 {
+				t.Fatal("no runtime records")
 			}
-		}
-	}
-	if rewritten == 0 {
-		t.Fatal("no queries were rewritten; the experiment is vacuous")
-	}
-	sums := Summarize(records)
-	if len(sums) != 1 {
-		t.Fatalf("summaries = %d", len(sums))
-	}
-	s := sums[0]
-	if s.Faster+s.Slower != s.Rewritten {
-		t.Fatalf("faster+slower != rewritten: %+v", s)
-	}
-	if s.Faster2x > s.Faster || s.Slower2x > s.Slower {
-		t.Fatalf("2x counts exceed totals: %+v", s)
-	}
-	if out := RenderFig9(records, sums); !strings.Contains(out, "speedup") {
-		t.Fatalf("render fig 9:\n%s", out)
-	}
+			rewritten := 0
+			for _, r := range records {
+				if r.Original <= 0 {
+					t.Fatalf("missing original time: %+v", r)
+				}
+				if scanned := r.OrigStorage.SegmentsScanned; (scanned > 0) != tc.disk {
+					t.Fatalf("original plan scanned %d segments (disk=%v): %+v", scanned, tc.disk, r)
+				}
+				if r.Rewritten {
+					rewritten++
+					if r.Synthesized == nil || r.RewrittenTime <= 0 {
+						t.Fatalf("incomplete rewritten record: %+v", r)
+					}
+					if r.Selectivity < 0 || r.Selectivity > 1 {
+						t.Fatalf("selectivity out of range: %+v", r)
+					}
+				}
+			}
+			if rewritten == 0 {
+				t.Fatal("no queries were rewritten; the experiment is vacuous")
+			}
+			sums := Summarize(records)
+			if len(sums) != 1 {
+				t.Fatalf("summaries = %d", len(sums))
+			}
+			s := sums[0]
+			if s.Rewritten != rewritten || s.Faster+s.Slower != s.Rewritten {
+				t.Fatalf("rewritten=%d but summary says %+v", rewritten, s)
+			}
+			if s.Faster2x > s.Faster || s.Slower2x > s.Slower {
+				t.Fatalf("2x counts exceed totals: %+v", s)
+			}
+			out := RenderFig9(records, sums)
+			if !strings.Contains(out, "speedup") {
+				t.Fatalf("render fig 9:\n%s", out)
+			}
+			if tc.disk {
+				if s.SegmentsPruned == 0 {
+					t.Fatal("rewritten plans pruned no segments; zone maps never fired")
+				}
+				if s.BytesReadRw >= s.BytesReadOrig {
+					t.Fatalf("rewrite read more bytes than the original: %d vs %d", s.BytesReadRw, s.BytesReadOrig)
+				}
+			}
+			if strings.Contains(out, "segments pruned") != tc.disk {
+				t.Fatalf("storage line (disk=%v):\n%s", tc.disk, out)
+			}
 
-	// A repeated run reuses the synthesis cache: no new CEGIS loops.
-	before := fig9Synth.Stats()
-	if _, err := Fig9(smallCfg()); err != nil {
-		t.Fatal(err)
-	}
-	after := fig9Synth.Stats()
-	if after.Misses != before.Misses {
-		t.Fatalf("repeated Fig9 re-ran synthesis: %d -> %d misses", before.Misses, after.Misses)
-	}
-	if after.Hits <= before.Hits {
-		t.Fatalf("repeated Fig9 never hit the cache: %+v -> %+v", before, after)
+			// A repeated run reuses the synthesis cache: no new CEGIS loops.
+			before := fig9Synth.Stats()
+			if _, err := tc.experiment(tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+			after := fig9Synth.Stats()
+			if after.Misses != before.Misses {
+				t.Fatalf("repeated run re-ran synthesis: %d -> %d misses", before.Misses, after.Misses)
+			}
+			if after.Hits <= before.Hits {
+				t.Fatalf("repeated run never hit the cache: %+v -> %+v", before, after)
+			}
+		})
 	}
 }
 

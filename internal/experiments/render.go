@@ -118,7 +118,8 @@ func RenderFig8(f Fig8Result) string {
 }
 
 // RenderFig9 prints the runtime scatter points and summary (Fig. 9 +
-// Table 4).
+// Table 4), plus each scale's storage totals when the records come from
+// Fig9Disk.
 func RenderFig9(records []RuntimeRecord, summaries []Fig9Summary) string {
 	var b strings.Builder
 	if errs, runs := synthErrCount(records); errs > 0 {
@@ -131,6 +132,11 @@ func RenderFig9(records []RuntimeRecord, summaries []Fig9Summary) string {
 			s.Faster2x, s.AvgSelFast2x,
 			s.Slower, s.AvgSelSlower,
 			s.Slower2x, s.AvgSelSlow2x)
+		if s.BytesReadOrig > 0 { // segment storage: what zone-map pruning saved
+			fmt.Fprintf(&b, "  storage: segments pruned=%d (%.1f%%) bytes read original=%d rewritten=%d (%.1f MB saved)\n",
+				s.SegmentsPruned, 100*s.PrunedFrac, s.BytesReadOrig, s.BytesReadRw,
+				float64(int64(s.BytesReadOrig)-int64(s.BytesReadRw))/(1<<20))
+		}
 	}
 	b.WriteString("\nquery  scale  original(ms)  rewritten(ms)  speedup  selectivity\n")
 	for _, r := range records {

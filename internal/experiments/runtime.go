@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"sia/internal/plan"
 	"sia/internal/predicate"
 	"sia/internal/sql"
+	"sia/internal/storage"
 	"sia/internal/tpch"
 	"sia/internal/workload"
 )
@@ -41,6 +44,10 @@ type RuntimeRecord struct {
 	Synthesized predicate.Predicate
 	// Original and RewrittenTime are the measured execution times.
 	Original, RewrittenTime time.Duration
+	// OrigStorage and RwStorage are the two plans' storage activity per
+	// execution (segments scanned and pruned, bytes read). Both are zero
+	// over in-memory tables.
+	OrigStorage, RwStorage storage.CounterSnapshot
 	// Selectivity of the synthesized predicate on lineitem (Table 4).
 	Selectivity float64
 	// Rows returned (identical for both plans — checked).
@@ -57,8 +64,28 @@ func (r RuntimeRecord) Speedup() float64 {
 
 // Fig9 runs the end-to-end runtime experiment: for every benchmark query,
 // synthesize lineitem-side predicates, rewrite, and execute both plans on
-// the engine at each scale factor.
+// the engine over in-memory tables at each scale factor.
 func Fig9(cfg Config) ([]RuntimeRecord, error) {
+	return fig9(cfg, func(sf float64) (mem, cat *plan.Catalog, err error) {
+		orders, lineitem := tpch.Generate(tpch.Config{ScaleFactor: sf})
+		mem = memCatalog(orders, lineitem)
+		return mem, mem, nil
+	})
+}
+
+func memCatalog(orders, lineitem *engine.Table) *plan.Catalog {
+	cat := plan.NewCatalog()
+	cat.Add(orders)
+	cat.Add(lineitem)
+	return cat
+}
+
+// fig9 is the one runtime loop behind Fig9 and Fig9Disk. build returns, per
+// scale factor, the in-memory catalog of the generated data (the reference)
+// and the catalog the plans are measured over. When the two differ, the
+// measured catalog's tables and its first query's result must equal the
+// reference's.
+func fig9(cfg Config, build func(sf float64) (mem, cat *plan.Catalog, err error)) ([]RuntimeRecord, error) {
 	cfg = cfg.withDefaults()
 	queries := workload.Generate(workload.Config{N: cfg.Queries, Seed: cfg.Seed})
 
@@ -96,12 +123,32 @@ func Fig9(cfg Config) ([]RuntimeRecord, error) {
 	}
 	wg.Wait()
 
+	const runs = 3
+	// perRun is the storage activity of one of the runs executions since
+	// before.
+	perRun := func(before storage.CounterSnapshot) storage.CounterSnapshot {
+		d := storage.SnapshotCounters().Sub(before)
+		return storage.CounterSnapshot{
+			SegmentsScanned: d.SegmentsScanned / runs,
+			SegmentsPruned:  d.SegmentsPruned / runs,
+			BytesRead:       d.BytesRead / runs,
+		}
+	}
 	var out []RuntimeRecord
 	for _, sf := range cfg.ScaleFactors {
-		orders, lineitem := tpch.Generate(tpch.Config{ScaleFactor: sf})
-		cat := plan.NewCatalog()
-		cat.Add(orders)
-		cat.Add(lineitem)
+		mem, cat, err := build(sf)
+		if err != nil {
+			return nil, err
+		}
+		if cat != mem {
+			if err := sameTables(mem, cat, cfg.Parallelism); err != nil {
+				return nil, err
+			}
+		}
+		lineitem, err := mem.Table("lineitem")
+		if err != nil {
+			return nil, err
+		}
 		for i, q := range queries {
 			rec := RuntimeRecord{QueryID: q.ID, ScaleFactor: sf}
 			if serr := rewrites[i].err; serr != nil {
@@ -118,12 +165,26 @@ func Fig9(cfg Config) ([]RuntimeRecord, error) {
 			// Original: plain pushdown only (which moves nothing to
 			// lineitem, by the workload's construction).
 			origPlan := plan.PushDownFilters(node)
-			origTable, origStats, err := executeBest(origPlan, cat, 3, cfg.Parallelism)
+			before := storage.SnapshotCounters()
+			origTable, origStats, err := executeBest(origPlan, cat, runs, cfg.Parallelism)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: execute query %d: %w", q.ID, err)
 			}
+			rec.OrigStorage = perRun(before)
 			rec.Original = origStats.Elapsed
 			rec.OutputRows = origTable.NumRows()
+
+			// The first query at each scale factor is additionally checked
+			// value-identical against the in-memory engine end to end.
+			if i == 0 && cat != mem {
+				memTable, _, err := executeBest(origPlan, mem, 1, cfg.Parallelism)
+				if err != nil {
+					return nil, err
+				}
+				if !engine.TablesEqual(memTable, origTable) {
+					return nil, fmt.Errorf("experiments: query %d result differs from the in-memory engine", q.ID)
+				}
+			}
 
 			if rw := rewrites[i]; rw.pred != nil {
 				rec.Rewritten = true
@@ -131,11 +192,16 @@ func Fig9(cfg Config) ([]RuntimeRecord, error) {
 				rec.Selectivity = selectivity(lineitem, rw.pred)
 				rwNode := &plan.Filter{Pred: predicate.NewAnd(parsed.Where, rw.pred), Input: join(node)}
 				rwPlan := plan.PushDownFilters(rwNode)
-				rwTable, rwStats, err := executeBest(rwPlan, cat, 3, cfg.Parallelism)
+				before := storage.SnapshotCounters()
+				rwTable, rwStats, err := executeBest(rwPlan, cat, runs, cfg.Parallelism)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: execute rewritten %d: %w", q.ID, err)
 				}
-				if rwTable.NumRows() != origTable.NumRows() {
+				rec.RwStorage = perRun(before)
+				// The rewrite may reorder join output (the smaller lineitem
+				// side can flip build/probe roles), so compare as row
+				// multisets rather than byte-for-byte.
+				if !sameRows(rwTable, origTable) {
 					return nil, fmt.Errorf("experiments: query %d rewrite changed results: %d vs %d rows",
 						q.ID, rwTable.NumRows(), origTable.NumRows())
 				}
@@ -145,6 +211,65 @@ func Fig9(cfg Config) ([]RuntimeRecord, error) {
 		}
 	}
 	return out, nil
+}
+
+// sameTables checks that every table of the reference catalog reads back
+// unchanged through the measured catalog's sources.
+func sameTables(mem, cat *plan.Catalog, parallelism int) error {
+	for _, name := range []string{"orders", "lineitem"} {
+		want, err := mem.Table(name)
+		if err != nil {
+			return err
+		}
+		src, err := cat.Source(name)
+		if err != nil {
+			return err
+		}
+		got, err := src.ScanFilter(nil, parallelism)
+		if err != nil {
+			return err
+		}
+		if !engine.TablesEqual(want, got) {
+			return fmt.Errorf("experiments: table %s differs from the in-memory data", name)
+		}
+	}
+	return nil
+}
+
+// sameRows reports whether two tables hold the same rows as multisets,
+// ignoring row order (join output order is plan-dependent).
+func sameRows(a, b *engine.Table) bool {
+	if a.NumRows() != b.NumRows() {
+		return false
+	}
+	cols := a.Schema().Columns()
+	var buf []byte // one row's values, fixed width per column
+	fingerprint := func(t *engine.Table, row int) []byte {
+		buf = buf[:0]
+		for _, c := range cols {
+			v := t.Value(row, c.Name)
+			if v.Null {
+				buf = append(buf, 1)
+			} else {
+				buf = append(buf, 0)
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Int))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Real))
+		}
+		return buf
+	}
+	counts := make(map[string]int, a.NumRows())
+	for r := 0; r < a.NumRows(); r++ {
+		counts[string(fingerprint(a, r))]++
+	}
+	for r := 0; r < b.NumRows(); r++ {
+		k := string(fingerprint(b, r))
+		counts[k]--
+		if counts[k] == 0 {
+			delete(counts, k)
+		}
+	}
+	return len(counts) == 0
 }
 
 // executeBest runs a plan repeatedly and returns the fastest run (the
@@ -211,53 +336,71 @@ type Fig9Summary struct {
 	AvgSelFast2x float64
 	AvgSelSlower float64
 	AvgSelSlow2x float64
+	// SegmentsPruned totals the segments the rewritten plans skipped per
+	// execution; PrunedFrac is its share of the segments those plans could
+	// have read. BytesReadOrig totals every query's original plan,
+	// BytesReadRw the rewritten plans. All zero over in-memory tables.
+	SegmentsPruned uint64
+	PrunedFrac     float64
+	BytesReadOrig  uint64
+	BytesReadRw    uint64
 }
 
 // Summarize computes per-scale-factor aggregates (Table 4's rows).
 func Summarize(records []RuntimeRecord) []Fig9Summary {
-	bySF := map[float64]*Fig9Summary{}
-	type selAcc struct{ faster, fast2x, slower, slow2x []float64 }
-	sels := map[float64]*selAcc{}
+	type acc struct {
+		Fig9Summary
+		faster, fast2x, slower, slow2x []float64
+		rwSegments                     uint64
+	}
+	bySF := map[float64]*acc{}
 	var order []float64
 	for _, r := range records {
+		a, ok := bySF[r.ScaleFactor]
+		if !ok {
+			a = &acc{Fig9Summary: Fig9Summary{ScaleFactor: r.ScaleFactor}}
+			bySF[r.ScaleFactor] = a
+			order = append(order, r.ScaleFactor)
+		}
+		a.BytesReadOrig += r.OrigStorage.BytesRead
 		if !r.Rewritten {
 			continue
 		}
-		s, ok := bySF[r.ScaleFactor]
-		if !ok {
-			s = &Fig9Summary{ScaleFactor: r.ScaleFactor}
-			bySF[r.ScaleFactor] = s
-			sels[r.ScaleFactor] = &selAcc{}
-			order = append(order, r.ScaleFactor)
-		}
-		s.Rewritten++
+		a.Rewritten++
+		a.SegmentsPruned += r.RwStorage.SegmentsPruned
+		a.rwSegments += r.RwStorage.SegmentsPruned + r.RwStorage.SegmentsScanned
+		a.BytesReadRw += r.RwStorage.BytesRead
 		sp := r.Speedup()
-		a := sels[r.ScaleFactor]
 		if sp >= 1 {
-			s.Faster++
+			a.Faster++
 			a.faster = append(a.faster, r.Selectivity)
 			if sp >= 2 {
-				s.Faster2x++
+				a.Faster2x++
 				a.fast2x = append(a.fast2x, r.Selectivity)
 			}
 		} else {
-			s.Slower++
+			a.Slower++
 			a.slower = append(a.slower, r.Selectivity)
 			if sp <= 0.5 {
-				s.Slower2x++
+				a.Slower2x++
 				a.slow2x = append(a.slow2x, r.Selectivity)
 			}
 		}
 	}
 	var out []Fig9Summary
 	for _, sf := range order {
-		s := bySF[sf]
-		a := sels[sf]
-		s.AvgSelFaster = mean(a.faster)
-		s.AvgSelFast2x = mean(a.fast2x)
-		s.AvgSelSlower = mean(a.slower)
-		s.AvgSelSlow2x = mean(a.slow2x)
-		out = append(out, *s)
+		a := bySF[sf]
+		if a.Rewritten == 0 {
+			continue
+		}
+		a.AvgSelFaster = mean(a.faster)
+		a.AvgSelFast2x = mean(a.fast2x)
+		a.AvgSelSlower = mean(a.slower)
+		a.AvgSelSlow2x = mean(a.slow2x)
+		if a.rwSegments > 0 {
+			a.PrunedFrac = float64(a.SegmentsPruned) / float64(a.rwSegments)
+		}
+		out = append(out, a.Fig9Summary)
 	}
 	return out
 }
@@ -285,10 +428,7 @@ type MotivatingResult struct {
 // Motivating reproduces the §2 measurement: the hand-rewritten Q2 (with
 // the three inferred lineitem predicates) against the original Q1.
 func Motivating(sf float64) (*MotivatingResult, error) {
-	orders, lineitem := tpch.Generate(tpch.Config{ScaleFactor: sf})
-	cat := plan.NewCatalog()
-	cat.Add(orders)
-	cat.Add(lineitem)
+	cat := memCatalog(tpch.Generate(tpch.Config{ScaleFactor: sf}))
 	q1 := `SELECT * FROM lineitem, orders WHERE o_orderkey = l_orderkey
 		AND l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01'
 		AND l_commitdate - l_shipdate < l_shipdate - o_orderdate + 10`

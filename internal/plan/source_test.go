@@ -1,9 +1,11 @@
 package plan
 
 import (
+	"context"
 	"testing"
 
 	"sia/internal/cache"
+	"sia/internal/core"
 	"sia/internal/engine"
 	"sia/internal/predicate"
 	"sia/internal/storage"
@@ -13,8 +15,8 @@ import (
 // plan over a disk-backed SegmentTable source must produce exactly what
 // the same plan produces over the equivalent in-memory table, with the
 // pushed-down predicate reaching the source (pruning counters move), and a
-// streaming append must invalidate exactly the synthesis cache entries
-// conditioned on the table's columns.
+// streaming append must invalidate exactly the cached synthesis results
+// conditioned on the table's columns, forcing a fresh CEGIS run.
 func TestExecuteOverSegmentSource(t *testing.T) {
 	schema := predicate.NewSchema(
 		predicate.Column{Name: "k", Type: predicate.TypeInteger, NotNull: true},
@@ -74,21 +76,48 @@ func TestExecuteOverSegmentSource(t *testing.T) {
 		t.Fatalf("EstimateRows = %v, %v; want 3000", rows, err)
 	}
 
-	// Streaming append invalidates cached synthesis entries conditioned on
-	// the table's columns — and only those.
-	c := cache.New(8)
-	c.PutTagged("on-k", nil, []string{"k"})
-	c.PutTagged("other", nil, []string{"elsewhere"})
-	st.OnAppend(func(cols []string) { c.InvalidateTags(cols) })
+	// Streaming append invalidates cached synthesis results conditioned on
+	// the table's columns — and only those. The full loop: fill, hit,
+	// append, invalidate, miss.
+	synth := cache.NewSynthesizer(8)
+	invalidated := 0
+	st.OnAppend(func(cols []string) { invalidated += synth.InvalidateColumns(cols) })
+	elsewhere := predicate.NewSchema(
+		predicate.Column{Name: "x", Type: predicate.TypeInteger, NotNull: true},
+		predicate.Column{Name: "y", Type: predicate.TypeInteger, NotNull: true},
+	)
+	cached := func(text, col string, schema *predicate.Schema) bool {
+		t.Helper()
+		p, err := predicate.Parse(text, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hit, err := synth.Synthesize(context.Background(), p, []string{col}, schema, core.PresetSIA())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hit
+	}
+	onTable := func() bool { return cached("k - v < 20 AND v < 0", "k", schema) }
+	other := func() bool { return cached("x - y < 20 AND y < 0", "x", elsewhere) }
+	if onTable() || other() {
+		t.Fatal("cold synthesis reported a cache hit")
+	}
+	if !onTable() || !other() {
+		t.Fatal("repeated synthesis missed the cache before the append")
+	}
 
 	if err := st.AppendRange(mem, 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Peek("on-k"); ok {
-		t.Fatal("entry tagged with an appended column survived the append")
+	if invalidated != 1 {
+		t.Fatalf("append invalidated %d cached syntheses, want 1", invalidated)
 	}
-	if _, ok := c.Peek("other"); !ok {
-		t.Fatal("entry tagged with an unrelated column was invalidated")
+	if onTable() {
+		t.Fatal("result conditioned on an appended column was served from the cache after the append")
+	}
+	if !other() {
+		t.Fatal("result over unrelated columns was invalidated by the append")
 	}
 	if st.NumRows() != 3010 {
 		t.Fatalf("table has %d rows after append", st.NumRows())

@@ -40,7 +40,8 @@ const (
 	opEnumerate = "enumerate"
 	// opElimination is charged per outermost eliminate call rather than per
 	// public entry point: it is the unit the QE memo cache works at, so its
-	// mean is the figure of merit for the SMT fast path (BENCH_smt.json).
+	// mean is the figure of merit for the SMT fast path (the benchmark's
+	// smt.elimination_s).
 	opElimination = "elimination"
 )
 
@@ -55,7 +56,8 @@ type QueryStat struct {
 }
 
 // BenchSnapshot is a point-in-time view of the process-wide solver metrics,
-// in the shape siabench -bench-out writes (the BENCH_smt.json artifact).
+// the form the benchmark (bench/) diffs around a pass to report its smt.*
+// metrics.
 type BenchSnapshot struct {
 	// Query maps query kind (qe, sat, model, enumerate) to its wall-time
 	// totals. The "elimination" cost the ROADMAP targets is the sum charged
