@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-bench race lint lint-json lint-report fuzz-smoke fuzz-storage smoke-siad smoke-cluster check clean
+.PHONY: build vet test test-bench bench-compare race lint lint-json lint-report fuzz-smoke fuzz-storage smoke-siad smoke-cluster check clean
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ test:
 test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# The paired benchmark comparison of this checkout against a base ref, all
+# four workloads, the sides taking turns: `make bench-compare BASE=main`.
+# Fails when an end-to-end metric is worse than BENCHMARK.json's bound.
+# SEEDS and SECS default to the benchmark's ten seeds of twenty seconds.
+bench-compare:
+	./scripts/bench-compare.sh $(BASE) $(SEEDS) $(SECS)
 
 # One racy, uncached pass over every package: that covers the concurrency
 # hotspots (cache singleflight, serving tier, SMT interner and QE memo,

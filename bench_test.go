@@ -246,21 +246,46 @@ func denName(d int64) string {
 	}
 }
 
+// joinBenchSpec is the Fig. 9-shaped join the engine benchmarks share: a
+// date range pushed to each side. narrow adds the shape of the benchmark's
+// `COUNT(*) … GROUP BY l_linenumber` statements, the one late
+// materialization exists for: a residual across both sides evaluated
+// inside the probe, and one output column instead of all eleven.
+func joinBenchSpec(narrow bool) engine.JoinSpec {
+	spec := engine.JoinSpec{
+		LeftKey: "l_orderkey", RightKey: "o_orderkey",
+		LeftPred:  predtest.MustParse("l_shipdate < DATE '1993-06-20'", tpch.LineitemSchema()),
+		RightPred: predtest.MustParse("o_orderdate < DATE '1993-06-01'", tpch.OrdersSchema()),
+	}
+	if narrow {
+		spec.Residual = predtest.MustParse("l_shipdate - o_orderdate < 20", tpch.JoinSchema())
+		spec.Cols = []string{"l_linenumber"}
+	}
+	return spec
+}
+
 // BenchmarkEngineJoin measures the raw fused hash join on TPC-H-shaped
-// data, the substrate cost underlying Fig. 9.
+// data, the substrate cost underlying Fig. 9: every column of every pair
+// (wide), and the residual + narrow-columns case.
 func BenchmarkEngineJoin(b *testing.B) {
 	orders, lineitem := tpch.Generate(tpch.Config{ScaleFactor: 1})
-	oPred := predtest.MustParse("o_orderdate < DATE '1993-06-01'", tpch.OrdersSchema())
-	liPred := predtest.MustParse("l_shipdate < DATE '1993-06-20'", tpch.LineitemSchema())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _, err := engine.HashJoinWherePar(lineitem, orders, "l_orderkey", "o_orderkey", liPred, oPred, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.NumRows() == 0 {
-			b.Fatal("empty join result")
-		}
+	for _, c := range []struct {
+		name   string
+		narrow bool
+	}{{"wide", false}, {"residual+narrow", true}} {
+		spec := joinBenchSpec(c.narrow)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, _, err := engine.HashJoinWherePar(lineitem, orders, spec, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out.NumRows() == 0 {
+					b.Fatal("empty join result")
+				}
+			}
+		})
 	}
 }
 
@@ -269,12 +294,12 @@ func BenchmarkEngineJoin(b *testing.B) {
 // target is ≥2x at 4 workers; results are byte-identical at any width.
 func BenchmarkParallelScanJoin(b *testing.B) {
 	orders, lineitem := tpch.Generate(tpch.Config{ScaleFactor: 3})
-	oPred := predtest.MustParse("o_orderdate < DATE '1993-06-01'", tpch.OrdersSchema())
-	liPred := predtest.MustParse("l_shipdate < DATE '1993-06-20'", tpch.LineitemSchema())
+	spec := joinBenchSpec(false)
 	for _, par := range []int{1, 4} {
 		b.Run(parName(par), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, _, err := engine.HashJoinWherePar(lineitem, orders, "l_orderkey", "o_orderkey", liPred, oPred, par)
+				out, _, err := engine.HashJoinWherePar(lineitem, orders, spec, par)
 				if err != nil {
 					b.Fatal(err)
 				}

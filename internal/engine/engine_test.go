@@ -136,7 +136,7 @@ func TestHashJoin(t *testing.T) {
 	for _, row := range [][2]int64{{2, 200}, {3, 300}, {5, 500}} {
 		r.AppendRow(predicate.IntVal(row[0]), predicate.IntVal(row[1]))
 	}
-	out, _, err := HashJoinWherePar(l, r, "id", "rid", nil, nil, 1)
+	out, _, err := HashJoinWherePar(l, r, JoinSpec{LeftKey: "id", RightKey: "rid"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 	r := NewTable("r", rs)
 	r.AppendRow(predicate.IntVal(1))
 	r.AppendRow(predicate.NullValue())
-	out, _, err := HashJoinWherePar(l, r, "k", "k2", nil, nil, 1)
+	out, _, err := HashJoinWherePar(l, r, JoinSpec{LeftKey: "k", RightKey: "k2"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestHashJoinBuildSideChoice(t *testing.T) {
 	)
 	small := NewTable("r", rs)
 	small.AppendRow(predicate.IntVal(3))
-	a, _, err := HashJoinWherePar(big, small, "id", "rid", nil, nil, 1)
+	a, _, err := HashJoinWherePar(big, small, JoinSpec{LeftKey: "id", RightKey: "rid"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := HashJoinWherePar(small, big, "rid", "id", nil, nil, 1)
+	b, _, err := HashJoinWherePar(small, big, JoinSpec{LeftKey: "rid", RightKey: "id"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,7 @@ func FilterProgram(t *Table, prog *predicate.Program, par int) *Table {
 	defer observeOp(opFilter, time.Now())
 	bitmap := selectProgram(t, prog, par)
 	rows := selectedRows(bitmap, par)
-	mRowsScanned.Add(uint64(t.nRows))
-	mRowsKept.Add(uint64(len(rows)))
+	countFiltered(t.nRows, len(rows))
 	out := NewTable(t.Name, t.schema)
 	out.nRows = len(rows)
 	gatherInto(out, t, t.order, rows, par)
@@ -37,7 +36,7 @@ func FilterProgram(t *Table, prog *predicate.Program, par int) *Table {
 // parallel fill of each morsel's slot range.
 func selectedRows(sel []bool, par int) []int {
 	n := len(sel)
-	counts := make([]int, morselCount(n))
+	ends := make([]int, morselCount(n)) // first counts, then each morsel's end offset
 	forEachMorsel(n, par, func(_, m, lo, hi int) {
 		c := 0
 		for _, ok := range sel[lo:hi] {
@@ -45,21 +44,30 @@ func selectedRows(sel []bool, par int) []int {
 				c++
 			}
 		}
-		counts[m] = c
+		ends[m] = c
 	})
 	total := 0
-	for m, c := range counts {
-		counts[m] = total
+	for m, c := range ends {
 		total += c
+		ends[m] = total
 	}
 	rows := make([]int, total)
-	forEachMorsel(n, par, func(_, m, lo, hi int) {
-		idx := counts[m]
-		for i := lo; i < hi; i++ {
+	forEachMorsel(n, par, func(_, m, lo, _ int) {
+		idx := 0
+		if m > 0 {
+			idx = ends[m-1]
+		}
+		// Every slot is written and the cursor advances only past a selected
+		// row: no branch depends on the data, which a selective predicate
+		// makes unpredictable. The morsel holds exactly ends[m]-idx selected
+		// rows, so the scan ends at the last of them, inside the morsel.
+		for i := lo; idx < ends[m]; i++ {
+			rows[idx] = i
+			step := 0
 			if sel[i] {
-				rows[idx] = i
-				idx++
+				step = 1
 			}
+			idx += step
 		}
 	})
 	return rows
@@ -82,214 +90,62 @@ func gatherInto(out, src *Table, cols []string, rows []int, par int) {
 	for _, name := range cols {
 		cd := src.cols[name]
 		oc := out.cols[name]
-		oc.maxAbs = cd.maxAbs // conservative: a subset's max cannot exceed the source's
-		if cd.typ.Integral() {
-			oc.ints = make([]int64, n)
-		} else {
-			oc.reals = make([]float64, n)
-		}
-		if cd.nulls != nil {
-			oc.nulls = make([]bool, n)
-		}
+		oc.allocLike(cd, n)
 		copies = append(copies, colCopy{src: cd, dst: oc})
 	}
 	forEachMorsel(n, par, func(_, _, lo, hi int) {
 		for _, cc := range copies {
-			if rows == nil {
-				if cc.src.typ.Integral() {
-					copy(cc.dst.ints[lo:hi], cc.src.ints[lo:hi])
-				} else {
-					copy(cc.dst.reals[lo:hi], cc.src.reals[lo:hi])
-				}
-				if cc.src.nulls != nil {
-					copy(cc.dst.nulls[lo:hi], cc.src.nulls[lo:hi])
-				}
+			if rows != nil {
+				cc.dst.gather(cc.src, rows, lo, hi)
 				continue
 			}
 			if cc.src.typ.Integral() {
-				dst, srcInts := cc.dst.ints, cc.src.ints
-				for i := lo; i < hi; i++ {
-					dst[i] = srcInts[rows[i]]
-				}
+				copy(cc.dst.ints[lo:hi], cc.src.ints[lo:hi])
 			} else {
-				dst, srcReals := cc.dst.reals, cc.src.reals
-				for i := lo; i < hi; i++ {
-					dst[i] = srcReals[rows[i]]
-				}
+				copy(cc.dst.reals[lo:hi], cc.src.reals[lo:hi])
 			}
 			if cc.src.nulls != nil {
-				dst, srcNulls := cc.dst.nulls, cc.src.nulls
-				for i := lo; i < hi; i++ {
-					dst[i] = srcNulls[rows[i]]
-				}
+				copy(cc.dst.nulls[lo:hi], cc.src.nulls[lo:hi])
 			}
 		}
 	})
 }
 
-// JoinStats reports the logical join input sizes: rows per side that
-// passed the fused predicates (if any) and carried a non-NULL key.
-type JoinStats struct {
-	LeftIn, RightIn int
-}
-
-// HashJoinWherePar performs an inner equi-join of l and r on integral key
-// columns, on par workers (par <= 0 means DefaultParallelism). The output
-// schema is the concatenation of both schemas (column names must be
-// disjoint). NULL keys never match, per SQL semantics.
-//
-// The per-side residual predicates (nil for none) are fused into the build
-// and probe phases: rows failing their side's predicate are skipped before
-// touching the hash table, and no intermediate filtered table is
-// materialized. This is how real engines execute a pushed-down filter, and
-// it is what makes predicate pushdown pay off: the saved work is hash probes
-// and output materialization, while the added work is one predicate
-// evaluation per scanned row.
-//
-// The build side is hash-partitioned into per-worker maps (each partition
-// owner scans the build column and keeps only its keys, so no insert ever
-// races), probe morsels run concurrently against the read-only partitions
-// into per-morsel match buffers, and the buffers are stitched back in
-// morsel order — the single-worker probe order — so the output is
-// byte-identical at any worker count.
-func HashJoinWherePar(l, r *Table, lkey, rkey string, lpred, rpred predicate.Predicate, par int) (*Table, JoinStats, error) {
-	defer observeOp(opJoin, time.Now())
-	var stats JoinStats
-	lc, ok := l.schema.Lookup(lkey)
-	if !ok || !lc.Type.Integral() {
-		return nil, stats, fmt.Errorf("engine: bad left join key %s.%s", l.Name, lkey)
-	}
-	rc, ok := r.schema.Lookup(rkey)
-	if !ok || !rc.Type.Integral() {
-		return nil, stats, fmt.Errorf("engine: bad right join key %s.%s", r.Name, rkey)
-	}
-	outSchema := predicate.Merge(l.schema, r.schema)
-	out := NewTable(l.Name+"_"+r.Name, outSchema)
-
-	// Build on the smaller side.
-	build, probe, buildKey, probeKey := l, r, lkey, rkey
-	buildPred, probePred := lpred, rpred
-	buildLeft := true
-	if r.nRows < l.nRows {
-		build, probe, buildKey, probeKey = r, l, rkey, lkey
-		buildPred, probePred = rpred, lpred
-		buildLeft = false
-	}
-	var buildSel, probeSel []bool
-	if buildPred != nil {
-		buildSel = SelectionPar(build, buildPred, par)
-	}
-	if probePred != nil {
-		probeSel = SelectionPar(probe, probePred, par)
-	}
-
-	// Build phase: P per-partition hash maps, each owned by one task. A
-	// partition's owner scans the whole build column but inserts only keys
-	// hashing to its partition — the scan is a cheap sequential read, and
-	// splitting inserts (the expensive part) P ways is what scales. Rows
-	// enter each key's bucket in ascending order, matching the serial map.
-	nPart := partitionCount(par, build.nRows)
-	mask := uint64(nPart - 1)
-	type partition struct {
-		index map[int64][]int
-		in    int
-	}
-	parts := make([]partition, nPart)
-	bk := build.cols[buildKey]
-	forEachTask(nPart, par, func(p int) {
-		index := make(map[int64][]int, build.nRows/nPart+1)
-		in := 0
-		for row := 0; row < build.nRows; row++ {
-			if bk.nulls != nil && bk.nulls[row] {
-				continue
-			}
-			if buildSel != nil && !buildSel[row] {
-				continue
-			}
-			k := bk.ints[row]
-			if mixHash(uint64(k))&mask != uint64(p) {
-				continue
-			}
-			in++
-			index[k] = append(index[k], row)
-		}
-		parts[p] = partition{index: index, in: in}
-	})
-	buildIn := 0
-	for p := range parts {
-		buildIn += parts[p].in
-	}
-
-	// Probe phase: morsels of the probe side run concurrently, each
-	// accumulating its matches in its own buffer slot; concatenating the
-	// slots in morsel order reproduces the serial probe order.
-	type matches struct {
-		lrows, rrows []int
-		in           int
-	}
-	bufs := make([]matches, morselCount(probe.nRows))
-	pk := probe.cols[probeKey]
-	forEachMorsel(probe.nRows, par, func(_, m, lo, hi int) {
-		var mb matches
-		for row := lo; row < hi; row++ {
-			if pk.nulls != nil && pk.nulls[row] {
-				continue
-			}
-			if probeSel != nil && !probeSel[row] {
-				continue
-			}
-			mb.in++
-			k := pk.ints[row]
-			for _, brow := range parts[mixHash(uint64(k))&mask].index[k] {
-				if buildLeft {
-					mb.lrows = append(mb.lrows, brow)
-					mb.rrows = append(mb.rrows, row)
-				} else {
-					mb.lrows = append(mb.lrows, row)
-					mb.rrows = append(mb.rrows, brow)
-				}
-			}
-		}
-		bufs[m] = mb
-	})
-	probeIn, total := 0, 0
-	for m := range bufs {
-		probeIn += bufs[m].in
-		total += len(bufs[m].lrows)
-	}
-	lrows := make([]int, 0, total)
-	rrows := make([]int, 0, total)
-	for m := range bufs {
-		lrows = append(lrows, bufs[m].lrows...)
-		rrows = append(rrows, bufs[m].rrows...)
-	}
-	if buildLeft {
-		stats.LeftIn, stats.RightIn = buildIn, probeIn
+// allocLike gives dst fresh arrays for n values of src's shape.
+func (dst *colData) allocLike(src *colData, n int) {
+	dst.maxAbs = src.maxAbs // conservative: a subset's max cannot exceed the source's
+	if src.typ.Integral() {
+		dst.ints = make([]int64, n)
 	} else {
-		stats.LeftIn, stats.RightIn = probeIn, buildIn
+		dst.reals = make([]float64, n)
 	}
-	// Materialize column-wise from each side's backing arrays.
-	out.nRows = total
-	gatherInto(out, l, l.order, lrows, par)
-	gatherInto(out, r, r.order, rrows, par)
-	return out, stats, nil
+	if src.nulls != nil {
+		dst.nulls = make([]bool, n)
+	}
 }
 
-// partitionCount picks the build-partition count: the smallest power of two
-// covering the worker count (the partition mask needs a power of two),
-// capped so tiny builds do not shatter into empty maps.
-func partitionCount(par, buildRows int) int {
-	par = normalizeParallelism(par, buildRows)
-	n := 1
-	// cancel: doubles to the worker count, at most log2(maxPartitions) steps.
-	for n < par {
-		n *= 2
+// gather copies src's value at rows[i] to position i of dst, for i in
+// [lo, hi).
+//
+// sia:hotpath
+func (dst *colData) gather(src *colData, rows []int, lo, hi int) {
+	if src.typ.Integral() {
+		d, s := dst.ints, src.ints
+		for i := lo; i < hi; i++ {
+			d[i] = s[rows[i]]
+		}
+	} else {
+		d, s := dst.reals, src.reals
+		for i := lo; i < hi; i++ {
+			d[i] = s[rows[i]]
+		}
 	}
-	const maxPartitions = 64
-	if n > maxPartitions {
-		n = maxPartitions
+	if src.nulls != nil {
+		d, s := dst.nulls, src.nulls
+		for i := lo; i < hi; i++ {
+			d[i] = s[rows[i]]
+		}
 	}
-	return n
 }
 
 // ProjectPar returns a table with only the named columns, on par workers

@@ -15,9 +15,9 @@ var (
 	mMorselsScheduled = obs.Default().Counter("sia_engine_morsels_scheduled_total",
 		"Morsels dispatched by the parallel scheduler.")
 	mRowsScanned = obs.Default().Counter("sia_engine_rows_scanned_total",
-		"Rows evaluated by filter operators.")
+		"Rows a predicate was evaluated on: by a filter, a join's side predicate, or a join's residual (per matched pair).")
 	mRowsKept = obs.Default().Counter("sia_engine_rows_kept_total",
-		"Rows accepted by filter operators.")
+		"Rows (or matched pairs) a predicate accepted.")
 
 	mOperatorSeconds = func() map[string]*obs.Histogram {
 		m := map[string]*obs.Histogram{}
@@ -37,6 +37,13 @@ const (
 	opAggregate = "aggregate"
 	opProject   = "project"
 )
+
+// countFiltered records one predicate evaluation over scanned rows (or
+// matched pairs) that accepted kept of them.
+func countFiltered(scanned, kept int) {
+	mRowsScanned.Add(uint64(scanned))
+	mRowsKept.Add(uint64(kept))
+}
 
 // observeOp records one operator invocation's wall time; used as
 // `defer observeOp(op, time.Now())`.

@@ -130,10 +130,11 @@ func forEachTask(n, par int, fn func(task int)) {
 	wg.Wait()
 }
 
-// mixHash finalizes a 64-bit key into a well-distributed hash (the
-// splitmix64 finalizer). Join partitioning must not use the raw key: TPC-H
-// keys are sequential, and k % P would send entire key ranges to one
-// partition's worker.
+// mixHash finalizes a 64-bit key into a well-distributed hash (MurmurHash3's
+// fmix64). The join table must not use the raw key: TPC-H keys are
+// sequential, and k % P would send entire key ranges to one partition. It
+// takes the partition from the hash's high bits and the slot from its low
+// bits, which fmix64 mixes independently.
 func mixHash(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd

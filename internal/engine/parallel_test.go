@@ -127,12 +127,12 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 		{lp, nil},
 		{lp, rp},
 	} {
-		ref, refStats, err := HashJoinWherePar(l, rt, "lk", "rk", preds.lp, preds.rp, 1)
+		ref, refStats, err := HashJoinWherePar(l, rt, JoinSpec{LeftKey: "lk", RightKey: "rk", LeftPred: preds.lp, RightPred: preds.rp}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range parLevels() {
-			out, stats, err := HashJoinWherePar(l, rt, "lk", "rk", preds.lp, preds.rp, par)
+			out, stats, err := HashJoinWherePar(l, rt, JoinSpec{LeftKey: "lk", RightKey: "rk", LeftPred: preds.lp, RightPred: preds.rp}, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,12 +145,12 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 		}
 	}
 	// Flip which side builds: the small side of the pair above probes.
-	ref, _, err := HashJoinWherePar(rt, l, "rk", "lk", rp, lp, 1)
+	ref, _, err := HashJoinWherePar(rt, l, JoinSpec{LeftKey: "rk", RightKey: "lk", LeftPred: rp, RightPred: lp}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range parLevels() {
-		out, _, err := HashJoinWherePar(rt, l, "rk", "lk", rp, lp, par)
+		out, _, err := HashJoinWherePar(rt, l, JoinSpec{LeftKey: "rk", RightKey: "lk", LeftPred: rp, RightPred: lp}, par)
 		if err != nil {
 			t.Fatal(err)
 		}

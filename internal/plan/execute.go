@@ -40,7 +40,7 @@ func Execute(n Node, c *Catalog) (*engine.Table, *ExecStats, error) {
 func ExecuteOpts(n Node, c *Catalog, opts ExecOptions) (*engine.Table, *ExecStats, error) {
 	stats := &ExecStats{}
 	start := time.Now()
-	out, err := exec(n, c, stats, opts)
+	out, err := exec(n, c, stats, opts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -49,7 +49,12 @@ func ExecuteOpts(n Node, c *Catalog, opts ExecOptions) (*engine.Table, *ExecStat
 	return out, stats, nil
 }
 
-func exec(n Node, c *Catalog, stats *ExecStats, opts ExecOptions) (*engine.Table, error) {
+// exec runs n. need is the set of n's output columns its consumers read, nil
+// meaning all of them: an Aggregate reads its group-by columns and aggregate
+// inputs, a Project its columns, a Filter adds its predicate's. It is
+// threaded down to the joins, which materialize nothing else; every other
+// operator may return more columns than need names.
+func exec(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need []string) (*engine.Table, error) {
 	switch x := n.(type) {
 	case *Scan:
 		if src, ok := c.sourceFor(x); ok {
@@ -63,54 +68,32 @@ func exec(n Node, c *Catalog, stats *ExecStats, opts ExecOptions) (*engine.Table
 		if src, ok := c.sourceFor(x.Input); ok {
 			return src.ScanFilter(x.Pred, opts.Parallelism)
 		}
-		in, err := exec(x.Input, c, stats, opts)
+		// A filter directly over a join runs inside the join's probe, on
+		// the matched pairs, before the join gathers its output columns.
+		if j, ok := x.Input.(*Join); ok {
+			return execJoin(j, x.Pred, c, stats, opts, need)
+		}
+		in, err := exec(x.Input, c, stats, opts, withColumns(need, predicate.Columns(x.Pred)...))
 		if err != nil {
 			return nil, err
 		}
 		return engine.FilterPar(in, x.Pred, opts.Parallelism), nil
 	case *Join:
-		// Fuse a Filter directly above a child into the join's build or
-		// probe phase: the pushed-down predicate is then evaluated during
-		// the scan without materializing an intermediate table, the way
-		// real engines execute pushdown. Source-backed children instead
-		// pre-materialize through ScanFilter, so the pushed-down predicate
-		// still reaches the source's zone maps.
-		lchild, lpred := fusedChild(x.Left)
-		rchild, rpred := fusedChild(x.Right)
-		var l, r *engine.Table
-		var err error
-		if src, ok := c.sourceFor(lchild); ok {
-			l, err = src.ScanFilter(lpred, opts.Parallelism)
-			lpred = nil
-		} else {
-			l, err = exec(lchild, c, stats, opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if src, ok := c.sourceFor(rchild); ok {
-			r, err = src.ScanFilter(rpred, opts.Parallelism)
-			rpred = nil
-		} else {
-			r, err = exec(rchild, c, stats, opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out, jstats, err := engine.HashJoinWherePar(l, r, x.LeftKey, x.RightKey, lpred, rpred, opts.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		stats.JoinInputRows += jstats.LeftIn + jstats.RightIn
-		return out, nil
+		return execJoin(x, nil, c, stats, opts, need)
 	case *Project:
-		in, err := exec(x.Input, c, stats, opts)
+		in, err := exec(x.Input, c, stats, opts, x.Cols)
 		if err != nil {
 			return nil, err
 		}
 		return engine.ProjectPar(in, x.Cols, opts.Parallelism)
 	case *Aggregate:
-		in, err := exec(x.Input, c, stats, opts)
+		inputs := append([]string{}, x.GroupBy...)
+		for _, a := range x.Aggs {
+			if a.Func != engine.AggCount {
+				inputs = append(inputs, a.Col)
+			}
+		}
+		in, err := exec(x.Input, c, stats, opts, inputs)
 		if err != nil {
 			return nil, err
 		}
@@ -120,11 +103,75 @@ func exec(n Node, c *Catalog, stats *ExecStats, opts ExecOptions) (*engine.Table
 	}
 }
 
-// fusedChild peels one Filter off a join input so its predicate can run
-// inside the join's build/probe loop.
-func fusedChild(n Node) (Node, predicate.Predicate) {
-	if f, ok := n.(*Filter); ok {
-		return f.Input, f.Pred
+// execJoin runs a join with the filter that sat directly on it, if any, as
+// its residual. The join outputs need; its inputs must also carry the keys
+// and the residual's columns.
+func execJoin(x *Join, residual predicate.Predicate, c *Catalog, stats *ExecStats, opts ExecOptions, need []string) (*engine.Table, error) {
+	inputNeed := withColumns(need, x.LeftKey, x.RightKey)
+	if residual != nil {
+		inputNeed = withColumns(inputNeed, predicate.Columns(residual)...)
 	}
-	return n, nil
+	l, lpred, err := execJoinInput(x.Left, c, stats, opts, inputNeed)
+	if err != nil {
+		return nil, err
+	}
+	r, rpred, err := execJoinInput(x.Right, c, stats, opts, inputNeed)
+	if err != nil {
+		return nil, err
+	}
+	out, jstats, err := engine.HashJoinWherePar(l, r, engine.JoinSpec{
+		LeftKey: x.LeftKey, RightKey: x.RightKey,
+		LeftPred: lpred, RightPred: rpred,
+		Residual: residual, Cols: need,
+	}, opts.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	stats.JoinInputRows += jstats.LeftIn + jstats.RightIn
+	return out, nil
+}
+
+// execJoinInput materializes one side of a join. A Filter directly above
+// the side's child is fused into the join's selection pass: the returned
+// predicate is then evaluated during the scan without materializing an
+// intermediate table, the way real engines execute pushdown. A
+// source-backed child instead pre-materializes through ScanFilter, so the
+// pushed-down predicate still reaches the source's zone maps, and a Filter
+// on a Join stays where it is, as that join's residual. need is split by
+// side here: only the columns of this side's schema are asked of it.
+func execJoinInput(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need []string) (*engine.Table, predicate.Predicate, error) {
+	child, pred := n, predicate.Predicate(nil)
+	if f, ok := n.(*Filter); ok {
+		if _, onJoin := f.Input.(*Join); !onJoin {
+			child, pred = f.Input, f.Pred
+		}
+	}
+	if src, ok := c.sourceFor(child); ok {
+		t, err := src.ScanFilter(pred, opts.Parallelism)
+		return t, nil, err
+	}
+	if need != nil {
+		schema := child.Schema()
+		side := []string{}
+		for _, name := range need {
+			if _, ok := schema.Lookup(name); ok {
+				side = append(side, name)
+			}
+		}
+		need = side
+		if pred != nil {
+			need = withColumns(need, predicate.Columns(pred)...)
+		}
+	}
+	t, err := exec(child, c, stats, opts, need)
+	return t, pred, err
+}
+
+// withColumns returns need with more columns added; nil, meaning every
+// column, stays nil.
+func withColumns(need []string, more ...string) []string {
+	if need == nil {
+		return nil
+	}
+	return append(append([]string{}, need...), more...)
 }
