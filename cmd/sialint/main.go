@@ -6,44 +6,26 @@
 //	                   and smt.Formula cover every AST node or declare a default
 //	tribool-misuse     three-valued logic is never silently collapsed to bool
 //	no-panic           library panics are package-prefixed dispatch panics only
-//	hygiene            no copied sync types or defers inside hot loops
-//	ctx-first          exported functions taking a context.Context take it first
 //	cancel-poll        while-style loops in solver/engine code poll cancellation
 //	                   on every cycle (path-sensitive, over the CFG)
 //	err-wrap           sentinel errors are matched with errors.Is and wrapped
 //	                   with %w across exported boundaries
-//	lock-balance       every Lock is released on every path to return; no
-//	                   double-lock (forward dataflow)
-//	wg-balance         wg.Add precedes the go statement, never inside it
 //	alloc-budget       code reachable from // sia:hotpath entries does not
 //	                   allocate unless the site carries an // alloc: reason
 //	                   (interprocedural, over the call graph)
-//	memo-safe          // sia:memoize functions are memoization-pure: no
-//	                   global writes, argument mutation, nondeterminism, or
-//	                   map-iteration-order leaks (interprocedural)
-//	goroutine-leak     every go statement's body reaches termination on all
-//	                   CFG paths: loops poll ctx/done or a channel, or carry
-//	                   a // goroutine: reason (interprocedural)
-//	atomic-mix         no variable is accessed both via sync/atomic and by
-//	                   plain read/write (whole-program field summaries)
-//	chan-misuse        channel-state dataflow: send-after-close, double
-//	                   close, nil-channel ops, close-by-non-owner, select
-//	                   loops spinning on a closed channel
 //	taint-bound        request-derived values are clamped/validated before
 //	                   becoming timeouts, budgets, loop bounds, allocation
 //	                   sizes, or Options fields (// taint: escapes)
 //
 // Usage:
 //
-//	sialint [flags] [packages]
+//	sialint [-list] [packages]
 //
 // where packages are Go package patterns relative to the working directory
 // ("./...", "./internal/...", "./cmd/sia"). With no arguments, ./... is
-// assumed. Findings print as file:line:col: [analyzer] message — or as a
-// JSON document (-json) or SARIF 2.1.0 log (-sarif) for machine consumers.
-// The exit status is 1 when any finding is reported and 2 on a load or
-// usage error. -memo-report <file> additionally writes the machine-readable
-// memo-safe certification report consumed by the QE subproblem cache.
+// assumed. Findings print as file:line:col: [analyzer] message. The exit
+// status is 1 when any finding is reported and 2 on a load or usage error.
+// -list prints the analyzer roster and exits.
 package main
 
 import (
@@ -52,7 +34,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"sia/internal/analysis"
 )
@@ -65,17 +46,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sialint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		list     = fs.Bool("list", false, "list the registered analyzers and exit")
-		enable   = fs.String("enable", "", "comma-separated analyzer names to run (default: all)")
-		disable  = fs.String("disable", "", "comma-separated analyzer names to skip")
-		jsonOut  = fs.Bool("json", false, "emit findings as a JSON document on stdout")
-		sarifOut = fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
-		parallel = fs.Int("parallel", 0, "package-level worker count (0 = GOMAXPROCS, 1 = serial)")
-		memoOut  = fs.String("memo-report", "", "write the memo-safe certification report (JSON) to this file")
-	)
+	list := fs.Bool("list", false, "list the registered analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: sialint [flags] [packages]\n")
+		fmt.Fprintf(stderr, "usage: sialint [-list] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -90,16 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintf(stderr, "sialint: -json and -sarif are mutually exclusive\n")
-		return 2
-	}
-	analyzers, err := selectAnalyzers(analyzers, *enable, *disable)
-	if err != nil {
-		fmt.Fprintf(stderr, "sialint: %v\n", err)
-		return 2
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -110,102 +73,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var findings []analysis.Finding
-	if *parallel == 1 {
-		findings = analysis.Run(pkgs, analyzers, cfg)
-	} else {
-		findings = analysis.RunParallel(pkgs, analyzers, cfg, *parallel)
-	}
-
+	findings := analysis.Run(pkgs, analyzers, cfg)
 	cwd, _ := os.Getwd()
-	if *memoOut != "" {
-		f, err := os.Create(*memoOut)
-		if err != nil {
-			fmt.Fprintf(stderr, "sialint: %v\n", err)
-			return 2
-		}
-		werr := analysis.WriteMemoReport(f, pkgs, cwd)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "sialint: memo-report: %v\n", werr)
-			return 2
-		}
-	}
-	switch {
-	case *jsonOut:
-		if err := analysis.WriteJSON(stdout, findings, cwd); err != nil {
-			fmt.Fprintf(stderr, "sialint: %v\n", err)
-			return 2
-		}
-	case *sarifOut:
-		if err := analysis.WriteSARIF(stdout, findings, analyzers, cwd); err != nil {
-			fmt.Fprintf(stderr, "sialint: %v\n", err)
-			return 2
-		}
-	default:
-		for _, f := range findings {
-			pos := f.Pos
-			if cwd != "" {
-				if rel, rerr := filepath.Rel(cwd, pos.Filename); rerr == nil && !filepath.IsAbs(rel) {
-					pos.Filename = rel
-				}
+	for _, f := range findings {
+		pos := f.Pos
+		if cwd != "" {
+			if rel, rerr := filepath.Rel(cwd, pos.Filename); rerr == nil && !filepath.IsAbs(rel) {
+				pos.Filename = rel
 			}
-			fmt.Fprintf(stdout, "%s: [%s] %s\n", pos, f.Analyzer, f.Message)
 		}
+		fmt.Fprintf(stdout, "%s: [%s] %s\n", pos, f.Analyzer, f.Message)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "sialint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
 		return 1
 	}
 	return 0
-}
-
-// selectAnalyzers applies the -enable / -disable flags. Unknown names are an
-// error in either flag — a typo silently running nothing would defeat CI.
-func selectAnalyzers(all []*analysis.Analyzer, enable, disable string) ([]*analysis.Analyzer, error) {
-	known := map[string]bool{}
-	for _, a := range all {
-		known[a.Name] = true
-	}
-	parse := func(flagName, val string) (map[string]bool, error) {
-		if val == "" {
-			return nil, nil
-		}
-		set := map[string]bool{}
-		for _, name := range strings.Split(val, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("-%s: unknown analyzer %q (see -list)", flagName, name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	enabled, err := parse("enable", enable)
-	if err != nil {
-		return nil, err
-	}
-	disabled, err := parse("disable", disable)
-	if err != nil {
-		return nil, err
-	}
-	var out []*analysis.Analyzer
-	for _, a := range all {
-		if enabled != nil && !enabled[a.Name] {
-			continue
-		}
-		if disabled[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	return out, nil
 }

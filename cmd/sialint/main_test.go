@@ -2,90 +2,34 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// TestListIncludesNewAnalyzers pins the roster: -list prints exactly the
+// registered analyzers, one per line, in suite order.
 func TestListIncludesNewAnalyzers(t *testing.T) {
 	var out, errs bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errs); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errs.String())
 	}
-	for _, name := range []string{"cancel-poll", "err-wrap", "lock-balance", "wg-balance", "alloc-budget", "memo-safe"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, out.String())
+	want := []string{"exhaustive-switch", "tribool-misuse", "no-panic", "cancel-poll", "err-wrap", "alloc-budget", "taint-bound"}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), out.String())
+	}
+	for i, name := range want {
+		if got := strings.Fields(lines[i])[0]; got != name {
+			t.Errorf("-list line %d names %s, want %s", i+1, got, name)
 		}
 	}
 }
 
-func TestEnableUnknownAnalyzer(t *testing.T) {
-	var out, errs bytes.Buffer
-	if code := run([]string{"-enable", "no-such-check"}, &out, &errs); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errs.String(), "unknown analyzer") {
-		t.Errorf("stderr: %s", errs.String())
-	}
-}
-
-func TestJSONAndSARIFExclusive(t *testing.T) {
-	var out, errs bytes.Buffer
-	if code := run([]string{"-json", "-sarif"}, &out, &errs); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-}
-
-// TestMemoReportFlag runs the CLI over the memo-safe bad fixture and checks
-// -memo-report writes the certification document next to the findings.
-func TestMemoReportFlag(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixture := filepath.Join("..", "..", "internal", "analysis", "testdata", "memosafe_bad")
-	if err := os.Chdir(fixture); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(wd)
-
-	report := filepath.Join(t.TempDir(), "memo-report.json")
-	var out, errs bytes.Buffer
-	code := run([]string{"-enable", "memo-safe", "-memo-report", report, "./..."}, &out, &errs)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (fixture has violations)\nstderr: %s", code, errs.String())
-	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatalf("memo report not written: %v", err)
-	}
-	var doc struct {
-		Tool    string `json:"tool"`
-		Entries []struct {
-			Function  string `json:"function"`
-			Certified bool   `json:"certified"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, data)
-	}
-	if doc.Tool != "sialint" || len(doc.Entries) != 5 {
-		t.Fatalf("report = %+v", doc)
-	}
-	for _, e := range doc.Entries {
-		if e.Certified {
-			t.Errorf("%s certified despite violations", e.Function)
-		}
-	}
-}
-
-// TestRepoCleanViaCLI runs the tool the way CI does — over the whole module
-// with JSON output — and expects a clean, parseable report. This doubles as
-// the regression test that loading the repo (which contains testdata
-// mini-modules and build-tag-excluded files) does not error.
-func TestRepoCleanViaCLI(t *testing.T) {
+// inRepoRoot runs the CLI from the module root, the way make lint and CI do.
+func inRepoRoot(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -94,21 +38,27 @@ func TestRepoCleanViaCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir(wd)
-
 	var out, errs bytes.Buffer
-	code := run([]string{"-json", "./..."}, &out, &errs)
+	code = run(args, &out, &errs)
+	return code, out.String(), errs.String()
+}
+
+// TestRepoCleanViaCLI runs the tool over the whole module and expects no
+// findings. This doubles as the regression test that loading the repo
+// (which contains testdata mini-modules and build-tag-excluded files) does
+// not error.
+func TestRepoCleanViaCLI(t *testing.T) {
+	code, stdout, stderr := inRepoRoot(t, "./...")
+	if code != 0 || stdout != "" {
+		t.Fatalf("exit %d\nstderr: %s\nstdout: %s", code, stderr, stdout)
+	}
+}
+
+// TestTrailingSlashPattern pins that a directory pattern with a trailing
+// slash names the same package as one without, as it does for the go tool.
+func TestTrailingSlashPattern(t *testing.T) {
+	code, stdout, stderr := inRepoRoot(t, "./internal/engine/")
 	if code != 0 {
-		t.Fatalf("exit %d\nstderr: %s\nstdout: %s", code, errs.String(), out.String())
-	}
-	var report struct {
-		Tool     string            `json:"tool"`
-		Count    int               `json:"count"`
-		Findings []json.RawMessage `json:"findings"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, out.String())
-	}
-	if report.Tool != "sialint" || report.Count != 0 || len(report.Findings) != 0 {
-		t.Errorf("report = %+v\n%s", report, out.String())
+		t.Fatalf("exit %d\nstderr: %s\nstdout: %s", code, stderr, stdout)
 	}
 }

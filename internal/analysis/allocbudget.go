@@ -36,7 +36,9 @@ import (
 // non-nil (error paths are cold by definition), and inside panic arguments.
 // A site is justified with an `// alloc: <reason>` comment on its line or
 // the line above; a declaration whose doc comment carries `// alloc:`
-// justifies the whole function.
+// justifies the whole function. The pass also reports a `// sia:<name>` doc
+// annotation it does not know, so a misspelt `// sia:hotpath` cannot
+// silently declare nothing.
 func AllocBudget(cfg *Config) *Analyzer {
 	return &Analyzer{
 		Name: "alloc-budget",
@@ -48,12 +50,12 @@ func AllocBudget(cfg *Config) *Analyzer {
 func runAllocBudget(pass *Pass) {
 	prog := pass.Program()
 	hot := prog.HotReachable()
-	if len(hot) == 0 {
-		return
-	}
 	for _, node := range prog.Nodes {
 		if node.Pkg != pass.Pkg {
 			continue
+		}
+		for _, c := range node.UnknownAnnotations {
+			pass.Reportf(c.Pos(), "unknown annotation %q declares nothing (known: // %s)", c.Text, markHotPath)
 		}
 		root, reachable := hot[node]
 		if !reachable || allocJustifiedDecl(node) {

@@ -2,8 +2,10 @@
 // loads and type-checks the module's packages with go/parser and go/types
 // (no external dependencies), then runs project-specific analyzers that
 // enforce invariants the Go compiler cannot: exhaustive dispatch over Sia's
-// AST interfaces, disciplined use of three-valued logic, panic hygiene in
-// library code, and lock/defer hygiene in the hot execution paths.
+// AST interfaces, disciplined use of three-valued logic, panic hygiene and
+// error wrapping in library code, cancellation polling in the solver loops,
+// the allocation budget of the hot paths, and bounds on request-derived
+// values.
 //
 // The framework is deliberately small: an Analyzer is a named function over
 // a type-checked Pass, and a Finding is a position plus a message. The
@@ -16,10 +18,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Config points the analyzers at the project-specific types and packages
@@ -51,10 +51,6 @@ type Config struct {
 	// the public API).
 	ExtraPanicPrefixes []string
 
-	// HygienePackages are the package paths subject to the mutex-and-loop
-	// hygiene checks (hot execution paths).
-	HygienePackages []string
-
 	// CancelPackages are the package paths whose while-style loops (a for
 	// statement with no post clause: `for {...}` and `for cond {...}`) must
 	// poll cancellation on every cycle or carry a `// cancel:`
@@ -72,17 +68,6 @@ type Config struct {
 	// constructed, unwrapped error (errors.New or fmt.Errorf without %w)
 	// there can never match a sentinel with errors.Is.
 	ErrWrapBoundaryPackages []string
-
-	// LockPackages are the package paths subject to the path-sensitive
-	// lock-balance analyzer (double-lock, return with a held mutex).
-	LockPackages []string
-
-	// GoroutinePackages are the package paths whose go statements are
-	// subject to the goroutine-leak analyzer: every launched body (and
-	// everything it reaches inside this package set) must terminate on all
-	// CFG paths — by polling cancellation or a channel on every cycle of
-	// every while-style loop — or carry a `// goroutine:` justification.
-	GoroutinePackages []string
 
 	// TaintPackages are the package paths swept by the taint-bound
 	// analyzer: request-derived values must pass a clamp or sanitizer
@@ -119,7 +104,6 @@ func DefaultConfig() *Config {
 		TriBoolPkg:         "sia/internal/predicate",
 		LibraryPrefixes:    []string{"sia/internal/"},
 		ExtraPanicPrefixes: []string{"sia"},
-		HygienePackages:    []string{"sia/internal/engine", "sia/internal/smt"},
 		CancelPackages: []string{
 			"sia/internal/smt",
 			"sia/internal/core",
@@ -130,19 +114,6 @@ func DefaultConfig() *Config {
 			"sia",
 			"sia/internal/core",
 			"sia/internal/cache",
-		},
-		LockPackages: []string{"sia/internal/engine", "sia/internal/cache"},
-		GoroutinePackages: []string{
-			"sia/internal/serve",
-			"sia/internal/serve/client",
-			"sia/internal/cache",
-			"sia/internal/obs",
-			"sia/internal/experiments",
-			"sia/internal/workload",
-			"sia/internal/engine",
-			"sia/internal/smt",
-			"sia/internal/core",
-			"sia/cmd/siad",
 		},
 		TaintPackages: []string{"sia/internal/serve", "sia/cmd/siad"},
 		TaintSources: []string{
@@ -210,17 +181,9 @@ func Analyzers(cfg *Config) []*Analyzer {
 		ExhaustiveSwitch(cfg),
 		TriBoolMisuse(cfg),
 		NoPanicInLibrary(cfg),
-		Hygiene(cfg),
-		CtxFirst(cfg),
 		CancelPoll(cfg),
 		ErrWrap(cfg),
-		LockBalance(cfg),
-		WgBalance(cfg),
 		AllocBudget(cfg),
-		MemoSafe(cfg),
-		GoroutineLeak(cfg),
-		AtomicMix(cfg),
-		ChanMisuse(cfg),
 		TaintBound(cfg),
 	}
 }
@@ -240,49 +203,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
 	return findings
 }
 
-// RunParallel is Run with per-package concurrency, bounded by workers
-// (non-positive means GOMAXPROCS). It is safe because the units of shared
-// state are all read-only at this point — packages and type information are
-// immutable after Load, analyzer closures hold only the Config — and each
-// package gets a private findings sink, merged after the barrier. The final
-// sort makes the output identical to Run regardless of scheduling.
-func RunParallel(pkgs []*Package, analyzers []*Analyzer, cfg *Config, workers int) []Finding {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	perPkg := make([][]Finding, len(pkgs))
-	sem := make(chan struct{}, workers)
-	shared := &Shared{}
-	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var local []Finding
-			for _, a := range analyzers {
-				pass := &Pass{Cfg: cfg, Pkg: pkg, All: pkgs, Shared: shared, analyzer: a.Name, sink: &local}
-				a.Run(pass)
-			}
-			perPkg[i] = local
-		}()
-	}
-	wg.Wait()
-	var findings []Finding
-	for _, fs := range perPkg {
-		findings = append(findings, fs...)
-	}
-	sortFindings(findings)
-	return findings
-}
-
 // sortFindings orders findings by file, line, column, analyzer name, and
 // finally message. The full key makes rendered output byte-identical across
-// Run, RunParallel, and repeated invocations: an analyzer may report several
-// findings at one position (e.g. alloc-budget for distinct hot roots), and
-// without the message tiebreaker their relative order would depend on
-// goroutine scheduling.
+// repeated invocations: an analyzer may report several findings at one
+// position (e.g. alloc-budget for distinct hot roots), and sort.Slice is not
+// stable.
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -328,8 +253,20 @@ func lookupNamed(all []*Package, qualified string) *types.Named {
 	return nil
 }
 
-// commentedWith reports whether the line of pos, or the line above it, has a
-// comment containing marker in the file enclosing pos.
+func stringIn(s string, set []string) bool {
+	for _, x := range set {
+		if s == x {
+			return true
+		}
+	}
+	return false
+}
+
+// commentedWith reports whether the line of pos, or the comment block ending
+// on the line directly above it, carries an escape for marker: a comment line
+// that starts with the marker and gives a non-empty reason after it
+// ("// cancel: bounded by len(xs)"). A comment that merely mentions the
+// marker mid-sentence, or a bare "// cancel:", justifies nothing.
 func (pkg *Package) commentedWith(pos token.Pos, marker string) bool {
 	file := pkg.fileAt(pos)
 	if file == nil {
@@ -339,7 +276,7 @@ func (pkg *Package) commentedWith(pos token.Pos, marker string) bool {
 	for _, grp := range file.Comments {
 		marked := false
 		for _, c := range grp.List {
-			if strings.Contains(c.Text, marker) {
+			if reason, ok := markerReason(c, marker); ok && reason != "" {
 				marked = true
 				break
 			}
@@ -358,34 +295,14 @@ func (pkg *Package) commentedWith(pos token.Pos, marker string) bool {
 	return false
 }
 
-// justification is commentedWith plus the text after the marker: it returns
-// the justification written on the line of pos (or the comment block ending
-// directly above it) and whether one was found.
-func (pkg *Package) justification(pos token.Pos, marker string) (string, bool) {
-	file := pkg.fileAt(pos)
-	if file == nil {
+// markerReason returns the text after marker when the comment line c starts
+// with it, and whether it does.
+func markerReason(c *ast.Comment, marker string) (string, bool) {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	if !strings.HasPrefix(text, marker) {
 		return "", false
 	}
-	line := pkg.Fset.Position(pos).Line
-	for _, grp := range file.Comments {
-		reason, marked := "", false
-		for i, c := range grp.List {
-			if idx := strings.Index(c.Text, marker); idx >= 0 {
-				marked = true
-				reason = joinReason(grp.List, i, strings.TrimSpace(c.Text[idx+len(marker):]))
-				break
-			}
-		}
-		if !marked {
-			continue
-		}
-		start := pkg.Fset.Position(grp.Pos()).Line
-		end := pkg.Fset.Position(grp.End()).Line
-		if (start <= line && line <= end) || end == line-1 {
-			return reason, true
-		}
-	}
-	return "", false
+	return strings.TrimSpace(text[len(marker):]), true
 }
 
 // fileAt returns the package file whose range covers pos.

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -53,18 +54,6 @@ func wantFindings(t *testing.T, got []Finding, n int, substrs ...string) {
 	}
 }
 
-func TestExhaustiveSwitchGood(t *testing.T) {
-	cfg := &Config{SwitchInterfaces: []string{"exgood.Node"}}
-	got := runOne(t, "exhaustive_good", cfg, ExhaustiveSwitch(cfg))
-	wantFindings(t, got, 0)
-}
-
-func TestExhaustiveSwitchBad(t *testing.T) {
-	cfg := &Config{SwitchInterfaces: []string{"exbad.Node"}}
-	got := runOne(t, "exhaustive_bad", cfg, ExhaustiveSwitch(cfg))
-	wantFindings(t, got, 1, "*exbad.Leaf")
-}
-
 func triCfg(mod string) *Config {
 	return &Config{
 		TriBoolType: mod + "/tri.TriBool",
@@ -74,52 +63,100 @@ func triCfg(mod string) *Config {
 	}
 }
 
-func TestTriBoolMisuseGood(t *testing.T) {
-	cfg := triCfg("tbgood")
-	got := runOne(t, "tribool_good", cfg, TriBoolMisuse(cfg))
-	wantFindings(t, got, 0)
+func cancelCfg(mod string) *Config {
+	return &Config{
+		CancelPackages:  []string{mod + "/solver"},
+		CancelFunctions: []string{"checkStop"},
+	}
 }
 
-func TestTriBoolMisuseBad(t *testing.T) {
-	cfg := triCfg("tbbad")
-	got := runOne(t, "tribool_bad", cfg, TriBoolMisuse(cfg))
-	wantFindings(t, got, 4, "Unknown", "conversion")
+func taintCfg(mod string) *Config {
+	return &Config{
+		TaintPackages:   []string{mod + "/serve"},
+		TaintSources:    []string{mod + "/api.Request"},
+		TaintSanitizers: []string{"Validate", "BuildOptions"},
+		TaintBoundTypes: []string{mod + "/core.Options"},
+	}
 }
 
-func TestNoPanicGood(t *testing.T) {
-	cfg := &Config{LibraryPrefixes: []string{"npgood/internal/"}}
-	got := runOne(t, "nopanic_good", cfg, NoPanicInLibrary(cfg))
-	wantFindings(t, got, 0)
+// fixtureCases is the whole fixture suite: each analyzer against a good
+// module (zero findings) and a bad one (exact count plus message
+// substrings), with the Config retargeted at the fixture's module path.
+var fixtureCases = []struct {
+	fixture  string
+	analyzer func(*Config) *Analyzer
+	cfg      *Config
+	want     int
+	substrs  []string
+}{
+	{"exhaustive_good", ExhaustiveSwitch, &Config{SwitchInterfaces: []string{"exgood.Node"}}, 0, nil},
+	{"exhaustive_bad", ExhaustiveSwitch, &Config{SwitchInterfaces: []string{"exbad.Node"}}, 1, []string{"*exbad.Leaf"}},
+	{"tribool_good", TriBoolMisuse, triCfg("tbgood"), 0, nil},
+	// 4 misuses + a mid-sentence "tribool:" + a bare "// tribool:", neither
+	// of which is an escape.
+	{"tribool_bad", TriBoolMisuse, triCfg("tbbad"), 6, []string{"Unknown", "conversion"}},
+	{"nopanic_good", NoPanicInLibrary, &Config{LibraryPrefixes: []string{"npgood/internal/"}}, 0, nil},
+	{"nopanic_bad", NoPanicInLibrary, &Config{LibraryPrefixes: []string{"npbad/internal/"}}, 2, []string{"panic"}},
+	{"cancelpoll_good", CancelPoll, cancelCfg("cpgood"), 0, nil},
+	// 4 poll-free loops + a mid-sentence "cancel:" + a bare "// cancel:".
+	{"cancelpoll_bad", CancelPoll, cancelCfg("cpbad"), 6, []string{"poll"}},
+	{"errwrap_good", ErrWrap, &Config{ErrWrapBoundaryPackages: []string{"ewgood/api"}}, 0, nil},
+	{"errwrap_bad", ErrWrap, &Config{ErrWrapBoundaryPackages: []string{"ewbad/api"}}, 5, []string{"errors.Is", "%w", "errors.New"}},
+	{"allocbudget_good", AllocBudget, &Config{}, 0, nil},
+	// 16 allocations + the misspelt // sia:hotpth annotation.
+	{"allocbudget_bad", AllocBudget, &Config{}, 17, []string{
+		"make",
+		"map literal",
+		"map assignment",
+		"escapes to the heap",
+		"interface call",
+		"boxes",
+		"string concatenation",
+		"append",
+		"go statement",
+		"unresolved function value",
+		"conversion",
+		"fmt.Sprintf",
+		"captures base",
+		"unknown annotation",
+	}},
+	{"taintbound_good", TaintBound, taintCfg("tagood"), 0, nil},
+	{"taintbound_bad", TaintBound, taintCfg("tabad"), 5, []string{
+		"WithTimeout", "make() size", "loop bound", "MaxIterations", "literal"}},
 }
 
-func TestNoPanicBad(t *testing.T) {
-	cfg := &Config{LibraryPrefixes: []string{"npbad/internal/"}}
-	got := runOne(t, "nopanic_bad", cfg, NoPanicInLibrary(cfg))
-	wantFindings(t, got, 2, "panic")
+func TestFixtures(t *testing.T) {
+	for _, tc := range fixtureCases {
+		t.Run(tc.fixture, func(t *testing.T) {
+			a := tc.analyzer(tc.cfg)
+			got := runOne(t, tc.fixture, tc.cfg, a)
+			wantFindings(t, got, tc.want, tc.substrs...)
+			for _, f := range got {
+				if f.Analyzer != a.Name {
+					t.Errorf("finding from %q, want %s", f.Analyzer, a.Name)
+				}
+			}
+		})
+	}
 }
 
-func TestHygieneGood(t *testing.T) {
-	cfg := &Config{HygienePackages: []string{"hygood/engine"}}
-	got := runOne(t, "hygiene_good", cfg, Hygiene(cfg))
-	wantFindings(t, got, 0)
-}
-
-func TestHygieneBad(t *testing.T) {
-	cfg := &Config{HygienePackages: []string{"hybad/engine"}}
-	got := runOne(t, "hygiene_bad", cfg, Hygiene(cfg))
-	wantFindings(t, got, 5, "defer", "range", "sync")
-}
-
-func TestCtxFirstGood(t *testing.T) {
-	cfg := &Config{}
-	got := runOne(t, "ctxfirst_good", cfg, CtxFirst(cfg))
-	wantFindings(t, got, 0)
-}
-
-func TestCtxFirstBad(t *testing.T) {
-	cfg := &Config{}
-	got := runOne(t, "ctxfirst_bad", cfg, CtxFirst(cfg))
-	wantFindings(t, got, 2, "Fetch", "Do")
+// TestNoOrphanFixtures fails when a directory under testdata/ is exercised
+// by no test: every entry is a fixtureCases row or one of the modules the
+// call-graph and loader tests load by name.
+func TestNoOrphanFixtures(t *testing.T) {
+	used := map[string]bool{"callgraph": true, "loadskip": true}
+	for _, tc := range fixtureCases {
+		used[tc.fixture] = true
+	}
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !used[e.Name()] {
+			t.Errorf("testdata/%s is loaded by no test", e.Name())
+		}
+	}
 }
 
 // TestRepoIsClean runs every analyzer with the default configuration over

@@ -12,7 +12,7 @@ import (
 
 // This file builds the interprocedural layer of sialint: a call graph over
 // every loaded package, computed once per run and shared by the analyzers
-// that need whole-program reachability (alloc-budget, memo-safe).
+// that need whole-program reachability (alloc-budget).
 //
 // Resolution strategy, cheapest first:
 //
@@ -20,8 +20,8 @@ import (
 //   - Interface method calls resolve with class-hierarchy analysis (CHA):
 //     the callees are the matching methods of every concrete type in the
 //     loaded packages that implements the interface. This over-approximates
-//     (no per-callsite points-to), which is the safe direction for both
-//     analyzers built on top.
+//     (no per-callsite points-to), which is the safe direction for the
+//     analyzer built on top.
 //   - Calls through function-typed variables resolve when every assignment
 //     to the variable (including struct-literal field values) is a named
 //     function or function literal and the variable's address is never
@@ -33,16 +33,12 @@ import (
 // Annotations read from function doc comments:
 //
 //	// sia:hotpath   — entry point for the alloc-budget analyzer
-//	// sia:memoize   — entry point for the memo-safe analyzer
 //	// alloc: <why>  — decl-level: every allocation in this function is
 //	//                 justified (site-level escapes use the same marker on
 //	//                 or above the offending line)
-//	// memo: <why>   — decl-level counterpart for memo-safe
 const (
 	markHotPath = "sia:hotpath"
-	markMemoize = "sia:memoize"
 	markAlloc   = "alloc:"
-	markMemo    = "memo:"
 )
 
 // EdgeKind classifies how a call site was resolved.
@@ -98,39 +94,20 @@ type Edge struct {
 
 // FuncNode is one function, method, or function literal in the call graph.
 type FuncNode struct {
-	Pkg  *Package
-	Obj  *types.Func   // nil for literals
-	Decl *ast.FuncDecl // nil for literals
-	Lit  *ast.FuncLit  // nil for declared functions
-	Encl *FuncNode     // for literals: the creating function
-	Name string        // qualified display name, e.g. "sia/internal/smt.(*Solver).eliminateInt"
-	Body *ast.BlockStmt
+	Pkg   *Package
+	Obj   *types.Func   // nil for literals
+	Decl  *ast.FuncDecl // nil for literals
+	Lit   *ast.FuncLit  // nil for declared functions
+	Encl  *FuncNode     // for literals: the creating function
+	Name  string        // qualified display name, e.g. "sia/internal/smt.(*Solver).eliminateInt"
+	Body  *ast.BlockStmt
 	Edges []Edge
 
-	Hot  bool // carries // sia:hotpath
-	Memo bool // carries // sia:memoize
+	Hot bool // carries // sia:hotpath
 
-	AllocJustified bool   // decl-level // alloc: escape
-	AllocReason    string // text after the marker
-	MemoJustified  bool   // decl-level // memo: escape
-	MemoReason     string
-}
+	AllocJustified bool // decl-level // alloc: escape with a reason
 
-// Pos returns the node's declaration position.
-func (n *FuncNode) Pos() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return n.Lit.Pos()
-}
-
-// Root returns the outermost declared function enclosing n (n itself when it
-// is a declaration).
-func (n *FuncNode) Root() *FuncNode {
-	for n.Encl != nil {
-		n = n.Encl
-	}
-	return n
+	UnknownAnnotations []*ast.Comment // doc lines "// sia:<name>" naming no known annotation
 }
 
 // Program is the whole-program view: every package's call-graph nodes in a
@@ -147,15 +124,6 @@ type Program struct {
 
 	hotOnce sync.Once
 	hotFrom map[*FuncNode]*FuncNode // reachable node -> witness hot entry
-
-	memoOnce sync.Once
-	memo     *memoState // memo-safety results, built by memoAnalysis
-
-	goroOnce sync.Once
-	goro     *goroState // goroutine-leak results, built by goroAnalysis
-
-	atomicOnce sync.Once
-	atomicMix  *atomicState // atomic-mix results, built by atomicAnalysis
 }
 
 // NodeOf returns the node for a declared function or method (following
@@ -170,25 +138,11 @@ func (p *Program) NodeOf(fn *types.Func) *FuncNode {
 	return p.byObj[fn]
 }
 
-// LitNode returns the node for a function literal, or nil.
-func (p *Program) LitNode(lit *ast.FuncLit) *FuncNode { return p.byLit[lit] }
-
 // HotEntries returns the nodes annotated // sia:hotpath, in program order.
 func (p *Program) HotEntries() []*FuncNode {
 	var out []*FuncNode
 	for _, n := range p.Nodes {
 		if n.Hot {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// MemoEntries returns the nodes annotated // sia:memoize, in program order.
-func (p *Program) MemoEntries() []*FuncNode {
-	var out []*FuncNode
-	for _, n := range p.Nodes {
-		if n.Memo {
 			out = append(out, n)
 		}
 	}
@@ -203,20 +157,12 @@ func (p *Program) MemoEntries() []*FuncNode {
 // alloc-budget.
 func (p *Program) HotReachable() map[*FuncNode]*FuncNode {
 	p.hotOnce.Do(func() {
-		p.hotFrom = p.reachableFrom(p.HotEntries(), true)
+		p.hotFrom = p.reachableFrom(p.HotEntries())
 	})
 	return p.hotFrom
 }
 
-// ReachableFrom returns the nodes reachable from the given entries (which
-// are included), each mapped to the first entry that reaches it. Unlike
-// HotReachable it follows error-terminal edges: memo-safety cares about
-// effects on every path, including failure paths.
-func (p *Program) ReachableFrom(entries []*FuncNode) map[*FuncNode]*FuncNode {
-	return p.reachableFrom(entries, false)
-}
-
-func (p *Program) reachableFrom(entries []*FuncNode, skipTerminal bool) map[*FuncNode]*FuncNode {
+func (p *Program) reachableFrom(entries []*FuncNode) map[*FuncNode]*FuncNode {
 	from := make(map[*FuncNode]*FuncNode)
 	for _, entry := range entries {
 		if _, ok := from[entry]; ok {
@@ -228,7 +174,7 @@ func (p *Program) reachableFrom(entries []*FuncNode, skipTerminal bool) map[*Fun
 			n := queue[0]
 			queue = queue[1:]
 			for _, e := range n.Edges {
-				if e.Callee == nil || (skipTerminal && e.Terminal) {
+				if e.Callee == nil || e.Terminal {
 					continue
 				}
 				if _, ok := from[e.Callee]; !ok {
@@ -347,46 +293,25 @@ func shortPos(pkg *Package, pos token.Pos) string {
 	return fmt.Sprintf("L%d", p.Line)
 }
 
-// readAnnotations parses the sia markers out of a doc comment.
+// readAnnotations parses the sia markers out of a doc comment, under the
+// same leads-its-line rule as site-level escapes. A // sia:<name> line that is not a known annotation
+// is kept on the node for alloc-budget to report: a misspelt or retired
+// annotation declares nothing, and silence would hide that.
 func readAnnotations(node *FuncNode, doc *ast.CommentGroup) {
 	if doc == nil {
 		return
 	}
-	for i, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		switch {
-		case strings.HasPrefix(text, markHotPath):
+	for _, c := range doc.List {
+		if _, ok := markerReason(c, markHotPath); ok {
 			node.Hot = true
-		case strings.HasPrefix(text, markMemoize):
-			node.Memo = true
-		case strings.HasPrefix(text, markAlloc):
-			node.AllocJustified = true
-			node.AllocReason = joinReason(doc.List, i, strings.TrimSpace(strings.TrimPrefix(text, markAlloc)))
-		case strings.HasPrefix(text, markMemo):
-			node.MemoJustified = true
-			node.MemoReason = joinReason(doc.List, i, strings.TrimSpace(strings.TrimPrefix(text, markMemo)))
+		} else if reason, ok := markerReason(c, markAlloc); ok {
+			if reason != "" {
+				node.AllocJustified = true
+			}
+		} else if _, ok := markerReason(c, "sia:"); ok {
+			node.UnknownAnnotations = append(node.UnknownAnnotations, c)
 		}
 	}
-}
-
-// joinReason extends a marker's first reason line with the continuation
-// comment lines that follow it in the group, stopping at the next marker or
-// a blank line, so multi-line justifications survive into reports intact.
-func joinReason(list []*ast.Comment, i int, first string) string {
-	parts := []string{first}
-	for j := i + 1; j < len(list); j++ {
-		text := strings.TrimSpace(strings.TrimPrefix(list[j].Text, "//"))
-		if text == "" || isMarkerLine(text) {
-			break
-		}
-		parts = append(parts, text)
-	}
-	return strings.TrimSpace(strings.Join(parts, " "))
-}
-
-func isMarkerLine(text string) bool {
-	return strings.HasPrefix(text, markHotPath) || strings.HasPrefix(text, markMemoize) ||
-		strings.HasPrefix(text, markAlloc) || strings.HasPrefix(text, markMemo)
 }
 
 // collectConcreteTypes gathers every non-interface named type declared in
@@ -802,7 +727,7 @@ func typeOf(pkg *Package, e ast.Expr) types.Type {
 	return nil
 }
 
-// Shared carries state built once per Run/RunParallel invocation and reused
+// Shared carries state built once per Run invocation and reused
 // across analyzers and packages. The program builds lazily under a
 // sync.Once, so runs that enable no interprocedural analyzer never pay for
 // the call graph.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -94,8 +95,7 @@ func (pass *Pass) hasUnpolledCycle(g *CFG, loop *Loop) bool {
 }
 
 // hasCycleAvoiding reports whether some cycle through the loop's head
-// avoids every block satisfying polls — the shared engine behind
-// cancel-poll and goroutine-leak, which differ only in the predicate.
+// avoids every block satisfying polls.
 func hasCycleAvoiding(g *CFG, loop *Loop, polls func(*Block) bool) bool {
 	members := g.LoopMembers(loop)
 	if polls(loop.Head) {
@@ -179,7 +179,7 @@ func (pass *Pass) callPolls(call *ast.CallExpr) bool {
 		}
 	}
 	// A call that passes a context along is cancellation-aware by the
-	// module's ctx-first convention (enforced by the ctx-first analyzer).
+	// module's ctx-first convention.
 	for _, arg := range call.Args {
 		if t := pass.Pkg.Info.TypeOf(arg); t != nil && isContextType(t) {
 			return true
@@ -207,4 +207,14 @@ func exprName(e ast.Expr) string {
 		return base + "." + x.Sel.Name
 	}
 	return ""
+}
+
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

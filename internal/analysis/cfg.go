@@ -1,9 +1,8 @@
 // Control-flow graphs over function bodies, built from pure syntax (no type
-// information needed). The path-sensitive analyzers — cancel-poll,
-// lock-balance — run reachability and dataflow over these graphs instead of
-// guessing from lexical structure, which is what lets them accept a
-// cancellation poll behind an if on every path and reject one behind an if
-// on some paths.
+// information needed). The path-sensitive analyzer — cancel-poll — runs
+// reachability over these graphs instead of guessing from lexical
+// structure, which is what lets it accept a cancellation poll behind an if
+// on every path and reject one behind an if on some paths.
 //
 // The construction is the textbook one specialized to Go's structured
 // control flow plus goto: a Block is a maximal straight-line statement

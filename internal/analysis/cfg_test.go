@@ -431,93 +431,3 @@ func kinds(bs []*Block) []string {
 	}
 	return out
 }
-
-// boolLattice is the two-point lattice used by the solver tests.
-type boolLattice struct{}
-
-func (boolLattice) Bottom() bool         { return false }
-func (boolLattice) Join(a, b bool) bool  { return a || b }
-func (boolLattice) Equal(a, b bool) bool { return a == b }
-
-// TestForwardSolveIrreducible drives the forward solver over an
-// irreducible graph — a loop with two entry points, built with gotos —
-// and checks it reaches the fixed point. "Reachable from entry" is the
-// analysis: entry fact true, transfer the identity.
-func TestForwardSolveIrreducible(t *testing.T) {
-	g := buildCFG(t, `
-func f(a bool) {
-	if a {
-		goto first
-	}
-	goto second
-first:
-	work()
-	goto second
-second:
-	work()
-	if a {
-		goto first
-	}
-}`)
-	in, _ := ForwardSolve[bool](g, boolLattice{}, true, func(b *Block, in bool) bool { return in })
-	for _, b := range g.Blocks {
-		if b.Kind == "label.first" || b.Kind == "label.second" {
-			if !in[b] {
-				t.Errorf("block b%d(%s) not marked reachable", b.Index, b.Kind)
-			}
-		}
-	}
-	if !in[g.Exit] {
-		t.Errorf("exit not reachable")
-	}
-}
-
-// TestForwardSolveCountsToFixedPoint checks a non-trivial lattice
-// (bounded counter) converges on a cyclic graph rather than oscillating.
-func TestForwardSolveCountsToFixedPoint(t *testing.T) {
-	g := buildCFG(t, `
-func f(n int) {
-	for i := 0; i < n; i++ {
-		work(i)
-	}
-}`)
-	// Saturating counter capped at 3: monotone, finite height.
-	in, _ := ForwardSolve[int](g, capLattice{}, 0, func(b *Block, in int) int {
-		if in >= 3 {
-			return 3
-		}
-		return in + 1
-	})
-	for _, b := range g.Blocks {
-		if b.Kind == "for.head" && in[b] != 3 {
-			t.Errorf("loop head fact %d, want saturated 3", in[b])
-		}
-	}
-}
-
-type capLattice struct{}
-
-func (capLattice) Bottom() int { return 0 }
-func (capLattice) Join(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-func (capLattice) Equal(a, b int) bool { return a == b }
-
-// TestBackwardSolve checks backward propagation: "reaches exit" flows
-// against the edges from the exit block.
-func TestBackwardSolve(t *testing.T) {
-	g := buildCFG(t, `
-func f(a bool) {
-	if a {
-		return
-	}
-	work()
-}`)
-	_, out := BackwardSolve[bool](g, boolLattice{}, true, func(b *Block, out bool) bool { return out })
-	if !out[g.Entry] {
-		t.Errorf("entry cannot reach exit in backward solve")
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -124,11 +125,13 @@ func matchesAny(base, pdir, ipath string, patterns []string) bool {
 	}
 	rel = filepath.ToSlash(rel)
 	for _, pat := range patterns {
-		pat = strings.TrimPrefix(filepath.ToSlash(pat), "./")
+		// Clean as the go tool does: "./internal/engine/" names the same
+		// package as "./internal/engine".
+		pat = path.Clean(filepath.ToSlash(pat))
 		switch {
 		case pat == "..." && rel != "":
 			return true
-		case rel == "." && (pat == "" || pat == "."):
+		case rel == "." && pat == ".":
 			return true
 		case strings.HasSuffix(pat, "/..."):
 			prefix := strings.TrimSuffix(pat, "/...")

@@ -34,6 +34,21 @@ func TestLoadSkipsIgnoredFiles(t *testing.T) {
 	}
 }
 
+// TestLoadPatternTrailingSlash pins that a directory pattern matches the way
+// the go tool matches it: with or without a trailing slash.
+func TestLoadPatternTrailingSlash(t *testing.T) {
+	for _, pat := range []string{"./pkg", "./pkg/", "pkg/"} {
+		pkgs, err := Load(filepath.Join("testdata", "loadskip"), []string{pat})
+		if err != nil {
+			t.Errorf("pattern %q: %v", pat, err)
+			continue
+		}
+		if len(pkgs) != 1 || pkgs[0].Path != "lskip/pkg" {
+			t.Errorf("pattern %q matched %d packages, want lskip/pkg", pat, len(pkgs))
+		}
+	}
+}
+
 // TestConstraintSatisfied pins the header scanner's corner cases.
 func TestConstraintSatisfied(t *testing.T) {
 	dir := t.TempDir()

@@ -76,7 +76,7 @@ func (w *taintWalker) report(pos token.Pos, format string, args ...any) {
 	if w.reported[pos] {
 		return
 	}
-	if reason, ok := w.pass.Pkg.justification(pos, "taint:"); ok && reason != "" {
+	if w.pass.Pkg.commentedWith(pos, "taint:") {
 		return
 	}
 	w.reported[pos] = true

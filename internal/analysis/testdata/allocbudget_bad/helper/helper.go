@@ -31,3 +31,9 @@ func Closure(base int) func() int {
 		return base
 	}
 }
+
+// Warm carries a misspelt annotation: it declares no hot entry, so nothing
+// below it is checked. The unknown name itself must be flagged.
+//
+// sia:hotpth
+func Warm(n int) []int { return make([]int, n) }

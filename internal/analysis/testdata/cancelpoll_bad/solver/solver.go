@@ -66,3 +66,24 @@ func TracesButNeverPolls(t *Tracer, n int) int {
 	}
 	return n
 }
+
+// MentionsMarkerMidSentence has a comment that merely contains "cancel:"
+// inside a sentence. An escape must lead its comment line; this one
+// justifies nothing. Must be flagged.
+func MentionsMarkerMidSentence(n int) int {
+	// TODO: make the caller cancel: this loop can run long
+	for n > 1 {
+		n = step(n)
+	}
+	return n
+}
+
+// BareMarker writes the marker with no reason after it. Escapes are forced
+// articulations, not silencers. Must be flagged.
+func BareMarker(n int) int {
+	// cancel:
+	for n > 1 {
+		n = step(n)
+	}
+	return n
+}

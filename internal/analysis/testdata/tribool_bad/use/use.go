@@ -22,3 +22,14 @@ func FromInt(i int) tri.TriBool {
 func Encode(v tri.TriBool) int8 {
 	return int8(v)
 }
+
+// MentionsMarkerMidSentence carries a comment that only contains the marker
+// inside a sentence; it justifies nothing. Must be flagged.
+func MentionsMarkerMidSentence(v tri.TriBool) bool {
+	return v == tri.True // see the note on tribool: semantics elsewhere
+}
+
+// BareMarker writes the marker with no reason. Must be flagged.
+func BareMarker(v tri.TriBool) bool {
+	return v == tri.True // tribool:
+}

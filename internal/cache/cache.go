@@ -241,8 +241,6 @@ func (c *Cache) insert(key string, res *core.Result, tags []string) {
 	e := &entry{key: key, res: res, tags: tags}
 	c.entries[key] = c.ll.PushFront(e)
 	c.tag(e)
-	// goroutine: bounded — every iteration removes one list element, so
-	// the loop runs at most Len()-capacity times.
 	for c.ll.Len() > c.capacity {
 		back := c.ll.Back()
 		c.ll.Remove(back)
@@ -286,8 +284,6 @@ func (c *Cache) InvalidateTags(tags []string) int {
 	defer c.mu.Unlock()
 	removed := 0
 	for _, t := range tags {
-		// goroutine: bounded — iterates the keys indexed under one tag,
-		// each removed exactly once.
 		for key := range c.tagIndex[t] {
 			el, ok := c.entries[key]
 			if !ok {

@@ -36,7 +36,9 @@ import (
 // contribute via their Fingerprint (defaults applied, Solver/Trace
 // excluded).
 //
-// sia:memoize
+// Same arguments, same result: KeyFor reads nothing but its arguments, so
+// equal requests always share a key (TestKeyFor,
+// TestCacheHitIdenticalToColdRun).
 func KeyFor(p predicate.Predicate, cols []string, schema *predicate.Schema, opts core.Options) (key string, ok bool) {
 	if opts.Solver != nil || opts.Trace != nil || opts.Tracer != nil {
 		return "", false

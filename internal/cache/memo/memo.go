@@ -42,9 +42,6 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 
 // Get returns the value stored under k and reports whether it was present,
 // marking the entry as most recently used.
-// memo: the cache is semantically transparent — Get returns only what Add
-// stored under the same key; locking and LRU bookkeeping are invisible to
-// results.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -59,9 +56,6 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 // Add stores v under k, making it the most recently used entry, and
 // reports whether an older entry was evicted to make room. Adding an
 // existing key overwrites its value without eviction.
-// memo: the cache is semantically transparent — storing a deterministic
-// result under its key cannot change any future answer, only whether it
-// is recomputed; locking and LRU bookkeeping are invisible to results.
 func (c *Cache[K, V]) Add(k K, v V) (evicted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

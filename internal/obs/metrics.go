@@ -29,8 +29,6 @@ type Counter struct {
 }
 
 // Inc adds one.
-// memo: a monotonic metrics counter is write-only to the code being
-// certified; memoized results never read it back.
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
@@ -84,8 +82,6 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one observation.
-// memo: a metrics histogram is write-only to the code being certified;
-// memoized results never read it back.
 func (h *Histogram) Observe(v float64) {
 	// First bound >= v: the bucket whose "le" the observation falls under.
 	i := sort.SearchFloat64s(h.bounds, v)

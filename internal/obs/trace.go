@@ -132,9 +132,6 @@ func (t *Tracer) Enabled() bool { return t != nil }
 
 // Emit records one span. On a nil tracer it is a no-op that performs zero
 // allocations, so call sites on hot paths need no separate guard.
-// memo: tracing is a write-only observability channel; the code being
-// certified never reads a span back, so the clock, lock and buffered
-// write are invisible to memoized results.
 //
 // sia:hotpath
 func (t *Tracer) Emit(s Span) {
@@ -259,7 +256,6 @@ func appendStringField(b []byte, key, v string) []byte {
 // and only grows it when capacity runs out (amortized across events).
 func appendJSONString(b []byte, v string) []byte {
 	b = append(b, '"')
-	// goroutine: bounded — i advances by at least one byte per iteration.
 	for i := 0; i < len(v); {
 		c := v[i]
 		switch {

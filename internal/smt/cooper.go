@@ -319,9 +319,6 @@ func substInfinity(f Formula, y Var, j int64, useLower bool) Formula {
 }
 
 // walkLeaves visits every Atom/Div leaf of a quantifier-free NNF formula.
-// memo: the visit callbacks are function literals created in this package;
-// their effects are analyzed at their creation sites (closure effects
-// belong to the creating unit), so the indirect call adds nothing.
 func walkLeaves(f Formula, visit func(Formula) error) error {
 	switch x := f.(type) {
 	case Bool:
@@ -350,9 +347,6 @@ func walkLeaves(f Formula, visit func(Formula) error) error {
 // rewriteLeaves rebuilds a quantifier-free NNF formula with every Atom/Div
 // leaf replaced by the callback's result.
 // alloc: rebuilds the tree; growth is bounded by the eliminator's budgets.
-// memo: the repl callbacks are function literals created in this package;
-// their effects are analyzed at their creation sites (closure effects
-// belong to the creating unit), so the indirect call adds nothing.
 func rewriteLeaves(f Formula, repl func(Formula) (Formula, error)) (Formula, error) {
 	switch x := f.(type) {
 	case Bool:

@@ -192,10 +192,9 @@ func formulaKey(f Formula) string {
 // becomes canonical it is frozen in place — the caller gives up the right
 // to mutate it (mutators panic on frozen terms; Clone first).
 // alloc: renders t's canonical key; cached on the canonical node.
-// memo: the interner is an idempotent cache — one key always maps to one
-// canonical node for a shard generation, the freeze happens before the
-// node is published, and the locking and hit/miss counters are invisible
-// to results.
+// The interner is an idempotent cache: one key always maps to one
+// canonical node for a shard generation, and the freeze happens before the
+// node is published.
 func InternTerm(t *Term) *Term {
 	if t.frozen {
 		return t
@@ -234,9 +233,6 @@ func InternTerm(t *Term) *Term {
 // internAtom returns the canonical shared atom equal to a, with the
 // rendering and complement key cached on it.
 // alloc: renders the key and builds the canonical node on a miss.
-// memo: the interner is an idempotent cache — one key always maps to one
-// canonical node for a shard generation; locking and counters are
-// invisible to results.
 func internAtom(a *Atom, canon bool) *Atom {
 	if a.frozen {
 		return a
@@ -274,9 +270,6 @@ func internAtom(a *Atom, canon bool) *Atom {
 
 // internDivNode returns the canonical shared divisibility atom equal to d.
 // alloc: renders the key and builds the canonical node on a miss.
-// memo: the interner is an idempotent cache — one key always maps to one
-// canonical node for a shard generation; locking and counters are
-// invisible to results.
 func internDivNode(d *Div, canon bool) *Div {
 	if d.frozen {
 		return d

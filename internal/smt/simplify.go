@@ -221,7 +221,7 @@ func contentGCD64(t *Term) (int64, bool) {
 func contentGCDBig(t *Term) *big.Int {
 	g := new(big.Int)
 	acc := func(n *big.Int) {
-		// memo: numBig hands over a fresh big.Int; Abs mutates that
+		// numBig hands over a fresh big.Int; Abs mutates that
 		// caller-owned scratch value only.
 		n.Abs(n)
 		if n.Sign() != 0 {
@@ -375,7 +375,8 @@ func canonDiv(d *Div) Formula {
 			if r == 0 {
 				return true
 			}
-			// memo: c is a coefficient of the locally cloned term t
+			// c is a coefficient of the locally cloned term t, so
+			// reducing it in place is safe (here and below)
 			c.setInt64(r)
 			return false
 		}
@@ -384,7 +385,6 @@ func canonDiv(d *Div) Formula {
 		if mod.Sign() == 0 {
 			return true
 		}
-		// memo: c is a coefficient of the locally cloned term t
 		c.setBigInt(mod)
 		return false
 	}

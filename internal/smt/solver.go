@@ -107,8 +107,8 @@ func (s *Solver) checkStop() error {
 			return fmt.Errorf("%w: %w", ErrInterrupted, err)
 		}
 	}
-	// memo: the deadline poll can only select early abort (ErrBudget);
-	// results that complete are unaffected by the clock
+	// The deadline poll can only select early abort (ErrBudget); results
+	// that complete are unaffected by the clock.
 	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 		return fmt.Errorf("%w: timeout after %v", ErrBudget, s.Timeout)
 	}
@@ -140,8 +140,8 @@ func (s *Solver) maxModulus() int {
 }
 
 func (s *Solver) freshVar() Var {
-	// memo: the counter only keeps generated names distinct; eliminated
-	// variables never appear in results
+	// The counter only keeps generated names distinct; eliminated
+	// variables never appear in results.
 	id := s.freshID.Add(1)
 	// alloc: one short name per eliminated quantifier
 	return Var{Name: fmt.Sprintf("$q%d", id), Sort: SortInt}
@@ -247,23 +247,22 @@ func qeMemoKey(v Var, f Formula) string {
 // eliminations are memoized in qeMemo; at the outermost level, independent
 // disjuncts are eliminated in parallel.
 //
-// sia:memoize
+// Same arguments, same result: a completed elimination depends only on
+// (v, f), which is what lets qeMemo answer for it. The depth counter, the
+// wall clock, the counters and the spans feed metrics and traces only; a
+// memo hit returns exactly what recomputation would, and a result is stored
+// only when the call finished clean (TestQEMemoHitsServeSameAnswer,
+// TestQEMemoCancellationSweep, TestQEMemoBudgetErrorNotCached).
 func (s *Solver) eliminate(v Var, f Formula) (Formula, error) {
-	// memo: depth tracking and wall-time observation select only which
-	// metrics are recorded; results never depend on them.
 	depth := s.elimDepth.Add(1)
 	if depth == 1 {
-		// memo: wall clock feeds the latency metric only
 		start := time.Now()
 		defer func() {
-			// memo: depth tracking, metrics only
 			s.elimDepth.Add(-1)
 			// alloc: deferred metrics closure, once per outermost elimination
-			// memo: wall-time observation, metrics only
 			mQuerySeconds[opElimination].Observe(time.Since(start).Seconds())
 		}()
 	} else {
-		// memo: depth tracking, metrics only
 		defer s.elimDepth.Add(-1)
 	}
 	if err := s.checkStop(); err != nil {
@@ -275,9 +274,6 @@ func (s *Solver) eliminate(v Var, f Formula) (Formula, error) {
 	}
 	s.bumpEliminations()
 	key := qeMemoKey(v, f)
-	// memo: qeMemo lookups are semantically transparent — a hit returns
-	// exactly what the recomputation would; counters and spans are
-	// observability only.
 	if r, ok := qeMemo.Get(key); ok {
 		mQEMemoHits.Inc()
 		s.traceQEMemo(depth, "hit")
@@ -297,8 +293,6 @@ func (s *Solver) eliminate(v Var, f Formula) (Formula, error) {
 		mQEMemoSkips.Inc()
 		return r, nil
 	}
-	// memo: storing the deterministic result under its key is invisible to
-	// every future answer; only recomputation is avoided.
 	if qeMemo.Add(key, r) {
 		mQEMemoEvictions.Inc()
 	}
@@ -309,8 +303,8 @@ func (s *Solver) eliminate(v Var, f Formula) (Formula, error) {
 // Stats and the process totals. Memo hits count too: Stats.Eliminations is
 // "elimination requests answered", and the memo counters break out how
 // many were served from cache.
-// memo: statistics counters; results never depend on them. The mutex only
-// serializes the per-solver counter against parallel disjunct workers.
+// The mutex only serializes the per-solver counter against parallel
+// disjunct workers.
 func (s *Solver) bumpEliminations() {
 	s.statsMu.Lock()
 	s.Stats.Eliminations++
@@ -319,7 +313,6 @@ func (s *Solver) bumpEliminations() {
 }
 
 // traceQEMemo emits the per-outermost-elimination memo span.
-// memo: tracing is observability only; results never depend on it.
 func (s *Solver) traceQEMemo(depth int32, outcome string) {
 	if depth == 1 && s.Tracer.Enabled() {
 		s.Tracer.Emit(obs.Span{Event: obs.EvQEMemo, Outcome: outcome})
@@ -368,8 +361,6 @@ const parallelDisjunctMin = 4
 //
 // alloc: per-call worker bookkeeping (result slices, WaitGroup); one
 // outermost elimination amortizes it over its disjuncts.
-// memo: the parallel schedule only reorders independent sub-eliminations;
-// the ascending join makes the result identical to the serial loop's.
 func (s *Solver) eliminateDisjunctsParallel(v Var, or *Or) (Formula, error) {
 	n := len(or.Fs)
 	results := make([]Formula, n)
@@ -384,8 +375,6 @@ func (s *Solver) eliminateDisjunctsParallel(v Var, or *Or) (Formula, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		// memo: worker goroutines compute independent sub-eliminations;
-		// the deterministic ascending join below erases scheduling order.
 		go func() {
 			defer wg.Done()
 			// cancel: claim loop; the shared counter only grows, so each
