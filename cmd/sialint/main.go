@@ -67,13 +67,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.Load(".", patterns)
+	pkgs, all, err := analysis.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "sialint: %v\n", err)
 		return 2
 	}
 
-	findings := analysis.Run(pkgs, analyzers, cfg)
+	findings := analysis.Run(pkgs, all, analyzers, cfg)
 	cwd, _ := os.Getwd()
 	for _, f := range findings {
 		pos := f.Pos

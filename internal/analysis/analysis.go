@@ -188,14 +188,15 @@ func Analyzers(cfg *Config) []*Analyzer {
 	}
 }
 
-// Run applies every analyzer to every package and returns the findings
-// sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
+// Run applies every analyzer to every package of pkgs, with all (Load's
+// second result) as the package graph the analyzers consult, and returns
+// the findings sorted by position. Findings are reported in pkgs only.
+func Run(pkgs, all []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
 	var findings []Finding
 	shared := &Shared{}
 	for _, a := range analyzers {
 		for _, pkg := range pkgs {
-			pass := &Pass{Cfg: cfg, Pkg: pkg, All: pkgs, Shared: shared, analyzer: a.Name, sink: &findings}
+			pass := &Pass{Cfg: cfg, Pkg: pkg, All: all, Shared: shared, analyzer: a.Name, sink: &findings}
 			a.Run(pass)
 		}
 	}

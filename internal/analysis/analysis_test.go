@@ -10,7 +10,7 @@ import (
 // loadFixture loads one of the mini-modules under testdata/.
 func loadFixture(t *testing.T, name string) []*Package {
 	t.Helper()
-	pkgs, err := Load(filepath.Join("testdata", name), []string{"./..."})
+	pkgs, _, err := Load(filepath.Join("testdata", name), []string{"./..."})
 	if err != nil {
 		t.Fatalf("load %s: %v", name, err)
 	}
@@ -20,11 +20,16 @@ func loadFixture(t *testing.T, name string) []*Package {
 	return pkgs
 }
 
-// runOne runs a single analyzer over a fixture and returns its findings.
+// runOne runs a single analyzer over ./... from a directory under testdata/
+// — a fixture module, or a package inside one for a subset run — and
+// returns its findings.
 func runOne(t *testing.T, fixture string, cfg *Config, a *Analyzer) []Finding {
 	t.Helper()
-	pkgs := loadFixture(t, fixture)
-	return Run(pkgs, []*Analyzer{a}, cfg)
+	pkgs, all, err := Load(filepath.Join("testdata", fixture), []string{"./..."})
+	if err != nil {
+		t.Fatalf("load %s: %v", fixture, err)
+	}
+	return Run(pkgs, all, []*Analyzer{a}, cfg)
 }
 
 // wantFindings asserts the exact count and that each expected substring
@@ -95,6 +100,9 @@ var fixtureCases = []struct {
 	// 4 misuses + a mid-sentence "tribool:" + a bare "// tribool:", neither
 	// of which is an escape.
 	{"tribool_bad", TriBoolMisuse, triCfg("tbbad"), 6, []string{"Unknown", "conversion"}},
+	// The same findings from a subset run over the use package alone: tri,
+	// which declares the type, is matched by no pattern but still loaded.
+	{"tribool_bad/use", TriBoolMisuse, triCfg("tbbad"), 6, []string{"Unknown", "conversion"}},
 	{"nopanic_good", NoPanicInLibrary, &Config{LibraryPrefixes: []string{"npgood/internal/"}}, 0, nil},
 	{"nopanic_bad", NoPanicInLibrary, &Config{LibraryPrefixes: []string{"npbad/internal/"}}, 2, []string{"panic"}},
 	{"cancelpoll_good", CancelPoll, cancelCfg("cpgood"), 0, nil},
@@ -164,12 +172,12 @@ func TestNoOrphanFixtures(t *testing.T) {
 // expects zero findings. A regression here means new code violated one of
 // the enforced invariants.
 func TestRepoIsClean(t *testing.T) {
-	pkgs, err := Load(filepath.Join("..", ".."), []string{"./..."})
+	pkgs, all, err := Load(filepath.Join("..", ".."), []string{"./..."})
 	if err != nil {
 		t.Fatalf("load repo: %v", err)
 	}
 	cfg := DefaultConfig()
-	got := Run(pkgs, Analyzers(cfg), cfg)
+	got := Run(pkgs, all, Analyzers(cfg), cfg)
 	for _, f := range got {
 		t.Errorf("%s: [%s] %s", f.Pos, f.Analyzer, f.Message)
 	}

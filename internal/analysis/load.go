@@ -35,14 +35,22 @@ type Package struct {
 // and binary code, and test helpers are free to panic. Only the standard
 // library may be imported besides the module's own packages, which preserves
 // — and relies on — the repo's zero-dependency property.
-func Load(dir string, patterns []string) ([]*Package, error) {
+//
+// Besides the matched packages, Load returns in all every package it
+// type-checked: the matched ones and, transitively, the module packages they
+// import. Analyzers resolve the types they enforce (Config.TriBoolType, the
+// SwitchInterfaces) and whole-program facts over all, so a run over a subset
+// reports what a ./... run reports in that subset: a package can only hold a
+// value of such a type if it depends on the type's package, which all then
+// includes.
+func Load(dir string, patterns []string) (pkgs, all []*Package, err error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	root, modPath, err := findModule(abs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	l := &loader{
 		fset:    token.NewFileSet(),
@@ -53,7 +61,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		loading: map[string]bool{},
 	}
 	if err := l.scanDirs(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var matched []string
 	for path, pdir := range l.dirs {
@@ -62,18 +70,21 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		}
 	}
 	if len(matched) == 0 {
-		return nil, fmt.Errorf("analysis: no packages match %v", patterns)
+		return nil, nil, fmt.Errorf("analysis: no packages match %v", patterns)
 	}
 	sort.Strings(matched)
-	var out []*Package
 	for _, path := range matched {
 		pkg, err := l.load(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, pkg)
+		pkgs = append(pkgs, pkg)
 	}
-	return out, nil
+	for _, pkg := range l.pkgs {
+		all = append(all, pkg)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Path < all[j].Path })
+	return pkgs, all, nil
 }
 
 // findModule walks up from dir to the enclosing go.mod and returns the

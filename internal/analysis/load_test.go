@@ -12,7 +12,7 @@ import (
 // parse), and a wrong-platform file (redeclares an exported symbol) must
 // load cleanly with only the real file included.
 func TestLoadSkipsIgnoredFiles(t *testing.T) {
-	pkgs, err := Load(filepath.Join("testdata", "loadskip"), []string{"./..."})
+	pkgs, _, err := Load(filepath.Join("testdata", "loadskip"), []string{"./..."})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestLoadSkipsIgnoredFiles(t *testing.T) {
 // the go tool matches it: with or without a trailing slash.
 func TestLoadPatternTrailingSlash(t *testing.T) {
 	for _, pat := range []string{"./pkg", "./pkg/", "pkg/"} {
-		pkgs, err := Load(filepath.Join("testdata", "loadskip"), []string{pat})
+		pkgs, _, err := Load(filepath.Join("testdata", "loadskip"), []string{pat})
 		if err != nil {
 			t.Errorf("pattern %q: %v", pat, err)
 			continue

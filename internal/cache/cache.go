@@ -28,9 +28,6 @@ type Stats struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// Invalidations counts entries dropped by InvalidateTags — results
-	// whose underlying table data changed (e.g. a segment append).
-	Invalidations uint64 `json:"invalidations"`
 	// Entries is the current number of stored results.
 	Entries int `json:"entries"`
 	// InFlight is the current number of running computations.
@@ -51,14 +48,9 @@ type Cache struct {
 	entries  map[string]*list.Element
 	inflight map[string]*call
 
-	// tagIndex maps each tag to the set of stored keys carrying it, so
-	// InvalidateTags removes matching entries without a full scan. Kept
-	// exactly in sync with entries by insert, eviction and invalidation.
-	tagIndex map[string]map[string]bool
-
 	// The monotone counters are obs instruments so a registry can read
 	// them live; Stats() is a snapshot view over the same values.
-	hits, misses, coalesced, evictions, invalidations obs.Counter
+	hits, misses, coalesced, evictions obs.Counter
 
 	// tracer is read by traceOutcome on every request, concurrently with
 	// SetTracer; the atomic pointer keeps that pair race-free without
@@ -67,9 +59,8 @@ type Cache struct {
 }
 
 type entry struct {
-	key  string
-	res  *core.Result
-	tags []string
+	key string
+	res *core.Result
 }
 
 // call is one in-flight computation. Its lifecycle: created by the first
@@ -86,7 +77,6 @@ type call struct {
 	completed bool
 	abandoned bool
 	cancel    context.CancelFunc
-	tags      []string
 }
 
 // New returns a cache bounded to capacity entries (DefaultCapacity when
@@ -100,7 +90,6 @@ func New(capacity int) *Cache {
 		ll:       list.New(),
 		entries:  map[string]*list.Element{},
 		inflight: map[string]*call{},
-		tagIndex: map[string]map[string]bool{},
 	}
 }
 
@@ -121,15 +110,6 @@ func New(capacity int) *Cache {
 // deterministically. Successful results are stored; errors are not (the
 // next request retries).
 func (c *Cache) Do(ctx context.Context, key string, fn func(context.Context) (*core.Result, error)) (res *core.Result, cached bool, err error) {
-	return c.DoTagged(ctx, key, nil, fn)
-}
-
-// DoTagged is Do with invalidation tags: a successfully stored result
-// carries tags, and a later InvalidateTags on any of them removes it. The
-// synthesizer tags entries with the visible-schema columns their predicate
-// conditions on, so a data append to those columns invalidates exactly the
-// results it could stale.
-func (c *Cache) DoTagged(ctx context.Context, key string, tags []string, fn func(context.Context) (*core.Result, error)) (res *core.Result, cached bool, err error) {
 	for {
 		// A dead context fails fast even on what would be a cache hit:
 		// the caller's budget is spent, and cancelled means cancelled.
@@ -161,7 +141,7 @@ func (c *Cache) DoTagged(ctx context.Context, key string, tags []string, fn func
 		// last waiter abandons the call.
 		c.misses.Inc()
 		runCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-		cl := &call{done: make(chan struct{}), cancel: cancel, waiters: 1, tags: tags}
+		cl := &call{done: make(chan struct{}), cancel: cancel, waiters: 1}
 		c.inflight[key] = cl
 		c.mu.Unlock()
 		c.traceOutcome("miss")
@@ -219,84 +199,31 @@ func (c *Cache) run(key string, cl *call, runCtx context.Context, fn func(contex
 		delete(c.inflight, key)
 	}
 	if err == nil {
-		c.insert(key, res, cl.tags)
+		c.insert(key, res)
 	}
 	c.mu.Unlock()
 	close(cl.done)
 	cl.cancel()
 }
 
-// insert stores res under key with tags, evicting from the LRU tail past
-// capacity. Caller holds c.mu.
-func (c *Cache) insert(key string, res *core.Result, tags []string) {
+// insert stores res under key, evicting from the LRU tail past capacity.
+// Caller holds c.mu.
+func (c *Cache) insert(key string, res *core.Result) {
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*entry)
-		c.untag(e)
 		e.res = res
-		e.tags = tags
-		c.tag(e)
 		c.ll.MoveToFront(el)
 		return
 	}
-	e := &entry{key: key, res: res, tags: tags}
+	e := &entry{key: key, res: res}
 	c.entries[key] = c.ll.PushFront(e)
-	c.tag(e)
 	for c.ll.Len() > c.capacity {
 		back := c.ll.Back()
 		c.ll.Remove(back)
 		be := back.Value.(*entry)
 		delete(c.entries, be.key)
-		c.untag(be)
 		c.evictions.Inc()
 	}
-}
-
-// tag adds e's key under each of its tags. Caller holds c.mu.
-func (c *Cache) tag(e *entry) {
-	for _, t := range e.tags {
-		keys := c.tagIndex[t]
-		if keys == nil {
-			keys = map[string]bool{}
-			c.tagIndex[t] = keys
-		}
-		keys[e.key] = true
-	}
-}
-
-// untag removes e's key from the index, dropping emptied tag sets. Caller
-// holds c.mu.
-func (c *Cache) untag(e *entry) {
-	for _, t := range e.tags {
-		keys := c.tagIndex[t]
-		delete(keys, e.key)
-		if len(keys) == 0 {
-			delete(c.tagIndex, t)
-		}
-	}
-}
-
-// InvalidateTags removes every stored entry carrying at least one of the
-// given tags and returns how many were dropped. In-flight computations are
-// unaffected (their results land after the invalidation and reflect
-// whatever data they read); absent tags are a no-op.
-func (c *Cache) InvalidateTags(tags []string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	removed := 0
-	for _, t := range tags {
-		for key := range c.tagIndex[t] {
-			el, ok := c.entries[key]
-			if !ok {
-				continue
-			}
-			c.ll.Remove(el)
-			delete(c.entries, key)
-			c.untag(el.Value.(*entry))
-			c.invalidations.Inc()
-			removed++
-		}
-	}
-	return removed
 }
 
 // Peek returns the stored result for key without computing on a miss. A
@@ -322,14 +249,9 @@ func (c *Cache) Peek(key string) (*core.Result, bool) {
 // batched group runs (one grouped result stored under each member's key);
 // ordinary synthesis results should flow through Do.
 func (c *Cache) Put(key string, res *core.Result) {
-	c.PutTagged(key, res, nil)
-}
-
-// PutTagged is Put with invalidation tags (see DoTagged).
-func (c *Cache) PutTagged(key string, res *core.Result, tags []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insert(key, res, tags)
+	c.insert(key, res)
 }
 
 // Entry is one exported cache entry.
@@ -358,13 +280,12 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:          c.hits.Value(),
-		Misses:        c.misses.Value(),
-		Coalesced:     c.coalesced.Value(),
-		Evictions:     c.evictions.Value(),
-		Invalidations: c.invalidations.Value(),
-		Entries:       c.ll.Len(),
-		InFlight:      len(c.inflight),
+		Hits:      c.hits.Value(),
+		Misses:    c.misses.Value(),
+		Coalesced: c.coalesced.Value(),
+		Evictions: c.evictions.Value(),
+		Entries:   c.ll.Len(),
+		InFlight:  len(c.inflight),
 	}
 }
 
@@ -404,8 +325,6 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) error {
 			func() float64 { return float64(c.coalesced.Value()) }, false},
 		{"sia_cache_evictions_total", "Entries dropped by the LRU bound.",
 			func() float64 { return float64(c.evictions.Value()) }, false},
-		{"sia_cache_invalidations_total", "Entries dropped because their underlying table data changed.",
-			func() float64 { return float64(c.invalidations.Value()) }, false},
 		{"sia_cache_entries", "Current number of stored results.",
 			func() float64 { e, _ := gauges(); return float64(e) }, true},
 		{"sia_cache_inflight", "Current number of running computations.",
@@ -441,48 +360,15 @@ func NewSynthesizer(capacity int) *Synthesizer {
 // reports whether the result was served without running a CEGIS loop for
 // this call. Uncacheable requests (a caller-supplied Options.Solver, Trace
 // or Tracer — see KeyFor) bypass the cache entirely.
-//
-// Stored entries are tagged with the request's visible-schema columns (the
-// predicate's columns plus the synthesis targets), so InvalidateColumns
-// after a data change removes exactly the results it could stale.
 func (s *Synthesizer) Synthesize(ctx context.Context, p predicate.Predicate, cols []string, schema *predicate.Schema, opts core.Options) (res *core.Result, cached bool, err error) {
 	key, ok := KeyFor(p, cols, schema, opts)
 	if !ok {
 		res, err := core.SynthesizeContext(ctx, p, cols, schema, opts)
 		return res, false, err
 	}
-	return s.cache.DoTagged(ctx, key, visibleColumns(p, cols), func(runCtx context.Context) (*core.Result, error) {
+	return s.cache.Do(ctx, key, func(runCtx context.Context) (*core.Result, error) {
 		return core.SynthesizeContext(runCtx, p, cols, schema, opts)
 	})
-}
-
-// visibleColumns is the union of the predicate's columns and the synthesis
-// target columns — the data a cached result is conditioned on.
-func visibleColumns(p predicate.Predicate, cols []string) []string {
-	seen := make(map[string]bool, len(cols))
-	var out []string
-	for _, c := range predicate.Columns(p) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	for _, c := range cols {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// InvalidateColumns removes every cached result conditioned on any of the
-// named columns and returns how many were dropped. Streaming ingestion
-// calls this from a SegmentTable append hook: new rows can change a
-// predicate's selectivity or even its validity, so results over the
-// touched columns must be re-synthesized, not served stale.
-func (s *Synthesizer) InvalidateColumns(cols []string) int {
-	return s.cache.InvalidateTags(cols)
 }
 
 // Peek returns the cached result for key without synthesizing on a miss.

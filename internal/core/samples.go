@@ -7,7 +7,6 @@ import (
 	"math/big"
 	"sort"
 
-	"sia/internal/predicate"
 	"sia/internal/smt"
 )
 
@@ -63,31 +62,13 @@ func (sp sampleSpace) blockSample(s Sample) smt.Formula {
 	return smt.NewNot(smt.NewAnd(eqs...))
 }
 
-// blockValues returns the paper's strong NotOld clause (§5.3: "each term …
-// sets the variables representing columns in Cols' not to be equal to any
-// of the values in already existing samples"): every column must take a
-// value unseen in that column. Strong blocking spreads samples out, which
-// is what makes few samples informative for the SVM; it can however become
-// unsatisfiable before the sample space is exhausted, so enumeration falls
-// back to tuple-level blocking on UNSAT.
-func (sp sampleSpace) blockValues(s Sample) smt.Formula {
-	nes := make([]smt.Formula, len(sp.Vars))
-	for i, v := range sp.Vars {
-		nes[i] = smt.NE(smt.VarTerm(v), smt.NewTerm(s.Vals[i]))
-	}
-	return smt.NewAnd(nes...)
-}
-
-// notOld conjoins blocking clauses for every known sample; strong selects
-// per-column value blocking vs tuple blocking.
-func (sp sampleSpace) notOld(samples []Sample, strong bool) smt.Formula {
+// notOld conjoins tuple-level blocking clauses for every known sample. The
+// paper's strong per-column NotOld (§5.3) is applied in code instead, by
+// enumerate's fresh filter, so it never enters a solver query.
+func (sp sampleSpace) notOld(samples []Sample) smt.Formula {
 	fs := make([]smt.Formula, len(samples))
 	for i, s := range samples {
-		if strong {
-			fs[i] = sp.blockValues(s)
-		} else {
-			fs[i] = sp.blockSample(s)
-		}
+		fs[i] = sp.blockSample(s)
 	}
 	return smt.NewAnd(fs...)
 }
@@ -292,7 +273,7 @@ func (s *sampler) enumerate(ctx context.Context, base smt.Formula, n int, known 
 	// Slow path: classic blocked enumeration; its UNSAT proves exhaustion.
 	for len(out) < n {
 		all := append(append([]Sample(nil), known...), out...)
-		query := smt.NewAnd(base, s.space.notOld(all, false))
+		query := smt.NewAnd(base, s.space.notOld(all))
 		m, err := s.solver.ModelCtx(ctx, query)
 		if errors.Is(err, smt.ErrUnsat) {
 			return out, true, nil
@@ -305,19 +286,4 @@ func (s *sampler) enumerate(ctx context.Context, base smt.Formula, n int, known 
 		out = append(out, sm)
 	}
 	return out, false, nil
-}
-
-// samplesToTuple converts a sample to a predicate tuple for evaluation.
-func samplesToTuple(space sampleSpace, s Sample, schema *predicate.Schema) predicate.Tuple {
-	t := predicate.Tuple{}
-	for i, c := range space.Cols {
-		typ := predicate.TypeInteger
-		if schema != nil {
-			if col, ok := schema.Lookup(c); ok {
-				typ = col.Type
-			}
-		}
-		t[c] = ratToValue(s.Vals[i], typ)
-	}
-	return t
 }

@@ -41,11 +41,11 @@ func TestEmitIsAnnotatedHotPath(t *testing.T) {
 // AllocsPerRun measurements, not only in the repo-wide lint.
 func TestObsPassesAllocBudget(t *testing.T) {
 	cfg := &analysis.Config{}
-	pkgs, err := analysis.Load("../..", []string{"./internal/obs"})
+	pkgs, all, err := analysis.Load("../..", []string{"./internal/obs"})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	findings := analysis.Run(pkgs, []*analysis.Analyzer{analysis.AllocBudget(cfg)}, cfg)
+	findings := analysis.Run(pkgs, all, []*analysis.Analyzer{analysis.AllocBudget(cfg)}, cfg)
 	for _, f := range findings {
 		t.Error(f.String())
 	}

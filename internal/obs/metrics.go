@@ -37,21 +37,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down. The zero value is ready to
-// use; all methods are safe for concurrent use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram counts observations into fixed cumulative buckets, in the
 // Prometheus style: bucket i counts observations <= Bounds[i], with an
 // implicit +Inf bucket at the end. All methods are safe for concurrent use

@@ -7,10 +7,9 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeConcurrent(t *testing.T) {
+func TestCounterConcurrent(t *testing.T) {
 	const workers, perWorker = 8, 1000
 	var c Counter
-	var g Gauge
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -18,17 +17,12 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(2)
-				g.Add(-1)
 			}
 		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := g.Value(); got != workers*perWorker {
-		t.Errorf("gauge = %d, want %d", got, workers*perWorker)
 	}
 }
 
@@ -129,10 +123,10 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 	r.Counter("sia_kind_total", "help")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic registering gauge over counter")
+			t.Fatal("expected panic registering histogram over counter")
 		}
 	}()
-	r.Gauge("sia_kind_total", "help")
+	r.Histogram("sia_kind_total", "help", nil)
 }
 
 func TestRegistryHistogramBoundsConflictPanics(t *testing.T) {

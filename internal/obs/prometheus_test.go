@@ -10,7 +10,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sia_b_total", `help with \ and
 newline`).Add(3)
-	r.Gauge("sia_a_entries", "entries").Set(7)
+	if err := r.GaugeFunc("sia_a_entries", "entries", func() float64 { return 7 }); err != nil {
+		t.Fatal(err)
+	}
 	h := r.Histogram("sia_lat_seconds", "latency", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -104,7 +106,9 @@ func TestWriteJSON(t *testing.T) {
 
 func TestExpvarVar(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("sia_ev_entries", "h").Set(9)
+	if err := r.GaugeFunc("sia_ev_entries", "h", func() float64 { return 9 }); err != nil {
+		t.Fatal(err)
+	}
 	var got map[string]any
 	if err := json.Unmarshal([]byte(r.ExpvarVar().String()), &got); err != nil {
 		t.Fatalf("expvar output is not valid JSON: %v", err)

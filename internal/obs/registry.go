@@ -10,7 +10,7 @@ import (
 
 // ErrAlreadyRegistered is returned (wrapped) when a collector-function
 // metric is registered under a name+label series that already exists.
-// Instrument-returning registrations (Counter, Gauge, Histogram) never hit
+// Instrument-returning registrations (Counter, Histogram) never hit
 // it: they return the existing instrument instead.
 var ErrAlreadyRegistered = errors.New("obs: metric already registered")
 
@@ -48,7 +48,6 @@ type series struct {
 	labels  []Label
 	key     string
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64
 }
@@ -58,8 +57,6 @@ func (s *series) value() float64 {
 	switch {
 	case s.counter != nil:
 		return float64(s.counter.Value())
-	case s.gauge != nil:
-		return float64(s.gauge.Value())
 	case s.fn != nil:
 		return s.fn()
 	default:
@@ -167,25 +164,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	f.series = append(f.series, s)
 	f.byKey[key] = s
 	return s.counter
-}
-
-// Gauge returns the gauge registered under name+labels, creating and
-// registering it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, kindGauge, nil)
-	key := labelKey(labels)
-	if s, ok := f.byKey[key]; ok {
-		if s.gauge == nil {
-			panic(fmt.Sprintf("obs: metric %q{%s} is function-backed, not an instrument", name, key))
-		}
-		return s.gauge
-	}
-	s := &series{labels: append([]Label(nil), labels...), key: key, gauge: &Gauge{}}
-	f.series = append(f.series, s)
-	f.byKey[key] = s
-	return s.gauge
 }
 
 // Histogram returns the histogram registered under name+labels with the

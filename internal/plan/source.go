@@ -20,7 +20,6 @@ import (
 type TableSource interface {
 	Name() string
 	Schema() *predicate.Schema
-	NumRows() int
 	ScanFilter(p predicate.Predicate, par int) (*engine.Table, error)
 }
 
@@ -49,16 +48,4 @@ func (c *Catalog) sourceFor(n Node) (TableSource, bool) {
 	}
 	s, ok := c.sources[scan.TableName]
 	return s, ok
-}
-
-// rowCount returns the cardinality of a named table or source (the
-// estimator's base statistic).
-func (c *Catalog) rowCount(name string) (int, error) {
-	if t, ok := c.tables[name]; ok {
-		return t.NumRows(), nil
-	}
-	if s, ok := c.sources[name]; ok {
-		return s.NumRows(), nil
-	}
-	return 0, fmt.Errorf("plan: unknown table %q", name)
 }

@@ -15,8 +15,8 @@ import (
 // plan over a disk-backed SegmentTable source must produce exactly what
 // the same plan produces over the equivalent in-memory table, with the
 // pushed-down predicate reaching the source (pruning counters move), and a
-// streaming append must invalidate exactly the cached synthesis results
-// conditioned on the table's columns, forcing a fresh CEGIS run.
+// synthesis result cached before a streaming append must stay both cached
+// and correct after it.
 func TestExecuteOverSegmentSource(t *testing.T) {
 	schema := predicate.NewSchema(
 		predicate.Column{Name: "k", Type: predicate.TypeInteger, NotNull: true},
@@ -41,25 +41,25 @@ func TestExecuteOverSegmentSource(t *testing.T) {
 	memCat.Add(mem)
 	diskCat.AddSource(st)
 
-	p := predicate.Cmp(predicate.CmpLT, predicate.Col("k", predicate.TypeInteger), predicate.IntConst(500))
-	build := func(c *Catalog) Node {
+	// run executes Filter(pred, Scan t) over c and returns the rows with
+	// the storage counters the execution moved.
+	run := func(c *Catalog, pred predicate.Predicate) (*engine.Table, storage.CounterSnapshot) {
+		t.Helper()
 		scan, err := NewScan(c, "t")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &Filter{Pred: p, Input: scan}
+		before := storage.SnapshotCounters()
+		out, _, err := Execute(&Filter{Pred: pred, Input: scan}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, storage.SnapshotCounters().Sub(before)
 	}
 
-	before := storage.SnapshotCounters()
-	wantTbl, _, err := Execute(build(memCat), memCat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotTbl, _, err := Execute(build(diskCat), diskCat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := storage.SnapshotCounters().Sub(before)
+	var p predicate.Predicate = predicate.Cmp(predicate.CmpLT, predicate.Col("k", predicate.TypeInteger), predicate.IntConst(500))
+	wantTbl, _ := run(memCat, p)
+	gotTbl, delta := run(diskCat, p)
 	if !engine.TablesEqual(wantTbl, gotTbl) {
 		t.Fatalf("disk plan returned %d rows, in-memory %d", gotTbl.NumRows(), wantTbl.NumRows())
 	}
@@ -67,60 +67,55 @@ func TestExecuteOverSegmentSource(t *testing.T) {
 		t.Fatalf("pruned %d / scanned %d, want 2 / 1", delta.SegmentsPruned, delta.SegmentsScanned)
 	}
 
-	// Estimation sees the source's cardinality.
-	scan, err := NewScan(diskCat, "t")
+	// A valid reduction p₁ satisfies p ⟹ p₁ on every tuple (Def. 2), and
+	// the cache key holds no table data, so an append can neither change
+	// the key nor make the cached p₁ drop a row. The probe: synthesize p₁,
+	// append a segment outside every existing zone-map range holding rows
+	// that satisfy p (one on p₁'s boundary), synthesize again — a hit —
+	// and filter with and without p₁.
+	p, err = predicate.Parse("k - v > 4800 AND v > 240", schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, err := EstimateRows(scan, diskCat); err != nil || rows != 3000 {
-		t.Fatalf("EstimateRows = %v, %v; want 3000", rows, err)
-	}
-
-	// Streaming append invalidates cached synthesis results conditioned on
-	// the table's columns — and only those. The full loop: fill, hit,
-	// append, invalidate, miss.
 	synth := cache.NewSynthesizer(8)
-	invalidated := 0
-	st.OnAppend(func(cols []string) { invalidated += synth.InvalidateColumns(cols) })
-	elsewhere := predicate.NewSchema(
-		predicate.Column{Name: "x", Type: predicate.TypeInteger, NotNull: true},
-		predicate.Column{Name: "y", Type: predicate.TypeInteger, NotNull: true},
-	)
-	cached := func(text, col string, schema *predicate.Schema) bool {
+	synthesize := func() (*core.Result, bool) {
 		t.Helper()
-		p, err := predicate.Parse(text, schema)
+		res, hit, err := synth.Synthesize(context.Background(), p, []string{"k"}, schema, core.PresetSIA())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, hit, err := synth.Synthesize(context.Background(), p, []string{col}, schema, core.PresetSIA())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hit
+		return res, hit
 	}
-	onTable := func() bool { return cached("k - v < 20 AND v < 0", "k", schema) }
-	other := func() bool { return cached("x - y < 20 AND y < 0", "x", elsewhere) }
-	if onTable() || other() {
-		t.Fatal("cold synthesis reported a cache hit")
+	res, hit := synthesize()
+	if hit || !res.Valid || res.Predicate == nil {
+		t.Fatalf("cold synthesis: hit=%v valid=%v predicate=%v", hit, res.Valid, res.Predicate)
 	}
-	if !onTable() || !other() {
-		t.Fatal("repeated synthesis missed the cache before the append")
-	}
+	p1 := res.Predicate
 
-	if err := st.AppendRange(mem, 0, 10); err != nil {
+	fresh := engine.NewTable("t", schema)
+	for k := int64(5030); k < 5060; k++ {
+		for _, v := range []int64{239, 240, 241, 242, 260} {
+			fresh.AppendRow(predicate.IntVal(k), predicate.IntVal(v))
+		}
+	}
+	if err := st.AppendRange(fresh, 0, fresh.NumRows()); err != nil {
 		t.Fatal(err)
 	}
-	if invalidated != 1 {
-		t.Fatalf("append invalidated %d cached syntheses, want 1", invalidated)
+	if _, hit := synthesize(); !hit {
+		t.Fatal("synthesis after the append missed the cache")
 	}
-	if onTable() {
-		t.Fatal("result conditioned on an appended column was served from the cache after the append")
+
+	wantTbl, _ = run(diskCat, p)
+	gotTbl, delta = run(diskCat, predicate.NewAnd(p, p1))
+	if wantTbl.NumRows() == 0 {
+		t.Fatal("no appended row satisfies p: the probe tests nothing")
 	}
-	if !other() {
-		t.Fatal("result over unrelated columns was invalidated by the append")
+	if !engine.TablesEqual(wantTbl, gotTbl) {
+		t.Fatalf("p AND %s returned %d rows, p alone %d", p1, gotTbl.NumRows(), wantTbl.NumRows())
 	}
-	if st.NumRows() != 3010 {
-		t.Fatalf("table has %d rows after append", st.NumRows())
+	if delta.SegmentsScanned != 1 || delta.SegmentsPruned != 3 {
+		t.Fatalf("p AND %s scanned %d / pruned %d segments, want the appended one scanned and 3 pruned",
+			p1, delta.SegmentsScanned, delta.SegmentsPruned)
 	}
 }
 

@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/big"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// adversarial returns a formula that grinds Cooper's elimination long
-// enough for cancellation to land mid-call.
+// adversarial returns a formula whose Cooper elimination polls for
+// cancellation many times, so a cancellation can land mid-call.
 func adversarial() Formula {
 	vars := []Var{IntVar("a"), IntVar("b"), IntVar("c"), IntVar("d")}
 	var fs []Formula
@@ -43,24 +44,64 @@ func TestSolverContextPreCancelled(t *testing.T) {
 	}
 }
 
+// pauseAtPoll is a context whose k-th Err() call blocks until the wrapped
+// context is cancelled, so a cancellation from another goroutine is known
+// to arrive while the solver is inside the call, not before or after it.
+type pauseAtPoll struct {
+	context.Context
+	k       int32
+	calls   atomic.Int32
+	reached chan struct{}
+}
+
+func (c *pauseAtPoll) Err() error {
+	if c.calls.Add(1) == c.k {
+		close(c.reached)
+		<-c.Context.Done()
+	}
+	return c.Context.Err()
+}
+
 func TestSolverContextCancelMidCall(t *testing.T) {
+	// A clean run on a cold memo counts the solver's checkStop polls; the
+	// cancelled run then pauses halfway through them. Purging keeps a memo
+	// hit from answering the call before it reaches the elimination loop.
+	qeMemo.Purge()
+	probe := &cancelAfterErrs{Context: context.Background(), k: 1 << 30}
+	if _, err := New().SatisfiableCtx(probe, adversarial()); err != nil {
+		t.Fatal(err)
+	}
+	polls := probe.calls.Load()
+	if polls < 8 {
+		t.Fatalf("formula too shallow: only %d polls", polls)
+	}
+	qeMemo.Purge()
+
 	s := New()
 	s.Timeout = 0 // only ctx may stop this call
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	paused := &pauseAtPoll{Context: ctx, k: polls / 2, reached: make(chan struct{})}
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.SatisfiableCtx(ctx, adversarial())
+		_, err := s.SatisfiableCtx(paused, adversarial())
 		done <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	select {
+	case <-paused.reached:
+	case err := <-done:
+		t.Fatalf("solver call returned %v before poll %d of %d", err, polls/2, polls)
+	case <-time.After(10 * time.Second):
+		t.Fatalf("solver never reached poll %d of %d", polls/2, polls)
+	}
 	cancel()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Skip("formula solved before cancellation on this machine")
-		}
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("expected ErrInterrupted, got %v", err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("error %v does not expose context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled solver call did not return")

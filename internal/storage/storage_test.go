@@ -449,7 +449,9 @@ func TestScanFilterMatchesInMemory(t *testing.T) {
 	}
 }
 
-func TestAppendHooksFire(t *testing.T) {
+// TestAppendRangeRejectsSchemaMismatch pins that an append whose schema
+// differs from the table's fails cleanly and leaves the table unchanged.
+func TestAppendRangeRejectsSchemaMismatch(t *testing.T) {
 	schema := predicate.NewSchema(
 		predicate.Column{Name: "a", Type: predicate.TypeInteger, NotNull: true},
 	)
@@ -457,25 +459,19 @@ func TestAppendHooksFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var calls [][]string
-	st.OnAppend(func(cols []string) { calls = append(calls, cols) })
 	tbl := engine.NewTable("t", schema)
 	tbl.AppendRow(predicate.IntVal(1))
-	if err := st.Append(tbl); err != nil {
+	if err := st.AppendRange(tbl, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 1 || len(calls[0]) != 1 || calls[0][0] != "a" {
-		t.Fatalf("hook calls = %v, want [[a]]", calls)
-	}
-
-	// Schema-mismatched appends fail cleanly and fire no hook.
 	other := engine.NewTable("u", predicate.NewSchema(
 		predicate.Column{Name: "b", Type: predicate.TypeInteger, NotNull: true},
 	))
-	if err := st.Append(other); err == nil {
+	other.AppendRow(predicate.IntVal(2))
+	if err := st.AppendRange(other, 0, 1); err == nil {
 		t.Fatal("append with wrong schema should fail")
 	}
-	if len(calls) != 1 {
-		t.Fatalf("failed append fired a hook: %v", calls)
+	if st.NumSegments() != 1 || st.NumRows() != 1 {
+		t.Fatalf("failed append changed the table: %d segments / %d rows", st.NumSegments(), st.NumRows())
 	}
 }

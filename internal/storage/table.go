@@ -26,9 +26,8 @@ type SegmentTable struct {
 	name   string
 	schema *predicate.Schema
 
-	mu       sync.RWMutex
-	segs     []*Segment
-	onAppend []func(cols []string)
+	mu   sync.RWMutex
+	segs []*Segment
 }
 
 // Open opens (or initializes, when dir is empty) the segment table named
@@ -97,25 +96,9 @@ func (st *SegmentTable) NumSegments() int {
 	return len(st.segs)
 }
 
-// OnAppend registers a hook invoked after every successful append with the
-// table's visible-schema column names. The synthesis cache subscribes here
-// so results conditioned on the table's data are invalidated the moment
-// new rows land.
-func (st *SegmentTable) OnAppend(fn func(cols []string)) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.onAppend = append(st.onAppend, fn)
-}
-
-// Append writes all rows of t as one new segment. t's schema must equal
-// the table schema.
-func (st *SegmentTable) Append(t *engine.Table) error {
-	return st.AppendRange(t, 0, t.NumRows())
-}
-
 // AppendRange writes rows [lo, hi) of t as one new segment file, durably
-// and atomically, then fires the append hooks. A failed append leaves the
-// table unchanged.
+// and atomically. t's schema must equal the table schema. A failed append
+// leaves the table unchanged.
 func (st *SegmentTable) AppendRange(t *engine.Table, lo, hi int) error {
 	if err := matchSchema(st.schema, t.Schema().Columns()); err != nil {
 		return fmt.Errorf("storage: appending to %s: %w", st.name, err)
@@ -132,16 +115,7 @@ func (st *SegmentTable) AppendRange(t *engine.Table, lo, hi int) error {
 		return err
 	}
 	st.segs = append(st.segs, seg)
-	hooks := st.onAppend
 	st.mu.Unlock()
-
-	cols := make([]string, 0, len(st.schema.Columns()))
-	for _, c := range st.schema.Columns() {
-		cols = append(cols, c.Name)
-	}
-	for _, fn := range hooks {
-		fn(cols)
-	}
 	return nil
 }
 

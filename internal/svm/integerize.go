@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"fmt"
 	"math"
 	"math/big"
 )
@@ -25,7 +24,9 @@ func (p IntegerPlane) Accepts(x []*big.Rat) bool {
 // IntegerizePlane converts float SVM weights (W, B) into candidate integer
 // half-planes with coefficient magnitudes bounded by maxCoeff. For each
 // scale k = 1..maxCoeff it normalizes by max |W|, multiplies by k, and
-// rounds to the nearest integers, emitting each distinct rounding once.
+// rounds to the nearest integers. The largest weight normalizes to exactly
+// ±1 and so rounds to ±k: no scale rounds to all zeros, and no two scales
+// yield the same coefficients. A zero or non-finite input yields nil.
 //
 // Bounding the coefficients by a single scale (instead of per-weight
 // rationalization) matters downstream: Cooper's quantifier elimination pays
@@ -36,29 +37,21 @@ func (p IntegerPlane) Accepts(x []*big.Rat) bool {
 func IntegerizePlane(w []float64, b float64, maxCoeff int64) []IntegerPlane {
 	norm := 0.0
 	for _, x := range w {
+		if math.IsNaN(x) {
+			return nil
+		}
 		if a := math.Abs(x); a > norm {
 			norm = a
 		}
 	}
-	if norm == 0 || math.IsNaN(norm) || math.IsInf(norm, 0) {
+	if norm == 0 || math.IsInf(norm, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
 		return nil
 	}
 	var out []IntegerPlane
-	seen := map[string]bool{}
 	for k := int64(1); k <= maxCoeff; k++ {
 		coeffs := make([]*big.Int, len(w))
-		key := ""
-		allZero := true
 		for i, x := range w {
-			v := int64(math.Round(x / norm * float64(k)))
-			coeffs[i] = big.NewInt(v)
-			if v != 0 {
-				allZero = false
-			}
-			key += coeffs[i].String() + ","
-		}
-		if allZero {
-			continue
+			coeffs[i] = big.NewInt(int64(math.Round(x / norm * float64(k))))
 		}
 		// The rounded constant decides which boundary points the plane
 		// accepts, and an off-by-one there is the difference between a
@@ -66,11 +59,6 @@ func IntegerizePlane(w []float64, b float64, maxCoeff int64) []IntegerPlane {
 		// the caller's exact scoring pick.
 		c := int64(math.Round(b / norm * float64(k)))
 		for _, cc := range []int64{c, c - 1, c + 1} {
-			kk := key + fmt.Sprint(cc)
-			if seen[kk] {
-				continue
-			}
-			seen[kk] = true
 			out = append(out, IntegerPlane{Coeffs: coeffs, C: big.NewInt(cc)})
 		}
 	}

@@ -33,12 +33,6 @@ type Example struct {
 type Options struct {
 	// C is the penalty parameter. 0 means the default (10).
 	C float64
-	// Tol is the stopping tolerance on the projected gradient. 0 means
-	// the default (1e-8).
-	Tol float64
-	// MaxIter bounds the outer coordinate-descent sweeps. 0 means the
-	// default (2000).
-	MaxIter int
 }
 
 func (o Options) c() float64 {
@@ -48,19 +42,12 @@ func (o Options) c() float64 {
 	return 10
 }
 
-func (o Options) tol() float64 {
-	if o.Tol > 0 {
-		return o.Tol
-	}
-	return 1e-8
-}
-
-func (o Options) maxIter() int {
-	if o.MaxIter > 0 {
-		return o.MaxIter
-	}
-	return 2000
-}
+const (
+	// tol is the stopping tolerance on the projected gradient.
+	tol = 1e-8
+	// maxIter bounds the outer coordinate-descent sweeps.
+	maxIter = 2000
+)
 
 // Model is a trained linear classifier: Score(x) = W·x + B, classifying x
 // as positive when the score is strictly positive.
@@ -139,8 +126,7 @@ func Train(examples []Example, opt Options) (Model, error) {
 	c := opt.c()
 	alpha := make([]float64, n)
 	w := make([]float64, aug)
-	tol := opt.tol()
-	for iter := 0; iter < opt.maxIter(); iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		maxPG := 0.0
 		for i := 0; i < n; i++ {
 			y := examples[i].Y

@@ -1,10 +1,11 @@
 package svm
 
 import (
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestTrainSeparable2D(t *testing.T) {
@@ -146,90 +147,70 @@ func TestTrainLargeScaleFeatures(t *testing.T) {
 	}
 }
 
-func TestRationalizeExact(t *testing.T) {
+func TestIntegerizePlane(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
-		f    float64
-		den  int64
-		want string
+		name     string
+		w        []float64
+		b        float64
+		maxCoeff int64
+		want     []string // fmt.Sprint(Coeffs, C) per plane, in emission order
 	}{
-		{0.5, 100, "1/2"},
-		{-0.5, 100, "-1/2"},
-		{0.3333333333333333, 100, "1/3"},
-		{2.0, 100, "2"},
-		{0, 100, "0"},
-		{0.49999999, 100, "1/2"},
-		{1.25, 100, "5/4"},
-		{-7.0 / 3.0, 100, "-7/3"},
+		{"the rounded constant and its neighbours", []float64{2, -1}, 0.5, 1,
+			[]string{"[1 -1] 0", "[1 -1] -1", "[1 -1] 1"}},
+		{"one family per scale, none above maxCoeff", []float64{2, -1}, 0.5, 3, []string{
+			"[1 -1] 0", "[1 -1] -1", "[1 -1] 1",
+			"[2 -1] 1", "[2 -1] 0", "[2 -1] 2",
+			"[3 -2] 1", "[3 -2] 0", "[3 -2] 2",
+		}},
+		// The smaller weight rounds to zero at scale 1 and the largest never
+		// does, so no scale is skipped however small the weights are.
+		{"tiny weights still scale to ±k", []float64{-1e-9, 3e-10}, 0, 2, []string{
+			"[-1 0] 0", "[-1 0] -1", "[-1 0] 1",
+			"[-2 1] 0", "[-2 1] -1", "[-2 1] 1",
+		}},
+		{"all-zero weights", []float64{0, 0}, 1, 4, nil},
+		{"no weights", nil, 1, 4, nil},
+		{"NaN weight", []float64{nan, 1}, 0, 4, nil},
+		{"Inf weight", []float64{-inf, 1}, 0, 4, nil},
+		{"NaN bias", []float64{1, 1}, nan, 4, nil},
+		{"Inf bias", []float64{1, 1}, inf, 4, nil},
 	}
-	for _, c := range cases {
-		got := Rationalize(c.f, c.den)
-		if got.RatString() != c.want {
-			t.Errorf("Rationalize(%v, %d) = %s, want %s", c.f, c.den, got.RatString(), c.want)
+	for _, tc := range cases {
+		var got []string
+		for _, p := range IntegerizePlane(tc.w, tc.b, tc.maxCoeff) {
+			got = append(got, fmt.Sprint(p.Coeffs, p.C))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
 	}
-}
 
-func TestRationalizeBounds(t *testing.T) {
-	// Property: the result's denominator never exceeds the bound and the
-	// approximation error is at most 1/maxDen (guaranteed for best
-	// rational approximations it is at most 1/(den·maxDen)).
-	f := func(num int16, den uint8) bool {
-		d := int64(den%50) + 1
-		x := float64(num) / 97.0
-		r := Rationalize(x, d)
-		if r.Denom().Int64() > d {
-			return false
+	// Over random weights every scale contributes three planes, no plane
+	// repeats across scales, and no coefficient exceeds maxCoeff.
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		w := make([]float64, 1+r.Intn(3))
+		for i := range w {
+			w[i] = (r.Float64()*2 - 1) * math.Pow(10, float64(r.Intn(7)-3))
 		}
-		fr, _ := r.Float64()
-		return math.Abs(fr-x) <= 1.0/float64(d)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRationalizeNonFinite(t *testing.T) {
-	if Rationalize(math.NaN(), 10).Sign() != 0 {
-		t.Fatal("NaN should rationalize to 0")
-	}
-	if Rationalize(math.Inf(1), 10).Sign() != 0 {
-		t.Fatal("Inf should rationalize to 0")
-	}
-}
-
-func TestIntegerHyperplane(t *testing.T) {
-	w := []float64{2.0, -1.0}
-	b := 0.5
-	coeffs, c, ok := IntegerHyperplane(w, b, 64)
-	if !ok {
-		t.Fatal("expected ok")
-	}
-	// Normalized by max |w| = 2: (1, -1/2, 1/4) -> LCM 4 -> (4, -2, 1).
-	if coeffs[0].Int64() != 4 || coeffs[1].Int64() != -2 || c.Int64() != 1 {
-		t.Fatalf("got %v + %v", coeffs, c)
-	}
-	// The integer hyperplane must define the same half-plane.
-	for i := 0; i < 50; i++ {
-		x := []float64{float64(i%10 - 5), float64(i%7 - 3)}
-		orig := w[0]*x[0] + w[1]*x[1] + b
-		scaled := float64(coeffs[0].Int64())*x[0] + float64(coeffs[1].Int64())*x[1] + float64(c.Int64())
-		if (orig > 0) != (scaled > 0) && math.Abs(orig) > 1e-9 {
-			t.Fatalf("half-plane changed at %v: %f vs %f", x, orig, scaled)
+		maxCoeff := 1 + r.Int63n(8)
+		planes := IntegerizePlane(w, r.NormFloat64()*100, maxCoeff)
+		if int64(len(planes)) != 3*maxCoeff {
+			t.Fatalf("w=%v maxCoeff=%d: %d planes, want %d", w, maxCoeff, len(planes), 3*maxCoeff)
 		}
-	}
-	if _, _, ok := IntegerHyperplane([]float64{0, 0}, 1, 64); ok {
-		t.Fatal("all-zero weights should not be ok")
-	}
-}
-
-func TestIntegerHyperplaneSmallCoeffs(t *testing.T) {
-	// Near-rational weights should produce small integers, keeping the
-	// downstream Cooper elimination cheap.
-	coeffs, c, ok := IntegerHyperplane([]float64{0.9999999, -2.0000001}, 31.999999, 64)
-	if !ok {
-		t.Fatal("expected ok")
-	}
-	if coeffs[0].Int64() != 1 || coeffs[1].Int64() != -2 || c.Int64() != 32 {
-		t.Fatalf("expected (1, -2, 32), got (%v, %v)", coeffs, c)
+		seen := map[string]bool{}
+		for _, p := range planes {
+			key := fmt.Sprint(p.Coeffs, p.C)
+			if seen[key] {
+				t.Fatalf("w=%v maxCoeff=%d: plane %s emitted twice", w, maxCoeff, key)
+			}
+			seen[key] = true
+			for _, c := range p.Coeffs {
+				if c.CmpAbs(big.NewInt(maxCoeff)) > 0 {
+					t.Fatalf("w=%v maxCoeff=%d: coefficient %v out of bounds", w, maxCoeff, c)
+				}
+			}
+		}
 	}
 }
