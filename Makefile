@@ -48,10 +48,13 @@ lint:
 fuzz-smoke:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -run='^$$' ./internal/predicate/
 
-# Segment-decoder fuzz smoke: corrupt inputs must produce ErrCorrupt,
-# never a panic, and valid inputs must round-trip.
+# Segment-reader fuzz smoke: corrupt inputs must produce ErrCorrupt,
+# never a panic. FuzzReadSegment decodes whole in-memory images, which
+# must round-trip; FuzzScanSegment scans an image written to a file, whose
+# executions cost a temp directory each, so its minimization is kept short.
 fuzz-storage:
-	$(GO) test -fuzz=FuzzReadSegment -fuzztime=10s -run='^$$' ./internal/storage/
+	$(GO) test -fuzz='^FuzzReadSegment$$' -fuzztime=10s -run='^$$' ./internal/storage/
+	$(GO) test -fuzz='^FuzzScanSegment$$' -fuzztime=10s -fuzzminimizetime=2s -run='^$$' ./internal/storage/
 
 # Black-box daemon smoke test: start siad, probe /healthz and /metrics,
 # require a clean SIGTERM shutdown within 5s.

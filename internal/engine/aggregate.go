@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,15 +46,12 @@ type AggSpec struct {
 // emitted as NULL key values.
 func AggregatePar(t *Table, groupBy []string, aggs []AggSpec, par int) (*Table, error) {
 	defer observeOp(opAggregate, time.Now())
+	var outCols []predicate.Column
 	for _, g := range groupBy {
 		c, ok := t.schema.Lookup(g)
 		if !ok || !c.Type.Integral() {
 			return nil, fmt.Errorf("engine: GROUP BY column %q must be integral", g)
 		}
-	}
-	var outCols []predicate.Column
-	for _, g := range groupBy {
-		c, _ := t.schema.Lookup(g)
 		outCols = append(outCols, c)
 	}
 	for _, a := range aggs {
@@ -90,14 +88,13 @@ func AggregatePar(t *Table, groupBy []string, aggs []AggSpec, par int) (*Table, 
 	// first-appearance order, independent of which worker saw which morsel.
 	var merged *groupTable
 	for _, gt := range tables {
-		if gt == nil {
-			continue
-		}
-		if merged == nil {
+		switch {
+		case gt == nil:
+		case merged == nil:
 			merged = gt
-			continue
+		default:
+			merged.absorb(gt)
 		}
-		merged.absorb(gt)
 	}
 	if merged == nil {
 		return out, nil
@@ -106,9 +103,7 @@ func AggregatePar(t *Table, groupBy []string, aggs []AggSpec, par int) (*Table, 
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return merged.firstRow[order[i]] < merged.firstRow[order[j]]
-	})
+	sort.Slice(order, func(i, j int) bool { return merged.firstRow[order[i]] < merged.firstRow[order[j]] })
 	vals := make([]predicate.Value, 0, len(groupBy)+len(aggs))
 	for _, g := range order {
 		vals = vals[:0]
@@ -121,16 +116,10 @@ func AggregatePar(t *Table, groupBy []string, aggs []AggSpec, par int) (*Table, 
 			}
 		}
 		for i, a := range aggs {
-			acc := merged.accs[g*len(aggs)+i]
-			switch a.Func {
-			case AggCount:
-				vals = append(vals, predicate.IntVal(acc))
-			default:
-				if merged.counts[g*len(aggs)+i] == 0 {
-					vals = append(vals, predicate.NullValue())
-				} else {
-					vals = append(vals, predicate.IntVal(acc))
-				}
+			if a.Func != AggCount && merged.counts[g*len(aggs)+i] == 0 {
+				vals = append(vals, predicate.NullValue()) // no non-NULL input
+			} else {
+				vals = append(vals, predicate.IntVal(merged.accs[g*len(aggs)+i]))
 			}
 		}
 		out.AppendRow(vals...)
@@ -202,11 +191,9 @@ func (gt *groupTable) update(lo, hi int) {
 		}
 		for i, a := range gt.aggs {
 			slot := g*nAggs + i
-			switch a.Func {
-			case AggCount:
+			if a.Func == AggCount {
 				gt.accs[slot]++
 				continue
-			default:
 			}
 			cd := gt.aggCols[i]
 			if cd.nulls != nil && cd.nulls[row] {
@@ -235,7 +222,7 @@ func (gt *groupTable) update(lo, hi int) {
 func (gt *groupTable) lookup(key []int64, row int) int {
 	h := hashKey(key)
 	for _, g := range gt.buckets[h] {
-		if keyEq(gt.key(g), key) {
+		if slices.Equal(gt.key(g), key) {
 			return g
 		}
 	}
@@ -284,13 +271,4 @@ func hashKey(key []int64) uint64 {
 		h = mixHash(h ^ uint64(k))
 	}
 	return h
-}
-
-func keyEq(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,27 +8,46 @@ import (
 )
 
 // FilterPar returns a new table containing the rows of t that satisfy p,
-// on par workers (par <= 0 means DefaultParallelism). It compiles p and
-// calls FilterProgram.
+// on par workers (par <= 0 means DefaultParallelism). The acceptance bitmap
+// is evaluated morsel-parallel, per-morsel survivor counts are prefix-summed
+// into output offsets, and the surviving rows are gathered column-wise into
+// disjoint ranges of a dense copy. Row order is preserved, so the result is
+// byte-identical at any worker count.
 func FilterPar(t *Table, p predicate.Predicate, par int) *Table {
-	return FilterProgram(t, predicate.Compile(p), par)
-}
-
-// FilterProgram is FilterPar for an already compiled predicate, so a caller
-// filtering many tables by one predicate (a segment scan) compiles it once.
-// The acceptance bitmap is evaluated morsel-parallel, per-morsel survivor
-// counts are prefix-summed into output offsets, and the surviving rows are
-// gathered column-wise into disjoint ranges of a dense copy. Row order is
-// preserved, so the result is byte-identical at any worker count.
-func FilterProgram(t *Table, prog *predicate.Program, par int) *Table {
 	defer observeOp(opFilter, time.Now())
-	bitmap := selectProgram(t, prog, par)
-	rows := selectedRows(bitmap, par)
-	countFiltered(t.nRows, len(rows))
+	rows := selectRows(t, predicate.Compile(p), par)
 	out := NewTable(t.Name, t.schema)
 	out.nRows = len(rows)
 	gatherInto(out, t, t.order, rows, par)
 	return out
+}
+
+// SelectRows is the selection half of FilterPar for an already compiled
+// predicate: the ascending indices of the rows of t that prog keeps,
+// recorded as one filter invocation. A segment scan evaluates it over the
+// predicate's columns alone and gathers the survivors itself.
+func SelectRows(t *Table, prog *predicate.Program, par int) []int {
+	defer observeOp(opFilter, time.Now())
+	return selectRows(t, prog, par)
+}
+
+// CountKept records rows a predicate is proven to keep without being run,
+// as a segment's zone maps can, in the filter counters as if it had run.
+func CountKept(rows int) { countFiltered(rows, rows) }
+
+// ScanSpec is what a scan of a table source returns: exactly the rows
+// FilterPar keeps under Pred (every row when nil), holding only the
+// columns Cols in schema order (every column when nil; an empty non-nil
+// set is a table of rows without columns, as for COUNT(*)).
+type ScanSpec struct {
+	Pred predicate.Predicate
+	Cols []string
+}
+
+func selectRows(t *Table, prog *predicate.Program, par int) []int {
+	rows := selectedRows(selectProgram(t, prog, par), par)
+	countFiltered(t.nRows, len(rows))
+	return rows
 }
 
 // selectedRows converts an acceptance bitmap into the (ascending) list of

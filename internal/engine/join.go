@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -72,20 +73,12 @@ func HashJoinWherePar(l, r *Table, spec JoinSpec, par int) (*Table, JoinStats, e
 	}
 	outCols := predicate.Merge(l.schema, r.schema).Columns()
 	if spec.Cols != nil {
-		want := make(map[string]bool, len(spec.Cols))
 		for _, name := range spec.Cols {
 			if l.cols[name] == nil && r.cols[name] == nil {
 				return nil, stats, fmt.Errorf("engine: unknown join output column %q", name)
 			}
-			want[name] = true
 		}
-		kept := make([]predicate.Column, 0, len(want))
-		for _, c := range outCols {
-			if want[c.Name] {
-				kept = append(kept, c)
-			}
-		}
-		outCols = kept
+		outCols = slices.DeleteFunc(outCols, func(c predicate.Column) bool { return !slices.Contains(spec.Cols, c.Name) })
 	}
 	out := NewTable(l.Name+"_"+r.Name, predicate.NewSchema(outCols...))
 	var res *residual
@@ -148,13 +141,9 @@ func HashJoinWherePar(l, r *Table, spec JoinSpec, par int) (*Table, JoinStats, e
 	for _, p := range pairs {
 		total += len(p) / 2
 	}
-	brows, prows := make([]int, total), make([]int, total)
-	at := 0
+	brows, prows := make([]int, 0, total), make([]int, 0, total)
 	for _, p := range pairs {
-		c := len(p) / 2
-		copy(brows[at:], p[:c])
-		copy(prows[at:], p[c:])
-		at += c
+		brows, prows = append(brows, p[:len(p)/2]...), append(prows, p[len(p)/2:]...)
 	}
 	lrows, rrows := brows, prows
 	if build == right {
@@ -211,9 +200,8 @@ func (s *joinSide) selectRows(pred predicate.Predicate, par int) time.Duration {
 	s.in = s.t.nRows
 	if pred != nil {
 		start := time.Now()
-		s.rows = selectedRows(selectProgram(s.t, predicate.Compile(pred), par), par)
+		s.rows = selectRows(s.t, predicate.Compile(pred), par)
 		s.in = len(s.rows)
-		countFiltered(s.t.nRows, s.in)
 		spent = time.Since(start)
 	}
 	if nulls := s.key.nulls; nulls != nil {
@@ -299,7 +287,7 @@ func buildJoinTable(build *joinSide, par int) *joinTable {
 	forEachMorsel(build.in, par, func(_, m, lo, hi int) {
 		jt.scatter(rows, hist[m*nPart:(m+1)*nPart], build.rows, lo, hi)
 	})
-	forEachTask(nPart, par, func(p int) {
+	ForEachTask(nPart, par, func(p int) {
 		jt.insert(rows[starts[p]:starts[p+1]])
 	})
 	return jt
@@ -443,9 +431,7 @@ func (ws *probeScratch) grow(n int, res *residual) {
 	if n <= len(ws.brows) {
 		return
 	}
-	if n < 2*len(ws.brows) {
-		n = 2 * len(ws.brows)
-	}
+	n = max(n, 2*len(ws.brows))
 	ws.brows, ws.prows = make([]int, n), make([]int, n)
 	if res == nil {
 		return

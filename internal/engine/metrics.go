@@ -15,7 +15,7 @@ var (
 	mMorselsScheduled = obs.Default().Counter("sia_engine_morsels_scheduled_total",
 		"Morsels dispatched by the parallel scheduler.")
 	mRowsScanned = obs.Default().Counter("sia_engine_rows_scanned_total",
-		"Rows a predicate was evaluated on: by a filter, a join's side predicate, or a join's residual (per matched pair).")
+		"Rows a predicate was evaluated on: by a filter, a join's side predicate, or a join's residual (per matched pair), or proven TRUE on by zone maps.")
 	mRowsKept = obs.Default().Counter("sia_engine_rows_kept_total",
 		"Rows (or matched pairs) a predicate accepted.")
 

@@ -31,13 +31,7 @@ func normalizeParallelism(par, n int) int {
 	if par <= 0 {
 		par = DefaultParallelism()
 	}
-	if m := morselCount(n); par > m {
-		par = m
-	}
-	if par < 1 {
-		par = 1
-	}
-	return par
+	return max(1, min(par, morselCount(n)))
 }
 
 // morselCount returns the number of morsels covering n rows.
@@ -55,12 +49,32 @@ func forEachMorsel(n, par int, fn func(worker, morsel, lo, hi int)) int {
 	par = normalizeParallelism(par, n)
 	morsels := morselCount(n)
 	mMorselsScheduled.Add(uint64(morsels))
-	if par == 1 {
-		for m := 0; m < morsels; m++ {
-			lo, hi := morselBounds(m, n)
-			fn(0, m, lo, hi)
+	claimTasks(morsels, par, func(worker, m int) {
+		lo := m * morselRows
+		fn(worker, m, lo, min(lo+morselRows, n))
+	})
+	return par
+}
+
+// ForEachTask runs fn(0) … fn(n-1) on up to par workers (par <= 0 means
+// DefaultParallelism). Used for coarse task parallelism, where the tasks
+// are few and each is worth a claim: one per join partition, or one per
+// segment of a storage scan.
+func ForEachTask(n, par int, fn func(task int)) {
+	if par <= 0 {
+		par = DefaultParallelism()
+	}
+	claimTasks(n, min(par, n), func(_, i int) { fn(i) })
+}
+
+// claimTasks runs fn(worker, 0) … fn(worker, n-1) on par workers that claim
+// tasks off a shared counter, or inline in ascending order when par <= 1.
+func claimTasks(n, par int, fn func(worker, task int)) {
+	if par <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
 		}
-		return par
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -69,63 +83,16 @@ func forEachMorsel(n, par int, fn func(worker, morsel, lo, hi int)) int {
 		go func(worker int) {
 			defer wg.Done()
 			// cancel: claim loop; the shared counter only grows, so each
-			// worker exits after at most `morsels` claims. Cancellation is
-			// the caller's business at morsel granularity, not per claim.
-			for {
-				m := int(next.Add(1)) - 1
-				if m >= morsels {
-					return
-				}
-				lo, hi := morselBounds(m, n)
-				fn(worker, m, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return par
-}
-
-// morselBounds returns morsel m's row range within [0, n).
-func morselBounds(m, n int) (lo, hi int) {
-	lo = m * morselRows
-	hi = lo + morselRows
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// forEachTask runs fn(0) … fn(n-1) on up to par workers. Used for coarse
-// task parallelism (e.g. one task per join partition) where the tasks are
-// few and already balanced.
-func forEachTask(n, par int, fn func(task int)) {
-	if par <= 0 {
-		par = DefaultParallelism()
-	}
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// cancel: claim loop bounded by the task count, as above.
+			// worker exits after at most n claims. Cancellation is the
+			// caller's business at task granularity, not per claim.
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(worker, i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }

@@ -100,10 +100,10 @@ func TestParallelSelectionAndFilterMatchSerial(t *testing.T) {
 	}
 	for _, src := range preds {
 		p := predtest.MustParse(src, s)
-		refSel := SelectionPar(tab, p, 1)
+		refSel := selectProgram(tab, predicate.Compile(p), 1)
 		refTab := FilterPar(tab, p, 1)
 		for _, par := range parLevels() {
-			sel := SelectionPar(tab, p, par)
+			sel := selectProgram(tab, predicate.Compile(p), par)
 			for i := range refSel {
 				if sel[i] != refSel[i] {
 					t.Fatalf("%s par=%d: bitmap differs at row %d", src, par, i)
@@ -309,7 +309,7 @@ func TestVectorizedOverflowBoundary(t *testing.T) {
 		t.Fatalf("boundary-safe comparison bound to %d, want the LT kernel", op)
 	}
 	want := []bool{false, true, false, false}
-	for i, got := range SelectionPar(safe, p, 1) {
+	for i, got := range selectProgram(safe, predicate.Compile(p), 1) {
 		if got != want[i] {
 			t.Fatalf("safe row %d: got %v want %v", i, got, want[i])
 		}
@@ -325,7 +325,7 @@ func TestVectorizedOverflowBoundary(t *testing.T) {
 	if op := leafOp(big, p); op != nodeEval {
 		t.Fatalf("overflowing comparison bound to %d, want Eval", op)
 	}
-	for i, got := range SelectionPar(big, p, 1) {
+	for i, got := range selectProgram(big, predicate.Compile(p), 1) {
 		if got {
 			t.Fatalf("row %d: 2·2⁶² is positive and must be rejected", i)
 		}
@@ -338,7 +338,7 @@ func TestVectorizedOverflowBoundary(t *testing.T) {
 	if op := leafOp(big2, p4); op != nodeEval {
 		t.Fatalf("4·2⁶¹ overflows; bound to %d, want Eval", op)
 	}
-	if sel := SelectionPar(big2, p4, 1); sel[0] {
+	if sel := selectProgram(big2, predicate.Compile(p4), 1); sel[0] {
 		t.Fatal("4·2⁶¹ is positive and must be rejected")
 	}
 

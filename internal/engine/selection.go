@@ -2,19 +2,15 @@ package engine
 
 import "sia/internal/predicate"
 
-// SelectionPar evaluates a predicate over every row of t on par workers
-// (par <= 0 means DefaultParallelism) and returns the acceptance bitmap:
-// sel[i] is true exactly when predicate.Eval is TRUE on row i. The
-// predicate is compiled once into a predicate.Program and bound to t.
-// Linear comparisons over NOT NULL integer columns then run as
-// column-at-a-time kernels, which makes a pushed-down filter an order of
-// magnitude cheaper than a hash probe — the cost relationship predicate
-// pushdown relies on. The bitmap is identical at any worker count: rows are
-// independent and each worker writes only its own range.
-func SelectionPar(t *Table, p predicate.Predicate, par int) []bool {
-	return selectProgram(t, predicate.Compile(p), par)
-}
-
+// selectProgram evaluates a compiled predicate over every row of t on par
+// workers (par <= 0 means DefaultParallelism) and returns the acceptance
+// bitmap: sel[i] is true exactly when predicate.Eval is TRUE on row i. The
+// program is bound to t once. Linear comparisons over NOT NULL integer
+// columns then run as column-at-a-time kernels, which makes a pushed-down
+// filter an order of magnitude cheaper than a hash probe — the cost
+// relationship predicate pushdown relies on. The bitmap is identical at
+// any worker count: rows are independent and each worker writes only its
+// own range.
 func selectProgram(t *Table, prog *predicate.Program, par int) []bool {
 	root := bind(t, prog)
 	sel := make([]bool, t.nRows)
@@ -73,9 +69,7 @@ func bind(t *Table, p *predicate.Program) *boundNode {
 		for _, kid := range p.Kids {
 			b := bind(t, kid)
 			n.kids = append(n.kids, b)
-			if b.orDepth > n.orDepth {
-				n.orDepth = b.orDepth
-			}
+			n.orDepth = max(n.orDepth, b.orDepth)
 		}
 		if p.Kind == predicate.ProgOr {
 			n.op = nodeOr
@@ -150,9 +144,7 @@ func (n *boundNode) run(t *Table, sel []bool, lo int, scratch []bool) {
 	case nodeOr:
 		m := len(sel)
 		acc, tmp, rest := scratch[:m], scratch[m:2*m], scratch[2*m:]
-		for i := range acc {
-			acc[i] = false
-		}
+		clear(acc)
 		for _, kid := range n.kids {
 			copy(tmp, sel)
 			kid.run(t, tmp, lo, rest)
@@ -183,9 +175,7 @@ func vectorLT(cols [][]int64, coefs []int64, k int64, sel []bool, lo int) {
 	switch len(cols) {
 	case 0:
 		if k >= 0 {
-			for i := range sel {
-				sel[i] = false
-			}
+			clear(sel)
 		}
 	case 1:
 		a := cols[0][lo:]

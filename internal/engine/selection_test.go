@@ -49,7 +49,7 @@ func TestSelectionMatchesEvalDifferential(t *testing.T) {
 	}
 	for _, src := range exprs {
 		p := predtest.MustParse(src, s)
-		sel := SelectionPar(tab, p, 1)
+		sel := selectProgram(tab, predicate.Compile(p), 1)
 		for row := 0; row < tab.NumRows(); row++ {
 			want := predicate.Eval(p, tab.Tuple(row)) == predicate.True
 			if sel[row] != want {
@@ -65,7 +65,7 @@ func TestSelectionNullableUsesEval(t *testing.T) {
 	tab.AppendRow(predicate.IntVal(5))
 	tab.AppendRow(predicate.NullValue())
 	tab.AppendRow(predicate.IntVal(-5))
-	sel := SelectionPar(tab, predtest.MustParse("x > 0", s), 1)
+	sel := selectProgram(tab, predicate.Compile(predtest.MustParse("x > 0", s)), 1)
 	if !sel[0] || sel[1] || sel[2] {
 		t.Fatalf("nullable selection wrong: %v", sel)
 	}
@@ -77,18 +77,18 @@ func TestSelectionLiteralAndEmpty(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		tab.AppendRow(predicate.IntVal(i))
 	}
-	for _, ok := range SelectionPar(tab, predicate.TruePred, 1) {
+	for _, ok := range selectProgram(tab, predicate.Compile(predicate.TruePred), 1) {
 		if !ok {
 			t.Fatal("TRUE literal must select everything")
 		}
 	}
-	for _, ok := range SelectionPar(tab, predicate.FalsePred, 1) {
+	for _, ok := range selectProgram(tab, predicate.Compile(predicate.FalsePred), 1) {
 		if ok {
 			t.Fatal("FALSE literal must select nothing")
 		}
 	}
 	empty := NewTable("e", s)
-	if got := SelectionPar(empty, predicate.TruePred, 1); len(got) != 0 {
+	if got := selectProgram(empty, predicate.Compile(predicate.TruePred), 1); len(got) != 0 {
 		t.Fatalf("empty table selection length %d", len(got))
 	}
 }
@@ -106,6 +106,6 @@ func BenchmarkSelectionVectorized(b *testing.B) {
 	p := predtest.MustParse("a - b < 100 AND a < 700", s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SelectionPar(tab, p, 1)
+		selectProgram(tab, predicate.Compile(p), 1)
 	}
 }

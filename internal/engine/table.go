@@ -86,13 +86,18 @@ func (t *Table) Value(row int, col string) predicate.Value {
 	if !ok {
 		panic(fmt.Sprintf("engine: unknown column %s.%s", t.Name, col))
 	}
-	if cd.nulls != nil && cd.nulls[row] {
+	return cd.value(row)
+}
+
+func (cd *colData) value(row int) predicate.Value {
+	switch {
+	case cd.nulls != nil && cd.nulls[row]:
 		return predicate.NullValue()
-	}
-	if cd.typ.Integral() {
+	case cd.typ.Integral():
 		return predicate.IntVal(cd.ints[row])
+	default:
+		return predicate.RealVal(cd.reals[row])
 	}
-	return predicate.RealVal(cd.reals[row])
 }
 
 // Ints exposes the raw int64 column for integral columns (used by compiled
@@ -130,29 +135,24 @@ func (t *Table) Nulls(col string) []bool {
 // column's type), and Nulls is nil when the column holds no NULLs (it must
 // be nil for a NOT NULL column).
 type ColumnValues struct {
-	Name  string
 	Ints  []int64
 	Reals []float64
 	Nulls []bool
 }
 
-// NewTableFromColumns builds a table directly from column arrays — the
-// bulk constructor the storage layer's segment decoder uses instead of
-// materializing predicate.Values row by row. The slices are adopted, not
-// copied: the caller must not mutate them afterwards. Every schema column
-// must be present in cols with length nRows; maxAbs overflow bounds are
-// recomputed by scanning the adopted arrays.
+// NewTableFromColumns builds a table directly from column arrays, cols[i]
+// holding schema column i — the bulk constructor the storage layer's
+// segment decoder uses instead of materializing predicate.Values row by
+// row. The slices are adopted, not copied: the caller must not mutate them
+// afterwards. Every column must have length nRows; maxAbs overflow bounds
+// are recomputed by scanning the adopted arrays.
 func NewTableFromColumns(name string, schema *predicate.Schema, nRows int, cols []ColumnValues) (*Table, error) {
 	t := NewTable(name, schema)
-	byName := make(map[string]*ColumnValues, len(cols))
-	for i := range cols {
-		byName[cols[i].Name] = &cols[i]
+	if len(cols) != len(t.order) {
+		return nil, fmt.Errorf("engine: %d columns for the %d of %s", len(cols), len(t.order), name)
 	}
-	for _, sc := range schema.Columns() {
-		cv, ok := byName[sc.Name]
-		if !ok {
-			return nil, fmt.Errorf("engine: column %s.%s missing from bulk build", name, sc.Name)
-		}
+	for i, sc := range schema.Columns() {
+		cv := cols[i]
 		cd := t.cols[sc.Name]
 		if sc.Type.Integral() {
 			if len(cv.Ints) != nRows {
@@ -221,19 +221,7 @@ func TablesEqual(a, b *Table) bool {
 	for _, c := range ac {
 		av, bv := a.cols[c.Name], b.cols[c.Name]
 		for r := 0; r < a.nRows; r++ {
-			an := av.nulls != nil && av.nulls[r]
-			bn := bv.nulls != nil && bv.nulls[r]
-			if an != bn {
-				return false
-			}
-			if an {
-				continue
-			}
-			if c.Type.Integral() {
-				if av.ints[r] != bv.ints[r] {
-					return false
-				}
-			} else if av.reals[r] != bv.reals[r] {
+			if av.value(r) != bv.value(r) {
 				return false
 			}
 		}

@@ -225,7 +225,7 @@ func sameTables(mem, cat *plan.Catalog, parallelism int) error {
 		if err != nil {
 			return err
 		}
-		got, err := src.ScanFilter(nil, parallelism)
+		got, err := src.Scan(engine.ScanSpec{}, parallelism)
 		if err != nil {
 			return err
 		}

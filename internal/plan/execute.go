@@ -52,22 +52,20 @@ func ExecuteOpts(n Node, c *Catalog, opts ExecOptions) (*engine.Table, *ExecStat
 // exec runs n. need is the set of n's output columns its consumers read, nil
 // meaning all of them: an Aggregate reads its group-by columns and aggregate
 // inputs, a Project its columns, a Filter adds its predicate's. It is
-// threaded down to the joins, which materialize nothing else; every other
-// operator may return more columns than need names.
+// threaded down to the joins and the source scans, which materialize
+// nothing else; every other operator may return more columns than need
+// names.
 func exec(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need []string) (*engine.Table, error) {
+	// A filter directly over an external source hands its predicate to the
+	// source's scan, which may prune whole segments before reading them and
+	// reads the predicate's columns only to select.
+	if src, pred, ok := c.sourceScan(n); ok {
+		return src.Scan(engine.ScanSpec{Pred: pred, Cols: need}, opts.Parallelism)
+	}
 	switch x := n.(type) {
 	case *Scan:
-		if src, ok := c.sourceFor(x); ok {
-			return src.ScanFilter(nil, opts.Parallelism)
-		}
 		return c.Table(x.TableName)
 	case *Filter:
-		// A filter directly over an external source hands its predicate to
-		// the source's combined scan+filter, which may prune whole
-		// segments before reading them.
-		if src, ok := c.sourceFor(x.Input); ok {
-			return src.ScanFilter(x.Pred, opts.Parallelism)
-		}
 		// A filter directly over a join runs inside the join's probe, on
 		// the matched pairs, before the join gathers its output columns.
 		if j, ok := x.Input.(*Join); ok {
@@ -134,37 +132,33 @@ func execJoin(x *Join, residual predicate.Predicate, c *Catalog, stats *ExecStat
 // execJoinInput materializes one side of a join. A Filter directly above
 // the side's child is fused into the join's selection pass: the returned
 // predicate is then evaluated during the scan without materializing an
-// intermediate table, the way real engines execute pushdown. A
-// source-backed child instead pre-materializes through ScanFilter, so the
-// pushed-down predicate still reaches the source's zone maps, and a Filter
-// on a Join stays where it is, as that join's residual. need is split by
-// side here: only the columns of this side's schema are asked of it.
+// intermediate table, the way real engines execute pushdown. A Filter on a
+// Join stays where it is, as that join's residual, and one on a source
+// stays in the source's scan, which reads its columns without returning
+// them. need is split by side here: only the columns of this side's schema
+// are asked of it.
 func execJoinInput(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need []string) (*engine.Table, predicate.Predicate, error) {
-	child, pred := n, predicate.Predicate(nil)
-	if f, ok := n.(*Filter); ok {
-		if _, onJoin := f.Input.(*Join); !onJoin {
-			child, pred = f.Input, f.Pred
-		}
-	}
-	if src, ok := c.sourceFor(child); ok {
-		t, err := src.ScanFilter(pred, opts.Parallelism)
-		return t, nil, err
-	}
 	if need != nil {
-		schema := child.Schema()
-		side := []string{}
+		schema, side := n.Schema(), []string{}
 		for _, name := range need {
 			if _, ok := schema.Lookup(name); ok {
 				side = append(side, name)
 			}
 		}
 		need = side
-		if pred != nil {
-			need = withColumns(need, predicate.Columns(pred)...)
-		}
 	}
-	t, err := exec(child, c, stats, opts, need)
-	return t, pred, err
+	f, fused := n.(*Filter)
+	if fused {
+		_, onJoin := f.Input.(*Join)
+		_, _, onSource := c.sourceScan(n)
+		fused = !onJoin && !onSource
+	}
+	if !fused {
+		t, err := exec(n, c, stats, opts, need)
+		return t, nil, err
+	}
+	t, err := exec(f.Input, c, stats, opts, withColumns(need, predicate.Columns(f.Pred)...))
+	return t, f.Pred, err
 }
 
 // withColumns returns need with more columns added; nil, meaning every

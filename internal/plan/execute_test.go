@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"sia/internal/engine"
@@ -153,4 +155,54 @@ func TestFusedFilterJoinMatchesUnfused(t *testing.T) {
 			same("Aggregate over both joins", got, wantOuterAgg)
 		}
 	}
+}
+
+// TestSegmentSourcesMatchMemory runs a star statement and an aggregate
+// statement over segment sources, each of which the scan asks for a
+// different column set, and requires the row multisets the in-memory
+// catalog gives, at par 1 and 4.
+func TestSegmentSourcesMatchMemory(t *testing.T) {
+	cats := execCatalogs(t)
+	where := "l_shipdate - o_orderdate < 30 AND l_shipdate > DATE '1994-01-01' AND o_orderdate < DATE '1996-01-01'"
+	plans := map[string]func(cat *Catalog) Node{
+		"star": func(cat *Catalog) Node { return PushDownFilters(joinQueryPlan(t, cat, where)) },
+		"aggregate": func(cat *Catalog) Node {
+			return PushDownFilters(&Aggregate{
+				GroupBy: []string{"l_linenumber"},
+				Aggs:    []engine.AggSpec{{Func: engine.AggCount, As: "count"}},
+				Input:   joinQueryPlan(t, cat, where),
+			})
+		},
+	}
+	for name, build := range plans {
+		for _, par := range []int{1, 4} {
+			run := func(cat *Catalog) *engine.Table {
+				t.Helper()
+				out, _, err := ExecuteOpts(build(cat), cat, ExecOptions{Parallelism: par})
+				if err != nil {
+					t.Fatalf("%s par=%d: %v", name, par, err)
+				}
+				return out
+			}
+			want, got := run(cats["memory"]), run(cats["segments"])
+			if want.NumRows() == 0 {
+				t.Fatalf("%s: the statement returns no rows", name)
+			}
+			if !slices.Equal(rowMultiset(want), rowMultiset(got)) {
+				t.Errorf("%s par=%d: segment sources give %d rows, memory %d", name, par, got.NumRows(), want.NumRows())
+			}
+		}
+	}
+}
+
+// rowMultiset renders every row of t, columns in schema order, sorted.
+func rowMultiset(t *engine.Table) []string {
+	rows := make([]string, t.NumRows())
+	for r := range rows {
+		for _, c := range t.Schema().Columns() {
+			rows[r] += fmt.Sprintf("%v|", t.Value(r, c.Name))
+		}
+	}
+	slices.Sort(rows)
+	return rows
 }

@@ -303,11 +303,8 @@ func TransitiveClosureReduce(p predicate.Predicate, cols []string) predicate.Pre
 			continue
 		}
 		for b, d := range row {
-			if !d.ok || (b != zero && !allowed[b]) || (a == zero && b == zero) {
-				continue
-			}
 			// Only single- or two-column constraints within the target set.
-			if a == zero && b == zero {
+			if !d.ok || (b != zero && !allowed[b]) || (a == zero && b == zero) {
 				continue
 			}
 			emit(a, b, d)
@@ -325,12 +322,11 @@ func TransitiveClosureReduce(p predicate.Predicate, cols []string) predicate.Pre
 func addDifference(lin *predicate.Linear, strict bool, update func(a, b string, c *big.Rat, strict bool), zero string) bool {
 	vars := lin.Columns()
 	c := new(big.Rat).Neg(lin.Const)
+	one, negOne := big.NewRat(1, 1), big.NewRat(-1, 1)
 	switch len(vars) {
 	case 1:
 		a := vars[0]
 		coeff := lin.Coeffs[a]
-		one := big.NewRat(1, 1)
-		negOne := big.NewRat(-1, 1)
 		if coeff.Cmp(one) == 0 {
 			update(a, zero, c, strict) // a <= c
 			return true
@@ -342,8 +338,6 @@ func addDifference(lin *predicate.Linear, strict bool, update func(a, b string, 
 	case 2:
 		a, b := vars[0], vars[1]
 		ca, cb := lin.Coeffs[a], lin.Coeffs[b]
-		one := big.NewRat(1, 1)
-		negOne := big.NewRat(-1, 1)
 		if ca.Cmp(one) == 0 && cb.Cmp(negOne) == 0 {
 			update(a, b, c, strict) // a - b <= c
 			return true

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sia/internal/core"
 	"sia/internal/predicate"
@@ -122,14 +123,10 @@ func siaRewrite(n Node, schema *predicate.Schema, opts core.Options, infos *[]Sy
 // sideFullyCovered reports whether every conjunct of pred that mentions a
 // column of sideCols mentions only columns of sideCols.
 func sideFullyCovered(pred predicate.Predicate, sideCols []string) bool {
-	inSide := map[string]bool{}
-	for _, c := range sideCols {
-		inSide[c] = true
-	}
 	for _, conj := range predicate.Conjuncts(pred) {
 		touches, outside := false, false
 		for _, c := range predicate.Columns(conj) {
-			if inSide[c] {
+			if slices.Contains(sideCols, c) {
 				touches = true
 			} else {
 				outside = true
@@ -143,13 +140,9 @@ func sideFullyCovered(pred predicate.Predicate, sideCols []string) bool {
 }
 
 func intersect(a, b []string) []string {
-	inB := map[string]bool{}
-	for _, x := range b {
-		inB[x] = true
-	}
 	var out []string
 	for _, x := range a {
-		if inB[x] {
+		if slices.Contains(b, x) {
 			out = append(out, x)
 		}
 	}

@@ -7,20 +7,22 @@ import (
 	"sia/internal/predicate"
 )
 
-// TableSource is an external base table the executor reads through a
-// combined scan+filter entry point instead of materializing it up front.
+// TableSource is an external base table the executor reads through one
+// combined scan entry point instead of materializing it up front.
 // internal/storage's SegmentTable is the canonical implementation: handing
 // it the pushed-down predicate lets it skip whole segments via zone maps,
 // which is how a Sia-synthesized single-column range predicate turns into
-// I/O elimination rather than mere row filtering.
+// I/O elimination rather than mere row filtering, and handing it the
+// needed columns lets it leave every other column unread.
 //
-// ScanFilter must return exactly what engine.FilterPar over the fully
-// materialized source would (all rows when p is nil), so plans over
-// sources stay value-identical to plans over in-memory tables.
+// Scan must return exactly what engine.FilterPar over the fully
+// materialized source would, projected to spec.Cols (see engine.ScanSpec),
+// so plans over sources stay value-identical to plans over in-memory
+// tables.
 type TableSource interface {
 	Name() string
 	Schema() *predicate.Schema
-	ScanFilter(p predicate.Predicate, par int) (*engine.Table, error)
+	Scan(spec engine.ScanSpec, par int) (*engine.Table, error)
 }
 
 // AddSource registers an external table source under its name.
@@ -35,17 +37,22 @@ func (c *Catalog) Source(name string) (TableSource, error) {
 	return s, nil
 }
 
-// sourceFor resolves a scan to its external source, when the scanned name
+// sourceScan resolves a scan, or a filter directly on one, to the external
+// source it reads and the predicate its scan applies, when the scanned name
 // is source-backed (in-memory tables take precedence, preserving the
 // pre-source executor behavior for every existing catalog).
-func (c *Catalog) sourceFor(n Node) (TableSource, bool) {
+func (c *Catalog) sourceScan(n Node) (TableSource, predicate.Predicate, bool) {
+	var pred predicate.Predicate
+	if f, ok := n.(*Filter); ok {
+		n, pred = f.Input, f.Pred
+	}
 	scan, ok := n.(*Scan)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	if _, mem := c.tables[scan.TableName]; mem {
-		return nil, false
+		return nil, nil, false
 	}
 	s, ok := c.sources[scan.TableName]
-	return s, ok
+	return s, pred, ok
 }

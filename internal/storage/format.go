@@ -247,17 +247,6 @@ func WriteSegment(path string, t *engine.Table, lo, hi int) ([]ZoneMap, error) {
 	return zones, nil
 }
 
-// segMeta is everything a parsed segment header+footer says about a file:
-// its schema, geometry, and zone maps — enough to decide pruning and to
-// locate pages, without touching any column data.
-type segMeta struct {
-	layout segLayout
-	zones  []ZoneMap
-}
-
-func (m *segMeta) rows() int                { return m.layout.rows }
-func (m *segMeta) cols() []predicate.Column { return m.layout.cols }
-
 // parseHeader validates the fixed header and catalog held in hdr (which
 // must contain at least the full header region) and returns the implied
 // layout. totalSize is the file's actual size, cross-checked against the
@@ -366,81 +355,106 @@ func parseFooter(ft []byte, layout segLayout) ([]ZoneMap, error) {
 	return zones, nil
 }
 
-// parseSegment validates a whole in-memory segment image (header, size,
-// footer — not page checksums, which are verified page by page on decode)
-// and returns its metadata.
-func parseSegment(data []byte) (*segMeta, error) {
-	layout, err := parseHeader(data, int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	zones, err := parseFooter(data[layout.footerOff:], layout)
-	if err != nil {
-		return nil, err
-	}
-	return &segMeta{layout: layout, zones: zones}, nil
-}
-
-// decodePage turns one column's page bytes (values + optional bitmap,
-// checksum already verified) into engine column arrays.
-func decodePage(c predicate.Column, rows int, page []byte) engine.ColumnValues {
-	cv := engine.ColumnValues{Name: c.Name}
-	vals := page[:rows*8]
+// newColumn allocates engine column arrays for n values of c.
+func newColumn(c predicate.Column, n int) engine.ColumnValues {
+	var cv engine.ColumnValues
 	if c.Type.Integral() {
-		cv.Ints = make([]int64, rows)
-		decodeInt64s(cv.Ints, vals)
+		cv.Ints = make([]int64, n)
 	} else {
-		cv.Reals = make([]float64, rows)
-		decodeFloat64s(cv.Reals, vals)
+		cv.Reals = make([]float64, n)
 	}
 	if !c.NotNull {
-		bm := page[rows*8:]
-		cv.Nulls = make([]bool, rows)
-		for i := range cv.Nulls {
-			cv.Nulls[i] = bm[i>>3]&(1<<(i&7)) != 0
-		}
+		cv.Nulls = make([]bool, n)
 	}
 	return cv
 }
 
-// decodeInt64s fills dst from little-endian 8-byte slots — the segment
-// scan's innermost decode loop.
-//
-// sia:hotpath
-func decodeInt64s(dst []int64, src []byte) {
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+// decodeTable decodes whole verified pages (values + optional bitmap),
+// pages[j] holding column cols[j], into an engine table of rows rows.
+func decodeTable(name string, cols []predicate.Column, rows int, pages [][]byte) (*engine.Table, error) {
+	values := make([]engine.ColumnValues, len(cols))
+	for j, c := range cols {
+		values[j] = newColumn(c, rows)
+		decodeRows(c, rows, pages[j], nil, values[j], 0)
+	}
+	return engine.NewTableFromColumns(name, predicate.NewSchema(cols...), rows, values)
+}
+
+// decodeRows decodes the rows sel (every row when nil) of one column's
+// verified page, from a segment of rows rows, into dst from position off.
+// It is how a scan writes survivors straight into its output columns.
+func decodeRows(c predicate.Column, rows int, page []byte, sel []int, dst engine.ColumnValues, off int) {
+	n := rows
+	if sel != nil {
+		n = len(sel)
+	}
+	if c.Type.Integral() {
+		decodeInt64s(dst.Ints[off:off+n], page, sel)
+	} else {
+		decodeFloat64s(dst.Reals[off:off+n], page, sel)
+	}
+	if c.NotNull {
+		return
+	}
+	bm, nulls := page[rows*8:], dst.Nulls[off:off+n]
+	for i := range nulls {
+		r := i
+		if sel != nil {
+			r = sel[i]
+		}
+		nulls[i] = bm[r>>3]&(1<<(r&7)) != 0
 	}
 }
 
-// decodeFloat64s fills dst from little-endian float64 bit patterns.
+// decodeInt64s fills dst from the little-endian 8-byte slots sel of src
+// (slot i for dst[i] when sel is nil) — the segment scan's innermost
+// decode loop.
 //
 // sia:hotpath
-func decodeFloat64s(dst []float64, src []byte) {
+func decodeInt64s(dst []int64, src []byte, sel []int) {
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		r := i
+		if sel != nil {
+			r = sel[i]
+		}
+		dst[i] = int64(binary.LittleEndian.Uint64(src[8*r:]))
+	}
+}
+
+// decodeFloat64s is decodeInt64s for float64 bit patterns.
+//
+// sia:hotpath
+func decodeFloat64s(dst []float64, src []byte, sel []int) {
+	for i := range dst {
+		r := i
+		if sel != nil {
+			r = sel[i]
+		}
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*r:]))
 	}
 }
 
 // DecodeSegment decodes a complete in-memory segment image into an engine
 // table named name, verifying every checksum. It is the byte-level entry
-// point the fuzz target drives; OpenSegment/Load is the file-level reader
-// built on the same validators.
+// point FuzzReadSegment drives; OpenSegment and SegmentTable.Scan are the
+// file-level reader built on the same validators.
 func DecodeSegment(name string, data []byte) (*engine.Table, error) {
-	meta, err := parseSegment(data)
+	layout, err := parseHeader(data, int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	cols := meta.cols()
-	values := make([]engine.ColumnValues, 0, len(cols))
-	for i, c := range cols {
-		page := meta.layout.pages[i]
-		if err := verifyPage(c, data[page.off:page.off+page.dataLen()+4]); err != nil {
+	if _, err := parseFooter(data[layout.footerOff:], layout); err != nil {
+		return nil, err
+	}
+	pages := make([][]byte, len(layout.cols))
+	for i, c := range layout.cols {
+		page := data[layout.pages[i].off : layout.pages[i].off+layout.pages[i].dataLen()+4]
+		if err := verifyPage(c, page); err != nil {
 			return nil, err
 		}
-		values = append(values, decodePage(c, meta.rows(), data[page.off:page.off+page.dataLen()]))
+		pages[i] = page[:len(page)-4]
 	}
-	t, err := engine.NewTableFromColumns(name, predicate.NewSchema(cols...), meta.rows(), values)
+	t, err := decodeTable(name, layout.cols, layout.rows, pages)
 	if err != nil {
 		return nil, corrupt("rebuilding table: %v", err)
 	}

@@ -8,17 +8,17 @@ import "sia/internal/obs"
 // report per-experiment pruning effectiveness.
 var (
 	mSegmentsScanned = obs.Default().Counter("sia_storage_segments_scanned_total",
-		"Segments whose column pages were read and decoded by a scan.")
+		"Segments of which a scan read at least one column page.")
 	mSegmentsPruned = obs.Default().Counter("sia_storage_segments_pruned_total",
 		"Segments skipped entirely because zone maps refuted the pushed-down predicate.")
 	mBytesRead = obs.Default().Counter("sia_storage_bytes_read_total",
-		"Bytes of segment files read from disk (headers, footers and column pages).")
+		"Bytes of segment files read from disk (headers, footers and the column pages scans read).")
 	mBytesWritten = obs.Default().Counter("sia_storage_bytes_written_total",
 		"Bytes of segment files written to disk.")
 	mOpenSeconds = obs.Default().Histogram("sia_storage_segment_open_seconds",
 		"Latency of opening a segment (header + footer read and validation).", obs.DurationBuckets())
 	mDecodeSeconds = obs.Default().Histogram("sia_storage_segment_decode_seconds",
-		"Latency of loading a segment's column pages into an engine table.", obs.DurationBuckets())
+		"Per scanned segment, time spent reading, verifying and decoding its pages (predicate evaluation excluded).", obs.DurationBuckets())
 )
 
 // CounterSnapshot is a point-in-time copy of the storage counters. Two

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"sia/internal/engine"
@@ -13,11 +14,14 @@ import (
 
 // Segment is an opened, validated segment file. Opening reads and checks
 // only the header, catalog and footer (a few hundred bytes regardless of
-// segment size); the column pages stay on disk until Load, so a scan that
-// prunes the segment via its zone maps never pays for them.
+// segment size); the column pages stay on disk until a scan reads the ones
+// it needs, so a scan that prunes the segment via its zone maps never pays
+// for them. Decoded pages are deliberately not cached: the I/O a pruned
+// segment or an unread column avoids is real.
 type Segment struct {
-	path string
-	meta *segMeta
+	path   string
+	layout segLayout
+	zones  []ZoneMap // per column, in catalog order
 }
 
 // OpenSegment opens and validates the segment file at path: magic, header
@@ -69,57 +73,126 @@ func OpenSegment(path string) (*Segment, error) {
 
 	mBytesRead.Add(uint64(headerLen) + uint64(len(ft)))
 	mOpenSeconds.Observe(time.Since(start).Seconds())
-	return &Segment{path: path, meta: &segMeta{layout: layout, zones: zones}}, nil
+	return &Segment{path: path, layout: layout, zones: zones}, nil
 }
 
 // NumRows returns the segment's row count.
-func (s *Segment) NumRows() int { return s.meta.rows() }
+func (s *Segment) NumRows() int { return s.layout.rows }
 
 // Columns returns the segment's column catalog in file order.
-func (s *Segment) Columns() []predicate.Column { return s.meta.cols() }
+func (s *Segment) Columns() []predicate.Column { return s.layout.cols }
 
-// Zones returns the per-column zone maps in catalog order.
-func (s *Segment) Zones() []ZoneMap { return s.meta.zones }
+// segScan is one segment's part in a SegmentTable scan.
+type segScan struct {
+	seg   *Segment
+	sel   []int         // surviving rows, ascending; nil when every row survives
+	n     int           // survivor count
+	off   int           // the survivors' first output row
+	pages [][]byte      // verified values+bitmap by catalog position; nil where unread
+	spent time.Duration // reading and decoding, without selecting
+	err   error
+}
 
-// Load reads the segment's column pages, verifies each page checksum, and
-// decodes them into an engine table named name. Every Load re-reads the
-// file — decoded segments are deliberately not cached, so the I/O a pruned
-// segment avoids is real.
-func (s *Segment) Load(name string) (*engine.Table, error) {
+// selectRows finds the segment's survivors under prog and reads the pages
+// of the catalog columns outCols they are gathered from, opening the file
+// at most once.
+func (s *segScan) selectRows(name string, prog *predicate.Program, predCols, outCols []int) error {
+	if prog != nil {
+		set := s.seg.truth(prog)
+		if set&canTrue == 0 {
+			mSegmentsPruned.Inc()
+			return nil
+		}
+		if set == canTrue { // every row is TRUE: nothing to evaluate
+			engine.CountKept(s.seg.NumRows())
+			prog = nil
+		}
+	}
+	s.n = s.seg.NumRows()
+	if s.n == 0 || prog == nil && len(outCols) == 0 {
+		return nil
+	}
 	start := time.Now()
-	f, err := os.Open(s.path)
+	f, err := os.Open(s.seg.path)
 	if err != nil {
-		return nil, fmt.Errorf("storage: opening segment: %w", err)
+		return fmt.Errorf("storage: opening segment: %w", err)
 	}
 	defer f.Close()
-
-	layout := s.meta.layout
-	pagesOff := align8(int64(0))
-	if len(layout.pages) > 0 {
-		pagesOff = layout.pages[0].off
-	}
-	pages := make([]byte, layout.footerOff-pagesOff)
-	if _, err := f.ReadAt(pages, pagesOff); err != nil {
-		return nil, fmt.Errorf("storage: reading segment pages: %w", err)
-	}
-
-	cols := s.meta.cols()
-	values := make([]engine.ColumnValues, 0, len(cols))
-	for i, c := range cols {
-		page := layout.pages[i]
-		rel := page.off - pagesOff
-		if err := verifyPage(c, pages[rel:rel+page.dataLen()+4]); err != nil {
-			return nil, fmt.Errorf("%s: %w", s.path, err)
+	s.pages = make([][]byte, len(s.seg.Columns()))
+	read := func(cols []int) error { // read and verify the pages not yet read
+		for _, i := range cols {
+			if s.pages[i] != nil {
+				continue
+			}
+			page := s.seg.layout.pages[i]
+			buf := getPage(int(page.dataLen() + 4))
+			if _, err := f.ReadAt(buf, page.off); err != nil {
+				return fmt.Errorf("storage: reading segment page: %w", err)
+			}
+			mBytesRead.Add(uint64(len(buf)))
+			if err := verifyPage(s.seg.Columns()[i], buf); err != nil {
+				return fmt.Errorf("%s: %w", s.seg.path, err)
+			}
+			s.pages[i] = buf[:page.dataLen()]
 		}
-		values = append(values, decodePage(c, s.meta.rows(), pages[rel:rel+page.dataLen()]))
+		return nil
 	}
-	t, err := engine.NewTableFromColumns(name, predicate.NewSchema(cols...), s.meta.rows(), values)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", s.path, corrupt("rebuilding table: %v", err))
+	if prog != nil {
+		if err := read(predCols); err != nil {
+			return err
+		}
+		cols := make([]predicate.Column, len(predCols))
+		pages := make([][]byte, len(predCols))
+		for j, i := range predCols {
+			cols[j], pages[j] = s.seg.Columns()[i], s.pages[i]
+		}
+		t, err := decodeTable(name, cols, s.n, pages)
+		if err != nil {
+			return err
+		}
+		s.spent = time.Since(start)
+		s.sel = engine.SelectRows(t, prog, 1)
+		s.n = len(s.sel)
+		start = time.Now()
 	}
+	if s.n > 0 {
+		err = read(outCols)
+	}
+	s.spent += time.Since(start)
+	return err
+}
 
-	mBytesRead.Add(uint64(len(pages)))
-	mSegmentsScanned.Inc()
-	mDecodeSeconds.Observe(time.Since(start).Seconds())
-	return t, nil
+// gather decodes the survivors into values from row off on, and records
+// the segment, if any page of it was read, as scanned with one decode.
+func (s *segScan) gather(outCols []int, values []engine.ColumnValues) {
+	start := time.Now()
+	for j, i := range outCols {
+		if s.n > 0 { // then every page of outCols was read
+			decodeRows(s.seg.Columns()[i], s.seg.NumRows(), s.pages[i], s.sel, values[j], s.off)
+		}
+	}
+	scanned := false
+	for _, p := range s.pages {
+		if p != nil {
+			scanned, p = true, p[:cap(p)]
+			pagePool.Put(&p)
+		}
+	}
+	if scanned {
+		mSegmentsScanned.Inc()
+		mDecodeSeconds.Observe((s.spent + time.Since(start)).Seconds())
+	}
+}
+
+// pagePool recycles page buffers: a scan decodes every page it reads
+// before it returns, so none is referenced afterwards, and a fresh buffer
+// costs a zeroing pass that the read overwrites.
+var pagePool sync.Pool
+
+// getPage returns an n-byte buffer, a recycled one when it is big enough.
+func getPage(n int) []byte {
+	if b, ok := pagePool.Get().(*[]byte); ok && cap(*b) >= n {
+		return (*b)[:n]
+	}
+	return make([]byte, n)
 }

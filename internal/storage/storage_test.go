@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sia/internal/engine"
@@ -58,6 +59,16 @@ func writeTestSegment(t *testing.T, tbl *engine.Table) string {
 	return path
 }
 
+// scanSegment reads the single segment file at path back through a
+// SegmentTable scan.
+func scanSegment(path string, spec engine.ScanSpec, par int) (*engine.Table, error) {
+	st, err := Open(filepath.Dir(path), "t", testSchema())
+	if err != nil {
+		return nil, err
+	}
+	return st.Scan(spec, par)
+}
+
 func TestSegmentRoundTrip(t *testing.T) {
 	for _, rows := range []int{0, 1, 7, 8, 9, 1000} {
 		tbl := buildTable(t, rows, int64(rows)+1)
@@ -69,9 +80,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if seg.NumRows() != rows {
 			t.Fatalf("rows=%d: segment reports %d rows", rows, seg.NumRows())
 		}
-		got, err := seg.Load("t")
+		got, err := scanSegment(path, engine.ScanSpec{}, 1)
 		if err != nil {
-			t.Fatalf("rows=%d: load: %v", rows, err)
+			t.Fatalf("rows=%d: scan: %v", rows, err)
 		}
 		if !engine.TablesEqual(tbl, got) {
 			t.Fatalf("rows=%d: decoded table differs from original", rows)
@@ -87,7 +98,7 @@ func TestSegmentZoneMapsMatchData(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := seg.Columns()
-	zones := seg.Zones()
+	zones := seg.zones
 	for i, c := range cols {
 		if !c.Type.Integral() {
 			continue
@@ -124,8 +135,8 @@ func TestSegmentZoneMapsMatchData(t *testing.T) {
 }
 
 // corruptions is the table of byte-level mutilations that must every one
-// surface as ErrCorrupt — from either OpenSegment or Load — and never as a
-// panic.
+// surface as ErrCorrupt — from either OpenSegment or a full scan — and
+// never as a panic.
 func TestCorruptSegmentsReturnErrCorrupt(t *testing.T) {
 	tbl := buildTable(t, 200, 5)
 	cases := []struct {
@@ -178,8 +189,11 @@ func TestCorruptSegmentsReturnErrCorrupt(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenSegment should pass for %s, got %v", tc.name, err)
 			}
-			if _, err := seg.Load("t"); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Load error = %v, want ErrCorrupt", err)
+			if seg.NumRows() != tbl.NumRows() {
+				t.Fatalf("segment reports %d rows, want %d", seg.NumRows(), tbl.NumRows())
+			}
+			if _, err := scanSegment(path, engine.ScanSpec{}, 1); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Scan error = %v, want ErrCorrupt", err)
 			}
 		})
 	}
@@ -223,7 +237,8 @@ func TestOpenSegmentMissingFile(t *testing.T) {
 //
 //	(i)   the engine keeps exactly the TRUE rows, at par 1 and 4;
 //	(ii)  every row's outcome is inside storage's abstract truth set, so a
-//	      pruned segment (CanMatch false) holds no TRUE row;
+//	      pruned segment (no TRUE in the set) holds no TRUE row and an
+//	      all-match one (the set is {TRUE}) no other;
 //	(iii) the Program's negation normal form, evaluated three-valued,
 //	      agrees on every row, NULL rows included — which pins the
 //	      NOT-pushing step on its own.
@@ -244,7 +259,7 @@ func TestZoneMapSoundness(t *testing.T) {
 		}
 		p := randPredicate(r, 3)
 		prog := predicate.Compile(p)
-		set := seg.meta.truth(prog)
+		set := seg.truth(prog)
 
 		var trueRows []int
 		for row := 0; row < tbl.NumRows(); row++ {
@@ -260,16 +275,12 @@ func TestZoneMapSoundness(t *testing.T) {
 				t.Fatalf("trial %d: %s evaluates to %v on row %d (%v) but its negation normal form to %v", trial, p, got, row, tu, nnf)
 			}
 		}
-		if !seg.CanMatch(prog) && len(trueRows) > 0 {
+		if set&canTrue == 0 && len(trueRows) > 0 {
 			t.Fatalf("trial %d: %s pruned a segment with %d TRUE rows", trial, p, len(trueRows))
 		}
-		want, err := engine.ReorderRows(tbl, trueRows, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, par := range []int{1, 4} {
-			if got := engine.FilterProgram(tbl, prog, par); !engine.TablesEqual(want, got) {
-				t.Fatalf("trial %d par %d: %s: engine kept %d rows, Eval is TRUE on %d", trial, par, p, got.NumRows(), len(trueRows))
+			if got := engine.SelectRows(tbl, prog, par); !slices.Equal(got, trueRows) {
+				t.Fatalf("trial %d par %d: %s: engine kept %d rows, Eval is TRUE on %d", trial, par, p, len(got), len(trueRows))
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,11 +17,10 @@ import (
 const segFileExt = ".siaseg"
 
 // SegmentTable is a logical table stored as a directory of immutable
-// segment files. Streaming ingestion appends whole segments; scans visit
-// segments in append order, skipping any whose zone maps refute the
-// pushed-down predicate, and concatenate the per-segment results — which
-// makes a scan's output row order identical to filtering the in-memory
-// concatenation of all segments.
+// segment files. Streaming ingestion appends whole segments; a scan skips
+// any whose zone maps refute the pushed-down predicate and places the
+// others' survivors in append order, which makes its output row order
+// identical to filtering the in-memory concatenation of all segments.
 type SegmentTable struct {
 	dir    string
 	name   string
@@ -104,82 +104,87 @@ func (st *SegmentTable) AppendRange(t *engine.Table, lo, hi int) error {
 		return fmt.Errorf("storage: appending to %s: %w", st.name, err)
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	path := filepath.Join(st.dir, fmt.Sprintf("seg-%06d%s", len(st.segs), segFileExt))
 	if _, err := WriteSegment(path, t, lo, hi); err != nil {
-		st.mu.Unlock()
 		return err
 	}
 	seg, err := OpenSegment(path)
 	if err != nil {
-		st.mu.Unlock()
 		return err
 	}
 	st.segs = append(st.segs, seg)
-	st.mu.Unlock()
 	return nil
 }
 
-// ScanFilter scans the table and returns the rows satisfying p (all rows
-// when p is nil), evaluated on par workers. Segments whose zone maps prove
-// p cannot be TRUE on any row are skipped without reading their column
-// pages; the rest are loaded, checksum-verified, filtered, and
-// concatenated in segment order. The result is value-identical to
-// engine.FilterPar over the in-memory concatenation of every segment.
+// ScanFilter is Scan of every column.
 func (st *SegmentTable) ScanFilter(p predicate.Predicate, par int) (*engine.Table, error) {
+	return st.Scan(engine.ScanSpec{Pred: p}, par)
+}
+
+// Scan returns what spec asks for and reads only the pages that takes.
+// Segments are the morsels, claimed whole by par workers: each is skipped
+// unread when its zone maps prove no row TRUE, or else has its predicate's
+// pages read and run to a selection (unless the zone maps prove every row
+// TRUE), then its other needed pages read if any row survives. Once the
+// survivor counts are prefix-summed into output offsets, each segment
+// decodes its survivors straight into the output columns. Output order is
+// segment order, so the result is byte-identical at any par. Every page
+// read is verified first; a corrupt one fails the scan with ErrCorrupt.
+func (st *SegmentTable) Scan(spec engine.ScanSpec, par int) (*engine.Table, error) {
 	st.mu.RLock()
 	segs := append([]*Segment(nil), st.segs...)
 	st.mu.RUnlock()
 
-	var prog *predicate.Program
-	if p != nil {
-		prog = predicate.Compile(p)
+	outCols, err := st.columnIndices(spec.Cols)
+	if err != nil {
+		return nil, err
 	}
-	var parts []*engine.Table
-	for _, seg := range segs {
-		if !seg.CanMatch(prog) {
-			mSegmentsPruned.Inc()
-			continue
-		}
-		t, err := seg.Load(st.name)
-		if err != nil {
+	var prog *predicate.Program
+	var predCols []int
+	if spec.Pred != nil {
+		prog = predicate.Compile(spec.Pred)
+		// Not nil, which would name every column.
+		if predCols, err = st.columnIndices(append([]string{}, predicate.Columns(spec.Pred)...)); err != nil {
 			return nil, err
 		}
-		if prog != nil {
-			t = engine.FilterProgram(t, prog, par)
-		}
-		parts = append(parts, t)
 	}
-	return concatTables(st.name, st.schema, parts)
+	scans := make([]segScan, len(segs))
+	engine.ForEachTask(len(segs), par, func(i int) {
+		scans[i].seg = segs[i]
+		scans[i].err = scans[i].selectRows(st.name, prog, predCols, outCols)
+	})
+	total := 0
+	for i := range scans {
+		if scans[i].err != nil {
+			return nil, scans[i].err
+		}
+		scans[i].off = total
+		total += scans[i].n
+	}
+	cols := make([]predicate.Column, len(outCols))
+	values := make([]engine.ColumnValues, len(outCols))
+	for j, i := range outCols {
+		cols[j] = st.schema.Columns()[i]
+		values[j] = newColumn(cols[j], total)
+	}
+	engine.ForEachTask(len(segs), par, func(i int) { scans[i].gather(outCols, values) })
+	return engine.NewTableFromColumns(st.name, predicate.NewSchema(cols...), total, values)
 }
 
-// concatTables stacks parts (all sharing schema) into one table, in order.
-func concatTables(name string, schema *predicate.Schema, parts []*engine.Table) (*engine.Table, error) {
-	nRows := 0
-	for _, p := range parts {
-		nRows += p.NumRows()
-	}
-	cols := schema.Columns()
-	values := make([]engine.ColumnValues, 0, len(cols))
-	for _, c := range cols {
-		cv := engine.ColumnValues{Name: c.Name}
-		if c.Type.Integral() {
-			cv.Ints = make([]int64, 0, nRows)
-			for _, p := range parts {
-				cv.Ints = append(cv.Ints, p.Ints(c.Name)...)
-			}
-		} else {
-			cv.Reals = make([]float64, 0, nRows)
-			for _, p := range parts {
-				cv.Reals = append(cv.Reals, p.Reals(c.Name)...)
-			}
+// columnIndices returns the schema positions of names, in schema order and
+// without repeats; nil names every column.
+func (st *SegmentTable) columnIndices(names []string) ([]int, error) {
+	for _, name := range names {
+		if _, ok := st.schema.Lookup(name); !ok {
+			return nil, fmt.Errorf("storage: unknown column %s.%s", st.name, name)
 		}
-		if !c.NotNull {
-			cv.Nulls = make([]bool, 0, nRows)
-			for _, p := range parts {
-				cv.Nulls = append(cv.Nulls, p.Nulls(c.Name)...)
-			}
-		}
-		values = append(values, cv)
 	}
-	return engine.NewTableFromColumns(name, schema, nRows, values)
+	var idx []int
+	for i, c := range st.schema.Columns() {
+		if names == nil || slices.Contains(names, c.Name) {
+			idx = append(idx, i)
+		}
+	}
+	return idx, nil
 }

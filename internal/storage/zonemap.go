@@ -8,7 +8,8 @@ import "sia/internal/predicate"
 // summary into the *set* of three-valued truth outcomes its rows could
 // produce. A scan may skip a segment exactly when TRUE is not in that set —
 // SQL filters keep only TRUE rows, so a segment that can yield at most
-// FALSE/UNKNOWN contributes nothing.
+// FALSE/UNKNOWN contributes nothing — and may keep every row unevaluated
+// when the set is exactly {TRUE}.
 //
 // The predicate arrives as the same compiled predicate.Program the engine
 // runs, so both layers read every comparison the same way. The evaluation
@@ -34,22 +35,22 @@ const (
 // truth abstractly evaluates p over the segment's zone maps, returning
 // every truth value some row could produce. The program is in negation
 // normal form, so only AND and OR need lifting.
-func (m *segMeta) truth(p *predicate.Program) truthSet {
+func (s *Segment) truth(p *predicate.Program) truthSet {
 	switch p.Kind {
 	case predicate.ProgAnd:
-		s := canTrue
+		set := canTrue
 		for _, kid := range p.Kids {
-			s = combine(s, m.truth(kid), predicate.TriBool.And)
+			set = combine(set, s.truth(kid), predicate.TriBool.And)
 		}
-		return s
+		return set
 	case predicate.ProgOr:
-		s := canFalse
+		set := canFalse
 		for _, kid := range p.Kids {
-			s = combine(s, m.truth(kid), predicate.TriBool.Or)
+			set = combine(set, s.truth(kid), predicate.TriBool.Or)
 		}
-		return s
+		return set
 	case predicate.ProgLinear:
-		return m.linearTruth(p)
+		return s.linearTruth(p)
 	default:
 		return truthAny
 	}
@@ -91,25 +92,23 @@ func triBit(v predicate.TriBool) truthSet {
 // comparison with NULL. The interval ends are computed in int64, which
 // Program.FitsInt64 licenses for max(|min|,|max|) per column — the same
 // bound the engine applies to its data before using the wrapping kernels.
-func (m *segMeta) linearTruth(p *predicate.Program) truthSet {
+func (s *Segment) linearTruth(p *predicate.Program) truthSet {
 	hasNull := false
 	for _, name := range p.Refs {
-		c, zm, ok := m.column(name)
+		c, zm, ok := s.column(name)
 		if !ok || !c.Type.Integral() {
 			return truthAny // column not summarized as an int64 interval
 		}
 		if !zm.HasValues {
 			return canUnknown
 		}
-		if zm.NullCount > 0 {
-			hasNull = true
-		}
+		hasNull = hasNull || zm.NullCount > 0
 	}
 
 	maxAbs := make([]uint64, len(p.Cols))
 	lo, hi := p.K, p.K
 	for i, name := range p.Cols {
-		_, zm, _ := m.column(name) // present and integral: Cols ⊆ Refs
+		_, zm, _ := s.column(name) // present and integral: Cols ⊆ Refs
 		maxAbs[i] = max(predicate.AbsUint64(zm.Min), predicate.AbsUint64(zm.Max))
 		// These wrap only when FitsInt64 fails below and discards them.
 		atMin, atMax := p.Coefs[i]*zm.Min, p.Coefs[i]*zm.Max
@@ -123,18 +122,18 @@ func (m *segMeta) linearTruth(p *predicate.Program) truthSet {
 		return truthAny
 	}
 
-	s := intervalOutcomes(p.Leaf.Op, lo, hi)
+	set := intervalOutcomes(p.Leaf.Op, lo, hi)
 	if hasNull {
-		s |= canUnknown
+		set |= canUnknown
 	}
-	return s
+	return set
 }
 
 // column looks a column up in the segment's catalog.
-func (m *segMeta) column(name string) (predicate.Column, ZoneMap, bool) {
-	for i, c := range m.cols() {
+func (s *Segment) column(name string) (predicate.Column, ZoneMap, bool) {
+	for i, c := range s.Columns() {
 		if c.Name == name {
-			return c, m.zones[i], true
+			return c, s.zones[i], true
 		}
 	}
 	return predicate.Column{}, ZoneMap{}, false
@@ -171,12 +170,4 @@ func holdsSomewhere(op predicate.CmpOp, lo, hi int64) bool {
 	default:
 		return true // an operator unknown here may hold anywhere: widen
 	}
-}
-
-// CanMatch reports whether some row of the segment could satisfy the
-// compiled predicate (evaluate to TRUE). A false return is a proof from the
-// zone maps that a scan may skip the segment without reading any column
-// page. A nil program matches everything.
-func (s *Segment) CanMatch(p *predicate.Program) bool {
-	return p == nil || s.meta.truth(p)&canTrue != 0
 }
