@@ -67,8 +67,10 @@ smoke-siad:
 smoke-cluster:
 	./scripts/smoke-cluster.sh
 
-# check is the full CI gate: everything must pass before merging.
-check: build vet test-bench race lint smoke-siad smoke-cluster
+# check is the full CI gate: everything must pass before merging. It runs
+# every step CI runs except the paired benchmark comparison, which needs a
+# base ref (make bench-compare BASE=<ref>).
+check: build vet test-bench race lint fuzz-storage fuzz-smoke smoke-siad smoke-cluster
 
 clean:
 	$(GO) clean ./...

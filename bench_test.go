@@ -9,6 +9,7 @@
 package sia_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -166,7 +167,7 @@ func paperPredicate() (sia.Predicate, *sia.Schema) {
 func BenchmarkSynthesizeOneColumn(b *testing.B) {
 	p, schema := paperPredicate()
 	for i := 0; i < b.N; i++ {
-		if _, err := sia.Synthesize(p, []string{"a1"}, schema, sia.Options{}); err != nil {
+		if _, err := sia.SynthesizeContext(context.Background(), p, []string{"a1"}, schema, sia.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +177,7 @@ func BenchmarkSynthesizeOneColumn(b *testing.B) {
 func BenchmarkSynthesizeTwoColumns(b *testing.B) {
 	p, schema := paperPredicate()
 	for i := 0; i < b.N; i++ {
-		if _, err := sia.Synthesize(p, []string{"a1", "a2"}, schema, sia.Options{}); err != nil {
+		if _, err := sia.SynthesizeContext(context.Background(), p, []string{"a1", "a2"}, schema, sia.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +199,7 @@ func BenchmarkAblationIterative(b *testing.B) {
 		b.Run(preset.name, func(b *testing.B) {
 			valid := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.Synthesize(p, []string{"a1", "a2"}, schema, preset.opts)
+				res, err := core.SynthesizeContext(context.Background(), p, []string{"a1", "a2"}, schema, preset.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -222,7 +223,7 @@ func BenchmarkAblationRationalize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.PresetSIA()
 				opts.MaxDenominator = maxDen
-				res, err := core.Synthesize(p, []string{"a1", "a2"}, schema, opts)
+				res, err := core.SynthesizeContext(context.Background(), p, []string{"a1", "a2"}, schema, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

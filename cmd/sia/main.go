@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -65,7 +66,7 @@ func main() {
 	opts.MaxIterations = *maxIter
 	opts.Timeout = *timeout
 
-	res, err := core.Synthesize(pred, cols, schema, opts)
+	res, err := core.SynthesizeContext(context.Background(), pred, cols, schema, opts)
 	if err != nil {
 		fatal(err)
 	}

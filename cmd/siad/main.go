@@ -13,8 +13,6 @@
 //	GET  /metrics       — Prometheus text exposition
 //	GET  /debug/vars    — expvar JSON (includes the sia_metrics snapshot)
 //	GET  /debug/pprof/  — run-time profiles (only with -pprof)
-//	POST /synthesize    — deprecated alias of /v1/synthesize
-//	GET  /stats         — deprecated alias of /v1/stats
 //
 // Replicas: -peers lists the full cluster membership and -self this
 // replica's own advertised address; the synthesis cache is then partitioned
@@ -40,14 +38,12 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"sia/internal/cache"
 	"sia/internal/obs"
 	"sia/internal/serve"
-	"sia/internal/serve/api"
 )
 
 func main() {
@@ -157,57 +153,4 @@ func splitPeers(s string) []string {
 		}
 	}
 	return out
-}
-
-// --- handler-test compatibility ------------------------------------------
-//
-// The original siad kept its server state in this package; the serving
-// logic now lives in internal/serve, but the handler tests (and anything
-// else that grew against the old surface) still construct a server here and
-// poke its fields. This thin shim preserves that surface: newServer mirrors
-// the old constructor, and handler() materializes an internal/serve server
-// over the shared synthesizer, logger, drain flag and pprof setting at call
-// time — matching the old semantics where field writes between newServer
-// and handler() took effect.
-
-type server struct {
-	synth          *cache.Synthesizer
-	defaultTimeout time.Duration
-	maxTimeout     time.Duration
-	logger         *slog.Logger
-	pprof          bool
-	draining       atomic.Bool
-}
-
-// Wire types moved to internal/serve/api; the old names remain as aliases.
-type (
-	synthesizeRequest  = api.SynthesizeRequest
-	synthesizeResponse = api.SynthesizeResponse
-	statsResponse      = api.StatsResponse
-	errorResponse      = api.ErrorResponse
-)
-
-func newServer(capacity int, defaultTimeout, maxTimeout time.Duration) *server {
-	return &server{
-		synth:          cache.NewSynthesizer(capacity),
-		defaultTimeout: defaultTimeout,
-		maxTimeout:     maxTimeout,
-		logger:         slog.New(slog.NewJSONHandler(os.Stderr, nil)),
-	}
-}
-
-func (s *server) handler() http.Handler {
-	srv, err := serve.New(serve.Config{
-		DefaultTimeout: s.defaultTimeout,
-		MaxTimeout:     s.maxTimeout,
-		Logger:         s.logger,
-		Pprof:          s.pprof,
-		Drain:          &s.draining,
-		Synth:          s.synth,
-	})
-	if err != nil {
-		// A config with no peers and no snapshot cannot fail to build.
-		panic("siad: " + err.Error())
-	}
-	return srv.Handler()
 }

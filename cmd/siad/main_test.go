@@ -10,15 +10,41 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sia/internal/serve"
+	"sia/internal/serve/api"
 )
 
-func testServer(t *testing.T) (*server, *httptest.Server) {
+// testConfig is the replica the handler tests run against unless they say
+// otherwise.
+func testConfig() serve.Config {
+	return serve.Config{
+		Capacity:       64,
+		DefaultTimeout: 30 * time.Second,
+		MaxTimeout:     time.Minute,
+		Logger:         discardLogger(),
+	}
+}
+
+// startServer builds a replica from cfg and serves its handler until the
+// test ends.
+func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	srv := newServer(64, 30*time.Second, time.Minute)
-	srv.logger = discardLogger()
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
+	srv, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
 	return srv, ts
+}
+
+func testServer(t *testing.T) (*serve.Server, *httptest.Server) {
+	t.Helper()
+	return startServer(t, testConfig())
 }
 
 const quickstartBody = `{
@@ -31,7 +57,7 @@ const quickstartBody = `{
 	]
 }`
 
-func postSynthesize(t *testing.T, ts *httptest.Server, body string) (*http.Response, synthesizeResponse, string) {
+func postSynthesize(t *testing.T, ts *httptest.Server, body string) (*http.Response, api.SynthesizeResponse, string) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -42,7 +68,7 @@ func postSynthesize(t *testing.T, ts *httptest.Server, body string) (*http.Respo
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	var out synthesizeResponse
+	var out api.SynthesizeResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 			t.Fatalf("decoding %q: %v", buf.String(), err)
@@ -85,7 +111,7 @@ func TestSynthesizeAndCacheHit(t *testing.T) {
 		t.Fatalf("cached response differs from cold run:\ncold %+v\nwarm %+v", cold, warm)
 	}
 
-	cs := srv.synth.Stats()
+	cs := srv.Synth().Stats()
 	if cs.Misses != 1 || cs.Hits != 1 {
 		t.Fatalf("cache stats %+v, want 1 miss 1 hit", cs)
 	}
@@ -110,7 +136,7 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var out synthesizeResponse
+			var out api.SynthesizeResponse
 			if resp.StatusCode != http.StatusOK {
 				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
 				return
@@ -133,7 +159,7 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 			t.Fatalf("request %d got a different predicate", i)
 		}
 	}
-	cs := srv.synth.Stats()
+	cs := srv.Synth().Stats()
 	if cs.Misses != 1 {
 		t.Fatalf("%d synthesis loops ran for %d identical requests (stats %+v)", cs.Misses, n, cs)
 	}
@@ -165,7 +191,7 @@ func TestBadRequests(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, body %s", resp.StatusCode, body)
 			}
-			var e errorResponse
+			var e api.ErrorResponse
 			if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
 				t.Fatalf("error body %q not structured", body)
 			}
@@ -186,10 +212,7 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestRequestDeadline(t *testing.T) {
-	srv := newServer(64, 30*time.Second, time.Minute)
-	srv.logger = discardLogger()
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
+	_, ts := testServer(t)
 
 	// A 1 ms budget cannot fit a synthesis run; the handler must answer
 	// 504 with an error body rather than hanging. The oversized sampling
@@ -205,7 +228,7 @@ func TestRequestDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("timed-out request took %v", elapsed)
 	}
-	var e errorResponse
+	var e api.ErrorResponse
 	if err := json.Unmarshal([]byte(raw), &e); err != nil || e.Error == "" {
 		t.Fatalf("error body %q not structured", raw)
 	}
@@ -216,10 +239,9 @@ func TestMaxTimeoutCap(t *testing.T) {
 	// context deadline must be at most maxTimeout from now. Exercised
 	// indirectly: with maxTimeout of 1 ms even a huge timeout_ms request
 	// times out.
-	srv := newServer(64, time.Millisecond, time.Millisecond)
-	srv.logger = discardLogger()
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
+	cfg := testConfig()
+	cfg.DefaultTimeout, cfg.MaxTimeout = time.Millisecond, time.Millisecond
+	_, ts := startServer(t, cfg)
 	body := strings.Replace(quickstartBody, "\n}",
 		",\n\t\"timeout_ms\": 3600000,\n\t\"options\": {\"initial_true\": 150, \"initial_false\": 150, \"samples_per_iteration\": 60}\n}", 1)
 	resp, _, raw := postSynthesize(t, ts, body)
@@ -238,7 +260,7 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st api.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"sia/internal/serve/api"
 )
 
 func discardLogger() *slog.Logger {
@@ -69,13 +69,13 @@ func TestMetricsEndpoint(t *testing.T) {
 // balancers stop routing here, while read-only endpoints keep serving.
 func TestDraining(t *testing.T) {
 	srv, ts := testServer(t)
-	srv.draining.Store(true)
+	srv.StartDrain()
 
 	resp, _, body := postSynthesize(t, ts, quickstartBody)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("synthesize while draining: status %d, body %s", resp.StatusCode, body)
 	}
-	var e errorResponse
+	var e api.ErrorResponse
 	if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
 		t.Fatalf("draining error body %q not structured", body)
 	}
@@ -103,11 +103,10 @@ func TestDraining(t *testing.T) {
 // and checks each produced exactly one structured line with the documented
 // fields, including the cache outcome on synthesize responses.
 func TestAccessLog(t *testing.T) {
-	srv := newServer(64, 30*time.Second, time.Minute)
 	var mu syncBuffer
-	srv.logger = slog.New(slog.NewJSONHandler(&mu, nil))
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
+	cfg := testConfig()
+	cfg.Logger = slog.New(slog.NewJSONHandler(&mu, nil))
+	_, ts := startServer(t, cfg)
 
 	if resp, _, _ := postSynthesize(t, ts, quickstartBody); resp.StatusCode != http.StatusOK {
 		t.Fatal("seed request failed")
@@ -164,7 +163,7 @@ func TestAccessLog(t *testing.T) {
 
 // TestPprofGated: profiling routes exist only when opted in.
 func TestPprofGated(t *testing.T) {
-	srv, ts := testServer(t) // pprof off
+	_, ts := testServer(t) // pprof off
 	resp, err := http.Get(ts.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -174,9 +173,9 @@ func TestPprofGated(t *testing.T) {
 		t.Fatalf("pprof served without -pprof: status %d", resp.StatusCode)
 	}
 
-	srv.pprof = true
-	ts2 := httptest.NewServer(srv.handler())
-	t.Cleanup(ts2.Close)
+	cfg := testConfig()
+	cfg.Pprof = true
+	_, ts2 := startServer(t, cfg)
 	resp2, err := http.Get(ts2.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)

@@ -37,17 +37,18 @@ func ExampleSynthesizeContext() {
 	// valid: true
 }
 
-// ExampleVerifyReduction checks a hand-written rewrite: the candidate must
-// be implied by the original predicate under SQL's three-valued logic.
-func ExampleVerifyReduction() {
+// ExampleVerifyReductionContext checks a hand-written rewrite: the
+// candidate must be implied by the original predicate under SQL's
+// three-valued logic.
+func ExampleVerifyReductionContext() {
 	schema := sia.NewSchema(sia.Int("a"), sia.Int("b"))
 	pred, _ := sia.ParsePredicate("a - b < 20 AND b < 0", schema)
 	good, _ := sia.ParsePredicate("a < 20", schema)
 	bad, _ := sia.ParsePredicate("a < 10", schema)
 
-	ok, err := sia.VerifyReduction(pred, good, schema)
+	ok, err := sia.VerifyReductionContext(context.Background(), pred, good, schema)
 	fmt.Println(ok, err)
-	ok, err = sia.VerifyReduction(pred, bad, schema)
+	ok, err = sia.VerifyReductionContext(context.Background(), pred, bad, schema)
 	fmt.Println(ok, err)
 	// Output:
 	// true <nil>

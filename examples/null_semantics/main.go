@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		valid, err := sia.VerifyReduction(p, cand, schema)
+		valid, err := sia.VerifyReductionContext(context.Background(), p, cand, schema)
 		if err != nil {
 			log.Fatal(err)
 		}

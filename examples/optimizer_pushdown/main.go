@@ -80,11 +80,11 @@ func main() {
 	}
 
 	// Sanity: both plans of part 1 return identical results.
-	a, _, err := plan.Execute(before, cat)
+	a, _, err := plan.ExecuteOpts(before, cat, plan.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, _, err := plan.Execute(after, cat)
+	b, _, err := plan.ExecuteOpts(after, cat, plan.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -54,7 +55,7 @@ func main() {
 
 	// The Sia rule synthesizes per-side reductions and conjoins them;
 	// pushdown then moves them below the join.
-	rewritten, infos, err := plan.SiaRewrite(node, parsed.Schema, core.PresetSIA())
+	rewritten, infos, err := plan.SiaRewrite(context.Background(), node, parsed.Schema, core.PresetSIA())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func main() {
 	fmt.Println("\nplan with Sia:")
 	fmt.Print(plan.Explain(siaPlan))
 
-	origTable, origStats, err := plan.Execute(origPlan, cat)
+	origTable, origStats, err := plan.ExecuteOpts(origPlan, cat, plan.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	siaTable, siaStats, err := plan.Execute(siaPlan, cat)
+	siaTable, siaStats, err := plan.ExecuteOpts(siaPlan, cat, plan.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

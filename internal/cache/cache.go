@@ -34,14 +34,15 @@ type Stats struct {
 	InFlight int `json:"in_flight"`
 }
 
-// Cache memoizes synthesis results under canonical keys with LRU bounding
-// and singleflight deduplication. All methods are safe for concurrent use.
+// Synthesizer is core.SynthesizeContext memoized under canonical keys
+// (KeyFor), with LRU bounding and singleflight deduplication. All methods
+// are safe for concurrent use.
 //
 // Stored results are shared: a hit returns the same *core.Result pointer
 // the original computation produced, so callers must treat Results as
 // immutable (every field is write-once metadata or an immutable predicate
 // tree, so ordinary use never mutates one).
-type Cache struct {
+type Synthesizer struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
@@ -79,13 +80,13 @@ type call struct {
 	cancel    context.CancelFunc
 }
 
-// New returns a cache bounded to capacity entries (DefaultCapacity when
-// capacity is <= 0).
-func New(capacity int) *Cache {
+// NewSynthesizer returns a cached synthesizer bounded to capacity results
+// (DefaultCapacity when capacity is <= 0).
+func NewSynthesizer(capacity int) *Synthesizer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Cache{
+	return &Synthesizer{
 		capacity: capacity,
 		ll:       list.New(),
 		entries:  map[string]*list.Element{},
@@ -93,7 +94,22 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Do returns the cached result for key, computing it with fn on a miss.
+// Synthesize is core.SynthesizeContext memoized through the cache. cached
+// reports whether the result was served without running a CEGIS loop for
+// this call. Uncacheable requests (a Trace hook or Tracer — see KeyFor)
+// bypass the cache entirely.
+func (c *Synthesizer) Synthesize(ctx context.Context, p predicate.Predicate, cols []string, schema *predicate.Schema, opts core.Options) (res *core.Result, cached bool, err error) {
+	key, ok := KeyFor(p, cols, schema, opts)
+	if !ok {
+		res, err := core.SynthesizeContext(ctx, p, cols, schema, opts)
+		return res, false, err
+	}
+	return c.do(ctx, key, func(runCtx context.Context) (*core.Result, error) {
+		return core.SynthesizeContext(runCtx, p, cols, schema, opts)
+	})
+}
+
+// do returns the cached result for key, computing it with fn on a miss.
 // Concurrent calls with the same key share a single fn invocation; cached
 // reports whether the result was served without running fn in this call
 // (an LRU hit or a coalesced join).
@@ -101,7 +117,7 @@ func New(capacity int) *Cache {
 // fn runs on a goroutine whose context is detached from ctx's
 // cancellation: the computation belongs to every waiter, not to whichever
 // request happened to arrive first, so one impatient client cannot kill
-// the work for the others. When ctx expires while fn is still running, Do
+// the work for the others. When ctx expires while fn is still running, do
 // returns an error matching core.ErrTimeout (and ctx.Err()) immediately;
 // the computation keeps running for the remaining waiters and is cancelled
 // only when the last waiter is gone. An expired ctx always yields that
@@ -109,7 +125,7 @@ func New(capacity int) *Cache {
 // in the same instant — so a caller's deadline is honored
 // deterministically. Successful results are stored; errors are not (the
 // next request retries).
-func (c *Cache) Do(ctx context.Context, key string, fn func(context.Context) (*core.Result, error)) (res *core.Result, cached bool, err error) {
+func (c *Synthesizer) do(ctx context.Context, key string, fn func(context.Context) (*core.Result, error)) (res *core.Result, cached bool, err error) {
 	for {
 		// A dead context fails fast even on what would be a cache hit:
 		// the caller's budget is spent, and cancelled means cancelled.
@@ -157,7 +173,7 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(context.Context) (*c
 // wait blocks until the call completes or ctx expires. retry is set when
 // the call was abandoned under the waiter (its result is a cancellation
 // artifact, not an answer) while the waiter's own context is still live.
-func (c *Cache) wait(ctx context.Context, cl *call) (res *core.Result, err error, retry bool) {
+func (c *Synthesizer) wait(ctx context.Context, cl *call) (res *core.Result, err error, retry bool) {
 	select {
 	case <-cl.done:
 		c.mu.Lock()
@@ -188,7 +204,7 @@ func (c *Cache) wait(ctx context.Context, cl *call) (res *core.Result, err error
 }
 
 // run executes one computation and publishes its outcome.
-func (c *Cache) run(key string, cl *call, runCtx context.Context, fn func(context.Context) (*core.Result, error)) {
+func (c *Synthesizer) run(key string, cl *call, runCtx context.Context, fn func(context.Context) (*core.Result, error)) {
 	res, err := fn(runCtx)
 	c.mu.Lock()
 	cl.res, cl.err = res, err
@@ -208,7 +224,7 @@ func (c *Cache) run(key string, cl *call, runCtx context.Context, fn func(contex
 
 // insert stores res under key, evicting from the LRU tail past capacity.
 // Caller holds c.mu.
-func (c *Cache) insert(key string, res *core.Result) {
+func (c *Synthesizer) insert(key string, res *core.Result) {
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*entry)
 		e.res = res
@@ -232,7 +248,7 @@ func (c *Cache) insert(key string, res *core.Result) {
 // meaning "CEGIS loops started". The serving tier uses Peek as the local
 // fast path before forwarding a peer-owned key: a positive lookup skips
 // the network hop, a negative one proxies.
-func (c *Cache) Peek(key string) (*core.Result, bool) {
+func (c *Synthesizer) Peek(key string) (*core.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -247,8 +263,8 @@ func (c *Cache) Peek(key string) (*core.Result, bool) {
 // Put stores res under key without counting a miss, evicting past
 // capacity. It backs snapshot restore (warming a rebooted replica) and
 // batched group runs (one grouped result stored under each member's key);
-// ordinary synthesis results should flow through Do.
-func (c *Cache) Put(key string, res *core.Result) {
+// ordinary synthesis results should flow through Synthesize.
+func (c *Synthesizer) Put(key string, res *core.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.insert(key, res)
@@ -264,7 +280,7 @@ type Entry struct {
 // is a snapshot: later cache mutations do not affect it. Snapshot writers
 // use the MRU order so a capacity-truncated restore keeps the hottest
 // keys.
-func (c *Cache) Export() []Entry {
+func (c *Synthesizer) Export() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Entry, 0, c.ll.Len())
@@ -276,7 +292,7 @@ func (c *Cache) Export() []Entry {
 }
 
 // Stats returns a snapshot of the cache's counters and gauges.
-func (c *Cache) Stats() Stats {
+func (c *Synthesizer) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
@@ -291,21 +307,21 @@ func (c *Cache) Stats() Stats {
 
 // SetTracer attaches a tracer whose EvCache spans record the outcome of
 // every request (hit, miss, coalesced). A nil tracer (the default)
-// disables emission at zero cost. Safe to call concurrently with Do;
+// disables emission at zero cost. Safe to call concurrently with Synthesize;
 // requests already past their outcome point keep the tracer they loaded.
-func (c *Cache) SetTracer(t *obs.Tracer) { c.tracer.Store(t) }
+func (c *Synthesizer) SetTracer(t *obs.Tracer) { c.tracer.Store(t) }
 
 // traceOutcome emits one cache-outcome span. Nil-safe and free when no
 // tracer is attached.
-func (c *Cache) traceOutcome(outcome string) {
+func (c *Synthesizer) traceOutcome(outcome string) {
 	c.tracer.Load().Emit(obs.Span{Event: obs.EvCache, Outcome: outcome})
 }
 
 // RegisterMetrics exposes this cache instance's counters and gauges in reg
-// under the sia_cache_* names. Each cache instance can register with at
-// most one registry (a second registration of the same names fails with an
+// under the sia_cache_* names. Each instance can register with at most one
+// registry (a second registration of the same names fails with an
 // error wrapping obs.ErrAlreadyRegistered).
-func (c *Cache) RegisterMetrics(reg *obs.Registry) error {
+func (c *Synthesizer) RegisterMetrics(reg *obs.Registry) error {
 	type metric struct {
 		name, help string
 		fn         func() float64
@@ -343,59 +359,3 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) error {
 	}
 	return nil
 }
-
-// Synthesizer couples a Cache with core.SynthesizeContext: the drop-in
-// cached form of the synthesis entry point.
-type Synthesizer struct {
-	cache *Cache
-}
-
-// NewSynthesizer returns a cached synthesizer bounded to capacity results
-// (DefaultCapacity when capacity is <= 0).
-func NewSynthesizer(capacity int) *Synthesizer {
-	return &Synthesizer{cache: New(capacity)}
-}
-
-// Synthesize is core.SynthesizeContext memoized through the cache. cached
-// reports whether the result was served without running a CEGIS loop for
-// this call. Uncacheable requests (a caller-supplied Options.Solver, Trace
-// or Tracer — see KeyFor) bypass the cache entirely.
-func (s *Synthesizer) Synthesize(ctx context.Context, p predicate.Predicate, cols []string, schema *predicate.Schema, opts core.Options) (res *core.Result, cached bool, err error) {
-	key, ok := KeyFor(p, cols, schema, opts)
-	if !ok {
-		res, err := core.SynthesizeContext(ctx, p, cols, schema, opts)
-		return res, false, err
-	}
-	return s.cache.Do(ctx, key, func(runCtx context.Context) (*core.Result, error) {
-		return core.SynthesizeContext(runCtx, p, cols, schema, opts)
-	})
-}
-
-// Peek returns the cached result for key without synthesizing on a miss.
-func (s *Synthesizer) Peek(key string) (*core.Result, bool) { return s.cache.Peek(key) }
-
-// Put stores res under key without counting a miss (snapshot restore and
-// batched group fills).
-func (s *Synthesizer) Put(key string, res *core.Result) { s.cache.Put(key, res) }
-
-// Export returns the stored entries, most recently used first.
-func (s *Synthesizer) Export() []Entry { return s.cache.Export() }
-
-// Do runs the cache's memoized computation under an explicit key. The
-// serving tier's batcher uses it to run grouped synthesis through the same
-// singleflight machinery as ordinary requests.
-func (s *Synthesizer) Do(ctx context.Context, key string, fn func(context.Context) (*core.Result, error)) (*core.Result, bool, error) {
-	return s.cache.Do(ctx, key, fn)
-}
-
-// Stats returns the underlying cache's counters.
-func (s *Synthesizer) Stats() Stats { return s.cache.Stats() }
-
-// RegisterMetrics exposes the underlying cache's metrics in reg.
-func (s *Synthesizer) RegisterMetrics(reg *obs.Registry) error {
-	return s.cache.RegisterMetrics(reg)
-}
-
-// SetTracer attaches a tracer to the underlying cache. Safe to call
-// concurrently with Synthesize.
-func (s *Synthesizer) SetTracer(t *obs.Tracer) { s.cache.SetTracer(t) }

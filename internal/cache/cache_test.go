@@ -13,7 +13,6 @@ import (
 	"sia/internal/core"
 	"sia/internal/predicate"
 	"sia/internal/predtest"
-	"sia/internal/smt"
 )
 
 func intSchema(names ...string) *predicate.Schema {
@@ -29,19 +28,19 @@ func result(tag int) *core.Result {
 }
 
 func TestDoCachesAndHits(t *testing.T) {
-	c := New(8)
+	c := NewSynthesizer(8)
 	calls := 0
 	fn := func(context.Context) (*core.Result, error) {
 		calls++
 		return result(1), nil
 	}
-	r1, cached, err := c.Do(context.Background(), "k", fn)
+	r1, cached, err := c.do(context.Background(), "k", fn)
 	if err != nil || cached {
-		t.Fatalf("first Do: res=%v cached=%v err=%v", r1, cached, err)
+		t.Fatalf("first do: res=%v cached=%v err=%v", r1, cached, err)
 	}
-	r2, cached, err := c.Do(context.Background(), "k", fn)
+	r2, cached, err := c.do(context.Background(), "k", fn)
 	if err != nil || !cached {
-		t.Fatalf("second Do: cached=%v err=%v", cached, err)
+		t.Fatalf("second do: cached=%v err=%v", cached, err)
 	}
 	if r1 != r2 {
 		t.Fatalf("hit returned a different Result pointer")
@@ -56,7 +55,7 @@ func TestDoCachesAndHits(t *testing.T) {
 }
 
 func TestDoDoesNotCacheErrors(t *testing.T) {
-	c := New(8)
+	c := NewSynthesizer(8)
 	calls := 0
 	fail := errors.New("boom")
 	fn := func(context.Context) (*core.Result, error) {
@@ -66,10 +65,10 @@ func TestDoDoesNotCacheErrors(t *testing.T) {
 		}
 		return result(2), nil
 	}
-	if _, _, err := c.Do(context.Background(), "k", fn); !errors.Is(err, fail) {
+	if _, _, err := c.do(context.Background(), "k", fn); !errors.Is(err, fail) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	r, cached, err := c.Do(context.Background(), "k", fn)
+	r, cached, err := c.do(context.Background(), "k", fn)
 	if err != nil || cached || r.Iterations != 2 {
 		t.Fatalf("retry after error: res=%+v cached=%v err=%v", r, cached, err)
 	}
@@ -82,7 +81,7 @@ func TestDoDoesNotCacheErrors(t *testing.T) {
 // run fn exactly once; everyone gets the same pointer; the counters prove
 // the coalescing.
 func TestSingleflight(t *testing.T) {
-	c := New(8)
+	c := NewSynthesizer(8)
 	const n = 32
 	var calls atomic.Int64
 	release := make(chan struct{})
@@ -99,9 +98,9 @@ func TestSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			r, _, err := c.Do(context.Background(), "k", fn)
+			r, _, err := c.do(context.Background(), "k", fn)
 			if err != nil {
-				t.Errorf("Do: %v", err)
+				t.Errorf("do: %v", err)
 			}
 			results[i] = r
 		}(i)
@@ -109,7 +108,7 @@ func TestSingleflight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		<-started
 	}
-	// All n goroutines have entered Do; let the one leader finish.
+	// All n goroutines have entered do; let the one leader finish.
 	time.Sleep(10 * time.Millisecond)
 	close(release)
 	wg.Wait()
@@ -135,10 +134,10 @@ func TestSingleflight(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2)
+	c := NewSynthesizer(2)
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := c.Do(context.Background(), key, func(context.Context) (*core.Result, error) {
+		if _, _, err := c.do(context.Background(), key, func(context.Context) (*core.Result, error) {
 			return result(i), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -149,14 +148,14 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("stats %+v, want 2 entries 1 eviction", s)
 	}
 	// k0 was evicted; k2 (most recent) must still hit.
-	_, cached, err := c.Do(context.Background(), "k2", func(context.Context) (*core.Result, error) {
+	_, cached, err := c.do(context.Background(), "k2", func(context.Context) (*core.Result, error) {
 		t.Fatal("k2 recomputed")
 		return nil, nil
 	})
 	if err != nil || !cached {
 		t.Fatalf("k2: cached=%v err=%v", cached, err)
 	}
-	if _, cached, _ = c.Do(context.Background(), "k0", func(context.Context) (*core.Result, error) {
+	if _, cached, _ = c.do(context.Background(), "k0", func(context.Context) (*core.Result, error) {
 		return result(0), nil
 	}); cached {
 		t.Fatal("k0 should have been evicted")
@@ -167,7 +166,7 @@ func TestLRUEviction(t *testing.T) {
 // with an ErrTimeout-compatible error while the computation continues for
 // the patient waiter.
 func TestWaiterCancellation(t *testing.T) {
-	c := New(8)
+	c := NewSynthesizer(8)
 	release := make(chan struct{})
 	fn := func(context.Context) (*core.Result, error) {
 		<-release
@@ -176,7 +175,7 @@ func TestWaiterCancellation(t *testing.T) {
 
 	patientDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", fn)
+		_, _, err := c.do(context.Background(), "k", fn)
 		patientDone <- err
 	}()
 	// Give the patient goroutine time to become the leader.
@@ -185,7 +184,7 @@ func TestWaiterCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	impatient := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(ctx, "k", fn)
+		_, _, err := c.do(ctx, "k", fn)
 		impatient <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -209,7 +208,7 @@ func TestWaiterCancellation(t *testing.T) {
 // runner's context is cancelled so the computation stops, and a later
 // request starts fresh rather than inheriting the cancelled run.
 func TestAbandonedComputationCancelled(t *testing.T) {
-	c := New(8)
+	c := NewSynthesizer(8)
 	runnerCancelled := make(chan struct{})
 	started := make(chan struct{})
 	first := true
@@ -227,7 +226,7 @@ func TestAbandonedComputationCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(ctx, "k", fn)
+		_, _, err := c.do(ctx, "k", fn)
 		errCh <- err
 	}()
 	<-started
@@ -242,7 +241,7 @@ func TestAbandonedComputationCancelled(t *testing.T) {
 	}
 
 	// A fresh request must run a fresh computation and succeed.
-	r, cached, err := c.Do(context.Background(), "k", fn)
+	r, cached, err := c.do(context.Background(), "k", fn)
 	if err != nil || r == nil || r.Iterations != 9 {
 		t.Fatalf("fresh request: res=%+v cached=%v err=%v", r, cached, err)
 	}
@@ -310,10 +309,7 @@ func TestKeyFor(t *testing.T) {
 	if k5 == k1 {
 		t.Fatal("different options share a key")
 	}
-	// Supplied solver or trace ⇒ uncacheable.
-	if _, ok := KeyFor(p, []string{"a"}, schema, core.Options{Solver: smt.New()}); ok {
-		t.Fatal("custom solver should be uncacheable")
-	}
+	// A trace hook ⇒ uncacheable.
 	if _, ok := KeyFor(p, []string{"a"}, schema, core.Options{Trace: func(int, fmt.Stringer, bool) {}}); ok {
 		t.Fatal("trace hook should be uncacheable")
 	}
@@ -323,7 +319,7 @@ func TestKeyFor(t *testing.T) {
 // abandoned computations, the goroutine count returns to baseline.
 func TestNoGoroutineLeaks(t *testing.T) {
 	base := runtime.NumGoroutine()
-	c := New(4)
+	c := NewSynthesizer(4)
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
@@ -332,7 +328,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%5)*time.Millisecond)
 			defer cancel()
 			key := fmt.Sprintf("k%d", i%8)
-			_, _, _ = c.Do(ctx, key, func(runCtx context.Context) (*core.Result, error) {
+			_, _, _ = c.do(ctx, key, func(runCtx context.Context) (*core.Result, error) {
 				select {
 				case <-time.After(time.Duration(i%3) * time.Millisecond):
 					return result(i), nil

@@ -17,23 +17,23 @@ import (
 )
 
 func TestRegisterMetricsExposesCounters(t *testing.T) {
-	c := New(2)
+	c := NewSynthesizer(2)
 	reg := obs.NewRegistry()
 	if err := c.RegisterMetrics(reg); err != nil {
 		t.Fatalf("RegisterMetrics: %v", err)
 	}
 	ctx := context.Background()
 	mk := func(context.Context) (*core.Result, error) { return &core.Result{}, nil }
-	if _, _, err := c.Do(ctx, "k1", mk); err != nil {
+	if _, _, err := c.do(ctx, "k1", mk); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Do(ctx, "k1", mk); err != nil {
+	if _, _, err := c.do(ctx, "k1", mk); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Do(ctx, "k2", mk); err != nil {
+	if _, _, err := c.do(ctx, "k2", mk); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Do(ctx, "k3", mk); err != nil { // evicts k1 or k2
+	if _, _, err := c.do(ctx, "k3", mk); err != nil { // evicts k1 or k2
 		t.Fatal(err)
 	}
 
@@ -68,12 +68,12 @@ func TestRegisterMetricsExposesCounters(t *testing.T) {
 	}
 }
 
-// TestSetTracerRacesDo is the -race regression for the tracer swap: Do
+// TestSetTracerRacesDo is the -race regression for the tracer swap: do
 // emits outcome spans from many goroutines while SetTracer concurrently
 // attaches, replaces and detaches tracers. Before tracer access became
 // atomic this was a data race on the tracer field.
 func TestSetTracerRacesDo(t *testing.T) {
-	c := New(64)
+	c := NewSynthesizer(64)
 	var buf1, buf2 bytes.Buffer
 	tr1, tr2 := obs.NewTracer(&buf1), obs.NewTracer(&buf2)
 	ctx := context.Background()
@@ -106,14 +106,14 @@ func TestSetTracerRacesDo(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (g*200+i)%32)
-				if _, _, err := c.Do(ctx, key, mk); err != nil {
-					t.Errorf("Do: %v", err)
+				if _, _, err := c.do(ctx, key, mk); err != nil {
+					t.Errorf("do: %v", err)
 					return
 				}
 			}
 		}(g)
 	}
-	// Let the Do goroutines finish first so every outcome span lands on
+	// Let the do goroutines finish first so every outcome span lands on
 	// whichever tracer was current; then stop the swapper before closing
 	// the tracers (Emit on a closed tracer would write to a dead buffer).
 	wg.Wait()
@@ -128,16 +128,16 @@ func TestSetTracerRacesDo(t *testing.T) {
 }
 
 func TestCacheTracerEmitsOutcomes(t *testing.T) {
-	c := New(4)
+	c := NewSynthesizer(4)
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
 	c.SetTracer(tr)
 	ctx := context.Background()
 	mk := func(context.Context) (*core.Result, error) { return &core.Result{}, nil }
-	if _, _, err := c.Do(ctx, "k", mk); err != nil {
+	if _, _, err := c.do(ctx, "k", mk); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Do(ctx, "k", mk); err != nil {
+	if _, _, err := c.do(ctx, "k", mk); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {

@@ -11,7 +11,7 @@ import (
 // absent keys without counting a miss (Misses keeps meaning "CEGIS loops
 // started"), and refreshes the entry's LRU position.
 func TestPeekSemantics(t *testing.T) {
-	c := New(2)
+	c := NewSynthesizer(2)
 	if _, ok := c.Peek("absent"); ok {
 		t.Fatal("Peek invented an entry")
 	}
@@ -44,7 +44,7 @@ func TestPeekSemantics(t *testing.T) {
 // TestPutSemantics: Put stores without counting a miss, overwrites in
 // place, and evicts past capacity.
 func TestPutSemantics(t *testing.T) {
-	c := New(2)
+	c := NewSynthesizer(2)
 	c.Put("k", result(1))
 	c.Put("k", result(2))
 	if res, ok := c.Peek("k"); !ok || res.Iterations != 2 {
@@ -60,20 +60,20 @@ func TestPutSemantics(t *testing.T) {
 		t.Fatalf("stats after eviction: %+v", s)
 	}
 
-	// A Put entry serves Do as a plain hit.
-	res, cached, err := c.Do(context.Background(), "m", func(context.Context) (*core.Result, error) {
-		t.Fatal("Do recomputed a Put entry")
+	// A Put entry serves do as a plain hit.
+	res, cached, err := c.do(context.Background(), "m", func(context.Context) (*core.Result, error) {
+		t.Fatal("do recomputed a Put entry")
 		return nil, nil
 	})
 	if err != nil || !cached || res.Iterations != 4 {
-		t.Fatalf("Do over Put: res=%v cached=%v err=%v", res, cached, err)
+		t.Fatalf("do over Put: res=%v cached=%v err=%v", res, cached, err)
 	}
 }
 
 // TestExportMRUOrder: Export walks most recently used first and returns a
 // snapshot unaffected by later mutations.
 func TestExportMRUOrder(t *testing.T) {
-	c := New(8)
+	c := NewSynthesizer(8)
 	for i, k := range []string{"a", "b", "c"} {
 		c.Put(k, result(i))
 	}

@@ -81,11 +81,6 @@ func TestVerifyReductionContextCancelled(t *testing.T) {
 	if _, err := VerifyReductionContext(ctx, p, cand, s); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("error %v does not match ErrTimeout", err)
 	}
-	// And the non-context form still verifies.
-	ok, err := VerifyReduction(p, cand, s)
-	if err != nil || !ok {
-		t.Fatalf("VerifyReduction: ok=%v err=%v", ok, err)
-	}
 }
 
 func TestSymbolicallyRelevantCancelled(t *testing.T) {
@@ -93,7 +88,7 @@ func TestSymbolicallyRelevantCancelled(t *testing.T) {
 	p := predtest.MustParse("a - b < 20 AND b < 0", s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SymbolicallyRelevant(ctx, p, []string{"a"}, s, nil); !errors.Is(err, ErrTimeout) {
+	if _, err := SymbolicallyRelevant(ctx, p, []string{"a"}, s); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("error %v does not match ErrTimeout", err)
 	}
 }

@@ -53,7 +53,7 @@ func TestEncodePlainMatchesEval(t *testing.T) {
 					for name, val := range map[string]int64{"a": a, "b": b, "c": c} {
 						g = smt.Subst(g, smt.IntVar(name), smt.ConstTerm(val))
 					}
-					sat, err := solver.Satisfiable(g)
+					sat, err := solver.SatisfiableCtx(context.Background(), g)
 					if err != nil {
 						t.Fatalf("%s: %v", src, err)
 					}

@@ -22,7 +22,7 @@ var (
 
 	// ErrBudget is returned when the SMT solver's per-call budget is
 	// exhausted in a phase that cannot recover by giving up gracefully
-	// (e.g. VerifyReduction). It wraps smt.ErrBudget, so callers holding
+	// (e.g. VerifyReductionContext). It wraps smt.ErrBudget, so callers holding
 	// only the internal solver error still match.
 	ErrBudget = fmt.Errorf("sia: solver budget exhausted: %w", smt.ErrBudget)
 

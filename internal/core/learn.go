@@ -95,7 +95,7 @@ func (l *learner) orientationUnbounded(ctx context.Context, p svm.IntegerPlane) 
 		}
 	}
 	low := smt.LT(dir, smt.NewTerm(new(big.Rat).SetInt64(-1_000_000_000)))
-	return l.opts.Solver.SatisfiableCtx(ctx, smt.NewAnd(l.sampler.satBase, low))
+	return l.sampler.solver.SatisfiableCtx(ctx, smt.NewAnd(l.sampler.satBase, low))
 }
 
 // learnResult is the candidate predicate as a disjunction of exact integer

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"sia/internal/obs"
-	"sia/internal/smt"
 )
 
 // Options configures the synthesis loop. The zero value uses the paper's
@@ -52,16 +51,11 @@ type Options struct {
 	NonZeroSamples bool
 	// SolverTimeout bounds each individual solver call; an expired call
 	// behaves like a Z3 timeout (§6.2 recommends running Sia "with an
-	// explicit timeout"). Default 2s. An explicitly set (non-zero)
-	// SolverTimeout is always honored, overriding the Timeout of a
-	// caller-supplied Solver; when left zero, a supplied Solver keeps its
-	// own Timeout.
+	// explicit timeout"). Default 2s.
 	SolverTimeout time.Duration
 	// Timeout bounds the whole synthesis; on expiry the best valid
 	// predicate found so far is returned. Default 30s.
 	Timeout time.Duration
-	// Solver is the SMT solver to use; nil creates a fresh one.
-	Solver *smt.Solver
 	// Trace, when set, is invoked once per learning-loop iteration with
 	// the candidate and the verification verdict — for debugging and for
 	// the experiment harness's convergence diagnostics.
@@ -69,14 +63,14 @@ type Options struct {
 	// Tracer, when set, records structured JSONL spans for every CEGIS
 	// event (iterations, verify verdicts, counter-example batches, the
 	// final outcome). A nil Tracer is free: the hot path performs no
-	// allocations and no work. Like Solver and Trace, a non-nil Tracer
-	// makes a run uncacheable (cache.KeyFor detects it).
+	// allocations and no work. Like Trace, a non-nil Tracer makes a run
+	// uncacheable (cache.KeyFor detects it).
 	Tracer *obs.Tracer
 }
 
-// normalized fills the numeric defaults without touching the solver. It is
-// shared by withDefaults and Fingerprint so the two can never disagree on
-// what the zero value means.
+// normalized fills in the defaults. The synthesis loop and Fingerprint both
+// read options through it, so the two can never disagree on what the zero
+// value means.
 func (o Options) normalized() Options {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 41
@@ -93,32 +87,11 @@ func (o Options) normalized() Options {
 	if o.MaxDenominator == 0 {
 		o.MaxDenominator = 8
 	}
-	if o.Timeout == 0 {
-		o.Timeout = 30 * time.Second
-	}
-	return o
-}
-
-func (o Options) withDefaults() Options {
-	explicitSolverTimeout := o.SolverTimeout != 0
-	o = o.normalized()
 	if o.SolverTimeout == 0 {
 		o.SolverTimeout = 2 * time.Second
 	}
-	if o.Solver == nil {
-		o.Solver = smt.New()
-	}
-	// An explicitly requested per-call timeout wins over the supplied
-	// solver's own; otherwise a solver that already carries a timeout
-	// keeps it.
-	if explicitSolverTimeout || o.Solver.Timeout == 0 {
-		o.Solver.Timeout = o.SolverTimeout
-	}
-	// Tracing flows through to the solver so qe_memo hit/miss spans land
-	// in the same trace as the CEGIS events; a solver supplied with its
-	// own tracer keeps it.
-	if o.Solver.Tracer == nil {
-		o.Solver.Tracer = o.Tracer
+	if o.Timeout == 0 {
+		o.Timeout = 30 * time.Second
 	}
 	return o
 }
@@ -159,18 +132,13 @@ func (o Options) Validate() error {
 // Fingerprint returns a canonical string identifying every option that can
 // influence a synthesis result, with defaults applied — two Options with
 // equal fingerprints produce identical Results for the same (predicate,
-// cols, schema) input. Solver, Trace and Tracer are deliberately excluded:
-// a caller-supplied solver or trace hook makes a run uncacheable, which
-// cache.KeyFor detects separately.
+// cols, schema) input. Trace and Tracer are deliberately excluded: a trace
+// hook makes a run uncacheable, which cache.KeyFor detects separately.
 func (o Options) Fingerprint() string {
 	n := o.normalized()
-	st := n.SolverTimeout
-	if st == 0 {
-		st = 2 * time.Second
-	}
 	return fmt.Sprintf("iters=%d|t0=%d|f0=%d|per=%d|maxden=%d|nonzero=%t|solvertimeout=%s|timeout=%s",
 		n.MaxIterations, n.InitialTrue, n.InitialFalse, n.SamplesPerIteration,
-		n.MaxDenominator, n.NonZeroSamples, st, n.Timeout)
+		n.MaxDenominator, n.NonZeroSamples, n.SolverTimeout, n.Timeout)
 }
 
 // The paper's baseline configurations (Table 1).

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sia/internal/predtest"
-	"sia/internal/smt"
 )
 
 func TestTraceHook(t *testing.T) {
@@ -26,7 +25,7 @@ func TestTraceHook(t *testing.T) {
 			sawValid = true
 		}
 	}}
-	res, err := Synthesize(p, []string{"a"}, s, opts)
+	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestSynthesisTimeout(t *testing.T) {
 	s := intSchema("a1", "a2", "b1")
 	p := predtest.MustParse("a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0", s)
 	opts := Options{Timeout: time.Nanosecond}
-	res, err := Synthesize(p, []string{"a1", "a2"}, s, opts)
+	res, err := SynthesizeContext(context.Background(), p, []string{"a1", "a2"}, s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,16 +59,31 @@ func TestSynthesisTimeout(t *testing.T) {
 	}
 }
 
+// The loop's solver must get Options.SolverTimeout: with a 1 ns budget the
+// first quantifier elimination is already past its deadline.
+func TestSolverTimeoutWired(t *testing.T) {
+	s := intSchema("a1", "a2", "b1")
+	p := predtest.MustParse("a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0", s)
+	opts := Options{SolverTimeout: time.Nanosecond}
+	res, err := SynthesizeContext(context.Background(), p, []string{"a1", "a2"}, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GaveUp != ReasonSolverBudget {
+		t.Fatalf("expected solver-budget give-up, got %q (predicate=%v)", res.GaveUp, res.Predicate)
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := Options{}.normalized()
 	if o.MaxIterations != 41 || o.InitialTrue != 10 || o.InitialFalse != 10 || o.SamplesPerIteration != 5 {
 		t.Fatalf("paper defaults wrong: %+v", o)
 	}
-	if o.Solver == nil || o.Solver.Timeout != o.SolverTimeout {
-		t.Fatal("solver timeout not wired")
+	if o.SolverTimeout != 2*time.Second || o.Timeout != 30*time.Second {
+		t.Fatalf("timeout defaults wrong: %+v", o)
 	}
 	// Explicit values survive.
-	o2 := Options{MaxIterations: 7, InitialTrue: 3, InitialFalse: 4, SamplesPerIteration: 2}.withDefaults()
+	o2 := Options{MaxIterations: 7, InitialTrue: 3, InitialFalse: 4, SamplesPerIteration: 2}.normalized()
 	if o2.MaxIterations != 7 || o2.InitialTrue != 3 || o2.InitialFalse != 4 || o2.SamplesPerIteration != 2 {
 		t.Fatalf("explicit options overridden: %+v", o2)
 	}
@@ -104,32 +118,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestExplicitSolverTimeoutHonored(t *testing.T) {
-	// An explicitly set SolverTimeout overrides the Timeout of a
-	// caller-supplied Solver (historically it was silently ignored).
-	sv := smt.New()
-	sv.Timeout = time.Minute
-	o := Options{Solver: sv, SolverTimeout: 3 * time.Second}.withDefaults()
-	if o.Solver.Timeout != 3*time.Second {
-		t.Fatalf("explicit SolverTimeout ignored: solver timeout = %v", o.Solver.Timeout)
-	}
-	// Without an explicit SolverTimeout the supplied solver's own budget
-	// is preserved.
-	sv2 := smt.New()
-	sv2.Timeout = time.Minute
-	o2 := Options{Solver: sv2}.withDefaults()
-	if o2.Solver.Timeout != time.Minute {
-		t.Fatalf("supplied solver's timeout clobbered: %v", o2.Solver.Timeout)
-	}
-	// A supplied solver with no budget inherits the default.
-	sv3 := smt.New()
-	sv3.Timeout = 0
-	o3 := Options{Solver: sv3}.withDefaults()
-	if o3.Solver.Timeout != o3.SolverTimeout || o3.Solver.Timeout == 0 {
-		t.Fatalf("unbudgeted supplied solver not defaulted: %v", o3.Solver.Timeout)
-	}
-}
-
 func TestOptionsFingerprint(t *testing.T) {
 	// Zero options and the explicit paper preset must agree: defaults are
 	// applied before fingerprinting.
@@ -141,10 +129,19 @@ func TestOptionsFingerprint(t *testing.T) {
 	if (Options{MaxIterations: 7}).Fingerprint() == (Options{}).Fingerprint() {
 		t.Fatal("MaxIterations not fingerprinted")
 	}
-	// Solver and Trace are excluded (the cache handles them separately).
-	withSolver := Options{Solver: smt.New()}
-	if withSolver.Fingerprint() != (Options{}).Fingerprint() {
-		t.Fatal("Solver leaked into the fingerprint")
+	// A zero SolverTimeout means the 2 s default.
+	if (Options{SolverTimeout: 2 * time.Second}).Fingerprint() != (Options{}).Fingerprint() {
+		t.Fatal("zero and explicit 2s SolverTimeout fingerprint differently")
+	}
+	// Cache keys embed the fingerprint, so its rendering must not drift.
+	const presetSIA = "iters=41|t0=10|f0=10|per=5|maxden=8|nonzero=false|solvertimeout=2s|timeout=30s"
+	if got := PresetSIA().Fingerprint(); got != presetSIA {
+		t.Fatalf("PresetSIA fingerprint = %q, want %q", got, presetSIA)
+	}
+	// Trace is excluded (the cache handles it separately).
+	withTrace := Options{Trace: func(int, fmt.Stringer, bool) {}}
+	if withTrace.Fingerprint() != (Options{}).Fingerprint() {
+		t.Fatal("Trace leaked into the fingerprint")
 	}
 }
 

@@ -24,7 +24,7 @@ func TestSynthesizeRealColumns(t *testing.T) {
 	// x - y < 2.5 AND y < 1.5  =>  over {x}: x < 4 (no integer
 	// tightening: reals are dense, so x can approach 4 arbitrarily).
 	p := predtest.MustParse("x - y < 2.5 AND y < 1.5", s)
-	res, err := Synthesize(p, []string{"x"}, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, []string{"x"}, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSymbolicRelevanceRealColumns(t *testing.T) {
 	s := realSchema("x", "y")
 	// x < y with y unconstrained: no unsatisfaction tuple for {x}.
 	free := predtest.MustParse("x < y", s)
-	rel, err := SymbolicallyRelevant(context.Background(), free, []string{"x"}, s, nil)
+	rel, err := SymbolicallyRelevant(context.Background(), free, []string{"x"}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSymbolicRelevanceRealColumns(t *testing.T) {
 	}
 	// Bounding y creates unsatisfaction tuples for {x}.
 	bounded := predtest.MustParse("x < y AND y < 7.25", s)
-	rel, err = SymbolicallyRelevant(context.Background(), bounded, []string{"x"}, s, nil)
+	rel, err = SymbolicallyRelevant(context.Background(), bounded, []string{"x"}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSynthesizeDisjunctivePredicate(t *testing.T) {
 	// (a - b < 0 AND b < 10) OR (a < -50 AND b > 0): over {a} the
 	// feasible set is a < 9 ∪ a < -50 = a <= 8.
 	p := predtest.MustParse("(a - b < 0 AND b < 10) OR (a < -50 AND b > 0)", s)
-	res, err := Synthesize(p, []string{"a"}, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSynthesizeDisjunctivePredicate(t *testing.T) {
 func TestSynthesizeDisjointRegions(t *testing.T) {
 	s := intSchema("a", "b")
 	p := predtest.MustParse("(a - b = 0 AND b > 0 AND b < 5) OR (a - b = 100 AND b > 0 AND b < 5)", s)
-	res, err := Synthesize(p, []string{"a"}, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

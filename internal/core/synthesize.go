@@ -63,10 +63,7 @@ type Result struct {
 // non-trivial valid reduction exist (Lemma 4), making the query worth
 // handing to the full synthesis loop. Cancelling ctx aborts the check with
 // an error matching ErrTimeout.
-func SymbolicallyRelevant(ctx context.Context, p predicate.Predicate, cols []string, schema *predicate.Schema, solver *smt.Solver) (bool, error) {
-	if solver == nil {
-		solver = smt.New()
-	}
+func SymbolicallyRelevant(ctx context.Context, p predicate.Predicate, cols []string, schema *predicate.Schema) (bool, error) {
 	enc := newEncoder(schema)
 	rewritten, err := enc.rewriteNonLinear(p)
 	if err != nil {
@@ -76,18 +73,12 @@ func SymbolicallyRelevant(ctx context.Context, p predicate.Predicate, cols []str
 	if err != nil {
 		return false, err
 	}
-	smp, err := newSampler(ctx, solver, enc, pf, cols, Options{}.withDefaults())
+	smp, err := newSampler(ctx, smt.New(), enc, pf, cols, Options{}.normalized())
 	if err != nil {
 		return false, publicErr(err)
 	}
 	ok, err := smp.hasUnsatTuple(ctx)
 	return ok, publicErr(err)
-}
-
-// Synthesize runs Alg. 1 without cancellation support; it is equivalent to
-// SynthesizeContext with context.Background().
-func Synthesize(p predicate.Predicate, cols []string, schema *predicate.Schema, opts Options) (*Result, error) {
-	return SynthesizeContext(context.Background(), p, cols, schema, opts)
 }
 
 // SynthesizeContext runs Alg. 1: it learns a valid (and, when the loop
@@ -117,7 +108,7 @@ func SynthesizeContext(ctx context.Context, p predicate.Predicate, cols []string
 // synthesizeContext is SynthesizeContext after option validation and
 // instrumentation: the actual Alg. 1 driver.
 func synthesizeContext(ctx context.Context, p predicate.Predicate, cols []string, schema *predicate.Schema, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.normalized()
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("%w: no target columns given", ErrInvalidOptions)
 	}
@@ -150,7 +141,10 @@ func synthesizeContext(ctx context.Context, p predicate.Predicate, cols []string
 
 	res := &Result{}
 	start := time.Now()
-	smp, err := newSampler(ctx, opts.Solver, enc, pf, cols, opts)
+	// Tracing flows through to the solver so qe_memo hit/miss spans land in
+	// the same trace as the CEGIS events.
+	solver := &smt.Solver{Timeout: opts.SolverTimeout, Tracer: opts.Tracer}
+	smp, err := newSampler(ctx, solver, enc, pf, cols, opts)
 	res.Timing.Generation += time.Since(start)
 	if err != nil {
 		if errors.Is(err, smt.ErrBudget) {
@@ -303,7 +297,7 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 	l.fs = fs
 
 	start = time.Now()
-	ver, err := newVerifier(l.opts.Solver, l.enc, p)
+	ver, err := newVerifier(l.sampler.solver, l.enc, p)
 	res.Timing.Validation += time.Since(start)
 	if err != nil {
 		return err
@@ -344,7 +338,7 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 					rest = append(rest, c.f)
 				}
 			}
-			needed, err := l.opts.Solver.SatisfiableCtx(l.ctx, smt.NewAnd(smt.NewAnd(rest...), smt.NewNot(conjuncts[i].f)))
+			needed, err := l.sampler.solver.SatisfiableCtx(l.ctx, smt.NewAnd(smt.NewAnd(rest...), smt.NewNot(conjuncts[i].f)))
 			if err == nil && !needed {
 				conjuncts = append(conjuncts[:i], conjuncts[i+1:]...)
 				i--
@@ -415,11 +409,11 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 			// implies an existing conjunct makes that conjunct redundant,
 			// so it is evicted.
 			start = time.Now()
-			useful, err := l.opts.Solver.SatisfiableCtx(l.ctx, smt.NewAnd(validFormula(), smt.NewNot(candFormula)))
+			useful, err := l.sampler.solver.SatisfiableCtx(l.ctx, smt.NewAnd(validFormula(), smt.NewNot(candFormula)))
 			if err == nil && useful {
 				kept := conjuncts[:0]
 				for _, c := range conjuncts {
-					redundant, cerr := l.opts.Solver.SatisfiableCtx(l.ctx, smt.NewAnd(candFormula, smt.NewNot(c.f)))
+					redundant, cerr := l.sampler.solver.SatisfiableCtx(l.ctx, smt.NewAnd(candFormula, smt.NewNot(c.f)))
 					if cerr != nil {
 						err = cerr
 						break

@@ -60,7 +60,7 @@ func assertOptimal(t *testing.T, p predicate.Predicate, res *Result, cols []stri
 			unsat = &smt.ForAll{V: v, F: unsat}
 		}
 	}
-	sat, err := solver.Satisfiable(smt.NewAnd(unsat, candF))
+	sat, err := solver.SatisfiableCtx(context.Background(), smt.NewAnd(unsat, candF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSynthesizePaperWalkthrough(t *testing.T) {
 	s := intSchema("a1", "a2", "b1")
 	p := predtest.MustParse("a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0", s)
 	cols := []string{"a1", "a2"}
-	res, err := Synthesize(p, cols, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, cols, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSynthesizeSingleColumn(t *testing.T) {
 	// i.e. a <= 18.
 	s := intSchema("a", "b")
 	p := predtest.MustParse("a - b < 20 AND b < 0", s)
-	res, err := Synthesize(p, []string{"a"}, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSynthesizeNoUnsatTuples(t *testing.T) {
 	// unsatisfaction tuple for {a} and the only valid reduction is TRUE.
 	s := intSchema("a", "b")
 	p := predtest.MustParse("a > b", s)
-	res, err := Synthesize(p, []string{"a"}, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSynthesizeFiniteTrueSet(t *testing.T) {
 	// over {a}; the strongest valid predicate is their disjunction.
 	s := intSchema("a", "b")
 	p := predtest.MustParse("(a = 3 OR a = 5) AND b > a", s)
-	res, err := Synthesize(p, []string{"a"}, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSynthesizeFiniteFalseSet(t *testing.T) {
 	// {a} are exactly a ∈ {-1, -2}; the optimal predicate rejects them.
 	s := intSchema("a", "b")
 	p := predtest.MustParse("(a >= 0 OR a <= -3) AND b > a", s)
-	res, err := Synthesize(p, []string{"a"}, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSynthesizeUnsatisfiablePredicate(t *testing.T) {
 	// (the empty disjunction, FALSE).
 	s := intSchema("a", "b")
 	p := predtest.MustParse("a > b AND b > a", s)
-	res, err := Synthesize(p, []string{"a"}, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +197,10 @@ func TestSynthesizeUnsatisfiablePredicate(t *testing.T) {
 func TestSynthesizeColumnValidation(t *testing.T) {
 	s := intSchema("a", "b")
 	p := predtest.MustParse("a > b", s)
-	if _, err := Synthesize(p, []string{"zzz"}, s, Options{}); err == nil {
+	if _, err := SynthesizeContext(context.Background(), p, []string{"zzz"}, s, Options{}); err == nil {
 		t.Fatal("columns outside the predicate should be rejected")
 	}
-	if _, err := Synthesize(p, nil, s, Options{}); err == nil {
+	if _, err := SynthesizeContext(context.Background(), p, nil, s, Options{}); err == nil {
 		t.Fatal("empty column set should be rejected")
 	}
 }
@@ -213,7 +213,7 @@ func TestSynthesizeTwoSidedBound(t *testing.T) {
 	s := intSchema("a", "b")
 	p := predtest.MustParse("a - b < 5 AND b - a < 5 AND b > 0 AND b < 10", s)
 	cols := []string{"a"}
-	res, err := Synthesize(p, cols, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, cols, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSynthesizePaperLimitation(t *testing.T) {
 	s := intSchema("a", "b")
 	p := predtest.MustParse("a > b AND a < b + 50 AND b > 0 AND b < 150", s)
 	cols := []string{"a"}
-	res, err := Synthesize(p, cols, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, cols, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestSynthesizePresets(t *testing.T) {
 		{"SIA_v1", PresetSIAV1()},
 		{"SIA_v2", PresetSIAV2()},
 	} {
-		res, err := Synthesize(p, []string{"a"}, s, tc.opts)
+		res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -285,7 +285,7 @@ func TestSynthesizePresets(t *testing.T) {
 func TestSynthesizeTimingAndCounts(t *testing.T) {
 	s := intSchema("a", "b")
 	p := predtest.MustParse("a - b < 20 AND b < 0", s)
-	res, err := Synthesize(p, []string{"a"}, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestSynthesizeDateColumns(t *testing.T) {
 		AND l_commitdate - l_shipdate < l_shipdate - o_orderdate + 10
 		AND o_orderdate < DATE '1993-06-01'`, s)
 	cols := []string{"l_commitdate", "l_shipdate"}
-	res, err := Synthesize(p, cols, s, Options{})
+	res, err := SynthesizeContext(context.Background(), p, cols, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func TestSynthesizeEmitsTrace(t *testing.T) {
 
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
-	res, err := Synthesize(p, cols, s, Options{Tracer: tr})
+	res, err := SynthesizeContext(context.Background(), p, cols, s, Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

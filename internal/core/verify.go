@@ -7,16 +7,10 @@ import (
 	"sia/internal/smt"
 )
 
-// VerifyReduction reports whether candidate is a valid dimensionality
-// reduction of p under three-valued logic (Def. 2): every tuple p accepts,
-// candidate accepts. It is the standalone form of the loop's Verify step,
-// usable to check hand-written rewrites. It is equivalent to
-// VerifyReductionContext with context.Background().
-func VerifyReduction(p, candidate predicate.Predicate, schema *predicate.Schema) (bool, error) {
-	return VerifyReductionContext(context.Background(), p, candidate, schema)
-}
-
-// VerifyReductionContext is VerifyReduction honoring ctx: cancellation
+// VerifyReductionContext reports whether candidate is a valid
+// dimensionality reduction of p under three-valued logic (Def. 2): every
+// tuple p accepts, candidate accepts. It is the standalone form of the
+// loop's Verify step, usable to check hand-written rewrites. Cancelling ctx
 // aborts the solver within one elimination step and returns an error
 // matching ErrTimeout; a solver budget overrun returns an error matching
 // ErrBudget.

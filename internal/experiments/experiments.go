@@ -28,7 +28,6 @@ import (
 	"sia/internal/obs"
 	"sia/internal/plan"
 	"sia/internal/predicate"
-	"sia/internal/smt"
 	"sia/internal/tpch"
 	"sia/internal/workload"
 )
@@ -187,7 +186,7 @@ func SynthesisSweep(cfg Config) ([]RunRecord, error) {
 		go func() {
 			defer wg.Done()
 			for tk := range ch {
-				relevant, err := core.SymbolicallyRelevant(context.Background(), tk.query.Pred, tk.cols, schema, smt.New())
+				relevant, err := core.SymbolicallyRelevant(context.Background(), tk.query.Pred, tk.cols, schema)
 				if err != nil {
 					relevant = false
 				}
@@ -205,7 +204,7 @@ func SynthesisSweep(cfg Config) ([]RunRecord, error) {
 					if relevant {
 						o := optionsFor(v, cfg.MaxIterations)
 						o.Tracer = cfg.Tracer
-						res, err := core.Synthesize(tk.query.Pred, tk.cols, schema, o)
+						res, err := core.SynthesizeContext(context.Background(), tk.query.Pred, tk.cols, schema, o)
 						if err == nil {
 							rec.Result = res
 						}

@@ -101,7 +101,6 @@ func (c Config) withDefaults() Config {
 func Simulate(cfg Config) ([]SimQuery, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	solver := smt.New()
 	schema := simSchema()
 	out := make([]SimQuery, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -110,7 +109,7 @@ func Simulate(cfg Config) ([]SimQuery, error) {
 		class := ClassOther
 		if shape.prospective {
 			class = ClassProspective
-			relevant, err := core.SymbolicallyRelevant(context.Background(), pred, shape.scanSideCols, schema, solver)
+			relevant, err := core.SymbolicallyRelevant(context.Background(), pred, shape.scanSideCols, schema)
 			if err != nil && !errors.Is(err, core.ErrUnsupported) && !errors.Is(err, smt.ErrBudget) {
 				return nil, fmt.Errorf("maxcompute: relevance check: %w", err)
 			}

@@ -29,14 +29,9 @@ type ExecOptions struct {
 	Parallelism int
 }
 
-// Execute runs a logical plan against the catalog with default options
-// (engine parallelism at DefaultParallelism), materializing each operator
-// bottom-up.
-func Execute(n Node, c *Catalog) (*engine.Table, *ExecStats, error) {
-	return ExecuteOpts(n, c, ExecOptions{})
-}
-
-// ExecuteOpts is Execute with explicit options.
+// ExecuteOpts runs a logical plan against the catalog, materializing each
+// operator bottom-up. The zero ExecOptions runs the engine at
+// DefaultParallelism.
 func ExecuteOpts(n Node, c *Catalog, opts ExecOptions) (*engine.Table, *ExecStats, error) {
 	stats := &ExecStats{}
 	start := time.Now()

@@ -40,7 +40,7 @@ func joinQueryPlan(t *testing.T, cat *Catalog, where string) Node {
 func TestExecuteJoinFilter(t *testing.T) {
 	cat := smallCatalog(t)
 	p := joinQueryPlan(t, cat, "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01'")
-	out, stats, err := Execute(p, cat)
+	out, stats, err := ExecuteOpts(p, cat, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestPushDownEquivalence(t *testing.T) {
 	orig := joinQueryPlan(t, cat, where)
 	pushed := PushDownFilters(orig)
 
-	a, _, err := Execute(orig, cat)
+	a, _, err := ExecuteOpts(orig, cat, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Execute(pushed, cat)
+	b, _, err := ExecuteOpts(pushed, cat, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestPushDownReducesJoinInput(t *testing.T) {
 	where := "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01' AND l_shipdate < DATE '1993-06-20'"
 	orig := joinQueryPlan(t, cat, where)
 	pushed := PushDownFilters(orig)
-	_, so, err := Execute(orig, cat)
+	_, so, err := ExecuteOpts(orig, cat, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sp, err := Execute(pushed, cat)
+	_, sp, err := ExecuteOpts(pushed, cat, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestPushDownBelowAggregate(t *testing.T) {
 	if _, ok := pushed.(*Aggregate); !ok {
 		t.Fatalf("expected Aggregate at the root, got:\n%s", Explain(pushed))
 	}
-	a, _, err := Execute(plan, cat)
+	a, _, err := ExecuteOpts(plan, cat, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Execute(pushed, cat)
+	b, _, err := ExecuteOpts(pushed, cat, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -28,17 +29,18 @@ type SynthesisInfo struct {
 //
 // The returned infos describe every synthesis attempt (used by the
 // experiment harness); the rewritten plan is semantically equivalent to the
-// input because only verified-valid predicates are added.
-func SiaRewrite(n Node, schema *predicate.Schema, opts core.Options) (Node, []SynthesisInfo, error) {
+// input because only verified-valid predicates are added. Every solver call
+// of the rewrite honors ctx.
+func SiaRewrite(ctx context.Context, n Node, schema *predicate.Schema, opts core.Options) (Node, []SynthesisInfo, error) {
 	var infos []SynthesisInfo
-	out, err := siaRewrite(n, schema, opts, &infos)
+	out, err := siaRewrite(ctx, n, schema, opts, &infos)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, infos, nil
 }
 
-func siaRewrite(n Node, schema *predicate.Schema, opts core.Options, infos *[]SynthesisInfo) (Node, error) {
+func siaRewrite(ctx context.Context, n Node, schema *predicate.Schema, opts core.Options, infos *[]SynthesisInfo) (Node, error) {
 	f, ok := n.(*Filter)
 	if !ok {
 		ch := n.Children()
@@ -47,7 +49,7 @@ func siaRewrite(n Node, schema *predicate.Schema, opts core.Options, infos *[]Sy
 		}
 		newCh := make([]Node, len(ch))
 		for i, c := range ch {
-			nc, err := siaRewrite(c, schema, opts, infos)
+			nc, err := siaRewrite(ctx, c, schema, opts, infos)
 			if err != nil {
 				return nil, err
 			}
@@ -57,7 +59,7 @@ func siaRewrite(n Node, schema *predicate.Schema, opts core.Options, infos *[]Sy
 	}
 	join, ok := f.Input.(*Join)
 	if !ok {
-		in, err := siaRewrite(f.Input, schema, opts, infos)
+		in, err := siaRewrite(ctx, f.Input, schema, opts, infos)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +84,7 @@ func siaRewrite(n Node, schema *predicate.Schema, opts core.Options, infos *[]Sy
 			// synthesis can add nothing pushdown would not already move.
 			continue
 		}
-		res, err := core.Synthesize(pred, sideCols, schema, opts)
+		res, err := core.SynthesizeContext(ctx, pred, sideCols, schema, opts)
 		if err != nil {
 			if errors.Is(err, core.ErrUnsupported) {
 				continue
@@ -101,7 +103,7 @@ func siaRewrite(n Node, schema *predicate.Schema, opts core.Options, infos *[]Sy
 				}
 			}
 			if len(existing) > 0 {
-				implied, err := core.VerifyReduction(predicate.NewAnd(existing...), res.Predicate, schema)
+				implied, err := core.VerifyReductionContext(ctx, predicate.NewAnd(existing...), res.Predicate, schema)
 				if err == nil && implied {
 					continue
 				}
@@ -109,7 +111,7 @@ func siaRewrite(n Node, schema *predicate.Schema, opts core.Options, infos *[]Sy
 			extra = append(extra, res.Predicate)
 		}
 	}
-	in, err := siaRewrite(join, schema, opts, infos)
+	in, err := siaRewrite(ctx, join, schema, opts, infos)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestSiaRewriteEndToEnd(t *testing.T) {
 		AND o_orderdate < DATE '1993-06-01'`
 	node := joinQueryPlan(t, cat, where)
 
-	rewritten, infos, err := SiaRewrite(node, schema, core.PresetSIA())
+	rewritten, infos, err := SiaRewrite(context.Background(), node, schema, core.PresetSIA())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +54,11 @@ func TestSiaRewriteEndToEnd(t *testing.T) {
 	}
 
 	// Semantics preserved and join input reduced.
-	origTable, origStats, err := Execute(PushDownFilters(node), cat)
+	origTable, origStats, err := ExecuteOpts(PushDownFilters(node), cat, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rwTable, rwStats, err := Execute(pushed, cat)
+	rwTable, rwStats, err := ExecuteOpts(pushed, cat, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestSiaRewriteSkipsImpliedPredicates(t *testing.T) {
 	// not duplicate the existing bound.
 	where := "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01'"
 	node := joinQueryPlan(t, cat, where)
-	rewritten, _, err := SiaRewrite(node, schema, core.PresetSIA())
+	rewritten, _, err := SiaRewrite(context.Background(), node, schema, core.PresetSIA())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestSiaRewriteNoJoinNoChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &Filter{Pred: predtest.MustParse("l_quantity > 10", tpch.LineitemSchema()), Input: li}
-	out, infos, err := SiaRewrite(f, tpch.LineitemSchema(), core.PresetSIA())
+	out, infos, err := SiaRewrite(context.Background(), f, tpch.LineitemSchema(), core.PresetSIA())
 	if err != nil {
 		t.Fatal(err)
 	}

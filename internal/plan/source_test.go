@@ -50,7 +50,7 @@ func TestExecuteOverSegmentSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := storage.SnapshotCounters()
-		out, _, err := Execute(&Filter{Pred: pred, Input: scan}, c)
+		out, _, err := ExecuteOpts(&Filter{Pred: pred, Input: scan}, c, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

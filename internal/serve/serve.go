@@ -75,14 +75,6 @@ type Config struct {
 	// (which the drain path calls).
 	SnapshotPath     string
 	SnapshotInterval time.Duration
-
-	// Drain, when non-nil, is the externally owned drain flag (cmd/siad
-	// shares it with its signal handler). Nil allocates one internally.
-	Drain *atomic.Bool
-
-	// Synth, when non-nil, is the externally owned synthesizer (tests
-	// and cmd/siad's compatibility shim share one). Nil allocates one.
-	Synth *cache.Synthesizer
 }
 
 // Server is one serving-tier replica.
@@ -91,7 +83,7 @@ type Server struct {
 	synth    *cache.Synthesizer
 	start    time.Time
 	logger   atomic.Pointer[slog.Logger]
-	draining *atomic.Bool
+	draining atomic.Bool
 
 	ring    *ring
 	peers   map[string]*client.Client
@@ -139,18 +131,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxTimeout = 2 * time.Minute
 	}
 	s := &Server{
-		cfg:      cfg,
-		synth:    cfg.Synth,
-		start:    time.Now(),
-		draining: cfg.Drain,
-		schemas:  newSchemaTable(),
-		stopCh:   make(chan struct{}),
-	}
-	if s.synth == nil {
-		s.synth = cache.NewSynthesizer(cfg.Capacity)
-	}
-	if s.draining == nil {
-		s.draining = new(atomic.Bool)
+		cfg:     cfg,
+		synth:   cache.NewSynthesizer(cfg.Capacity),
+		start:   time.Now(),
+		schemas: newSchemaTable(),
+		stopCh:  make(chan struct{}),
 	}
 	logger := cfg.Logger
 	if logger == nil {

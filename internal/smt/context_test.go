@@ -117,7 +117,7 @@ func TestSolverContextDisarmsAfterCall(t *testing.T) {
 	if _, err := s.SatisfiableCtx(ctx, GT(VarTerm(x), ConstTerm(0))); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("expected ErrInterrupted, got %v", err)
 	}
-	ok, err := s.Satisfiable(GT(VarTerm(x), ConstTerm(0)))
+	ok, err := s.SatisfiableCtx(context.Background(), GT(VarTerm(x), ConstTerm(0)))
 	if err != nil || !ok {
 		t.Fatalf("solver unusable after cancelled call: ok=%v err=%v", ok, err)
 	}

@@ -6,11 +6,11 @@ import (
 	"math/big"
 )
 
-// EnumerateModels yields up to limit distinct models of a quantifier-free
+// EnumerateModelsCtx yields up to limit distinct models of a quantifier-free
 // formula over the given variables, invoking emit for each; emit returns
 // false to stop early.
 //
-// Unlike repeated Model calls with blocking clauses, enumeration recurses
+// Unlike repeated ModelCtx calls with blocking clauses, enumeration recurses
 // over candidate values per variable: at each level the remaining variables
 // are projected away once (without any blocking constraints, so the
 // formulas stay small), the finite candidate set of the resulting
@@ -20,16 +20,11 @@ import (
 // representative subset of the region — but not necessarily every point of
 // an interval. Callers that must distinguish "no more points" from
 // "candidates ran out" (Sia's optimality proof does) should confirm
-// exhaustion with a blocked Satisfiable query.
-func (s *Solver) EnumerateModels(f Formula, vars []Var, limit int, emit func(Model) bool) error {
-	return s.EnumerateModelsCtx(context.Background(), f, vars, limit, emit)
-}
-
-// EnumerateModelsCtx is EnumerateModels honoring ctx: cancellation surfaces
-// as ErrInterrupted within one elimination step.
+// exhaustion with a blocked SatisfiableCtx query. Cancelling ctx surfaces as
+// ErrInterrupted within one elimination step.
 func (s *Solver) EnumerateModelsCtx(ctx context.Context, f Formula, vars []Var, limit int, emit func(Model) bool) error {
 	defer s.arm(ctx, opEnumerate)()
-	qf, err := s.QE(f)
+	qf, err := s.qe(f)
 	if err != nil {
 		return err
 	}
@@ -69,7 +64,7 @@ func (s *Solver) enumerateRec(f Formula, vars []Var, current Model, remaining *i
 	for _, w := range vars[1:] {
 		proj = &Exists{V: w, F: proj}
 	}
-	uni, err := s.QE(proj)
+	uni, err := s.qe(proj)
 	if err != nil {
 		return err
 	}

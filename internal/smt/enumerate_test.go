@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -18,7 +19,7 @@ func TestEnumerateModelsFiniteRegion(t *testing.T) {
 	)
 	s := New()
 	got := map[string]bool{}
-	err := s.EnumerateModels(f, []Var{x, y}, 100, func(m Model) bool {
+	err := s.EnumerateModelsCtx(context.Background(), f, []Var{x, y}, 100, func(m Model) bool {
 		if !evalFormula(t, f, m) {
 			t.Fatalf("emitted non-model %v", m)
 		}
@@ -42,7 +43,7 @@ func TestEnumerateModelsLimit(t *testing.T) {
 	f := GE(VarTerm(x), ConstTerm(0)) // infinite region
 	s := New()
 	count := 0
-	if err := s.EnumerateModels(f, []Var{x}, 7, func(Model) bool { count++; return true }); err != nil {
+	if err := s.EnumerateModelsCtx(context.Background(), f, []Var{x}, 7, func(Model) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 7 {
@@ -50,7 +51,7 @@ func TestEnumerateModelsLimit(t *testing.T) {
 	}
 	// emit returning false stops early.
 	count = 0
-	if err := s.EnumerateModels(f, []Var{x}, 100, func(Model) bool { count++; return count < 3 }); err != nil {
+	if err := s.EnumerateModelsCtx(context.Background(), f, []Var{x}, 100, func(Model) bool { count++; return count < 3 }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 3 {
@@ -63,7 +64,7 @@ func TestEnumerateModelsUnsat(t *testing.T) {
 	f := NewAnd(GT(VarTerm(x), ConstTerm(0)), LT(VarTerm(x), ConstTerm(0)))
 	s := New()
 	count := 0
-	if err := s.EnumerateModels(f, []Var{x}, 10, func(Model) bool { count++; return true }); err != nil {
+	if err := s.EnumerateModelsCtx(context.Background(), f, []Var{x}, 10, func(Model) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {
@@ -79,7 +80,7 @@ func TestEnumerateModelsBoundaryFirst(t *testing.T) {
 	f := NewAnd(GE(VarTerm(x), ConstTerm(500)), LE(VarTerm(x), ConstTerm(600)))
 	s := New()
 	var first []string
-	if err := s.EnumerateModels(f, []Var{x}, 4, func(m Model) bool {
+	if err := s.EnumerateModelsCtx(context.Background(), f, []Var{x}, 4, func(m Model) bool {
 		first = append(first, m[x].RatString())
 		return true
 	}); err != nil {
@@ -118,7 +119,7 @@ func TestEnumerateModelsMatchesBruteForce(t *testing.T) {
 		}
 		s := New()
 		got := map[string]bool{}
-		err := s.EnumerateModels(f, vars, 200, func(m Model) bool {
+		err := s.EnumerateModelsCtx(context.Background(), f, vars, 200, func(m Model) bool {
 			got[m[x].RatString()+","+m[y].RatString()] = true
 			return true
 		})

@@ -24,15 +24,16 @@ var (
 		h := map[string]*obs.Histogram{}
 		for _, kind := range []string{opQE, opSat, opModel, opEnumerate, opElimination} {
 			h[kind] = obs.Default().Histogram("sia_smt_query_seconds",
-				"Wall time of outermost public solver calls, by query kind.",
+				"Wall time of public solver calls, by query kind.",
 				obs.DurationBuckets(), obs.Label{Key: "kind", Value: kind})
 		}
 		return h
 	}()
 )
 
-// Query kinds for the sia_smt_query_seconds histogram. A nested public call
-// (Model calling QE) is charged to the outermost kind only.
+// Query kinds for the sia_smt_query_seconds histogram, one per public entry
+// point (QECtx, SatisfiableCtx, ModelCtx, EnumerateModelsCtx). Entry points
+// never call one another, so each call is charged to its own kind only.
 const (
 	opQE        = "qe"
 	opSat       = "sat"
@@ -47,7 +48,7 @@ const (
 
 // QueryStat summarizes one kind of the sia_smt_query_seconds histogram.
 type QueryStat struct {
-	// Count is the number of outermost public solver calls of this kind.
+	// Count is the number of public solver calls of this kind.
 	Count uint64 `json:"count"`
 	// SumSeconds is the total wall time across those calls.
 	SumSeconds float64 `json:"sum_seconds"`

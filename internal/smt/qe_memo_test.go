@@ -92,18 +92,18 @@ func TestQEMemoCancellationSweep(t *testing.T) {
 func TestQEMemoBudgetErrorNotCached(t *testing.T) {
 	f := qeMemoTestFormula()
 	qeMemo.Purge()
-	want, err := New().Satisfiable(f)
+	want, err := New().SatisfiableCtx(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	qeMemo.Purge()
 	small := &Solver{MaxDisjuncts: 1}
-	if _, err := small.Satisfiable(f); err == nil {
+	if _, err := small.SatisfiableCtx(context.Background(), f); err == nil {
 		t.Skip("budget of 1 disjunct did not trip on this formula")
 	} else if !errors.Is(err, ErrBudget) {
 		t.Fatalf("unexpected error kind: %v", err)
 	}
-	got, err := New().Satisfiable(f)
+	got, err := New().SatisfiableCtx(context.Background(), f)
 	if err != nil {
 		t.Fatalf("rerun after budget abort failed: %v", err)
 	}
@@ -117,12 +117,12 @@ func TestQEMemoBudgetErrorNotCached(t *testing.T) {
 func TestQEMemoHitsServeSameAnswer(t *testing.T) {
 	f := qeMemoTestFormula()
 	qeMemo.Purge()
-	first, err := New().Satisfiable(f)
+	first, err := New().SatisfiableCtx(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore := mQEMemoHits.Value()
-	second, err := New().Satisfiable(f)
+	second, err := New().SatisfiableCtx(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +150,14 @@ func TestParallelDisjunctsMatchSerial(t *testing.T) {
 
 	old := runtime.GOMAXPROCS(1)
 	qeMemo.Purge()
-	serial, serialErr := New().QE(g)
+	serial, serialErr := New().QECtx(context.Background(), g)
 	runtime.GOMAXPROCS(old)
 	if serialErr != nil {
 		t.Fatal(serialErr)
 	}
 
 	qeMemo.Purge()
-	parallel, parallelErr := New().QE(g)
+	parallel, parallelErr := New().QECtx(context.Background(), g)
 	if parallelErr != nil {
 		t.Fatal(parallelErr)
 	}

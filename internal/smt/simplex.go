@@ -5,7 +5,7 @@ import (
 )
 
 // This file implements an exact-arithmetic Phase-I simplex over the
-// rationals, used as a sound fast path in Satisfiable: a conjunction of
+// rationals, used as a sound fast path in SatisfiableCtx: a conjunction of
 // linear atoms that is infeasible over ℚ is certainly infeasible over ℤ,
 // so the (far more expensive) quantifier-elimination pipeline can be
 // skipped. Rational feasibility proves nothing for integer variables

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -109,7 +110,7 @@ func TestSimplexDifferentialAgainstSolver(t *testing.T) {
 		for _, v := range FreeVars(f) {
 			closed = &Exists{V: v, F: closed}
 		}
-		qf, err := s.QE(closed)
+		qf, err := s.QECtx(context.Background(), closed)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -135,7 +136,7 @@ func TestSatisfiableUsesSimplexCut(t *testing.T) {
 		GE(VarTerm(x), ConstTerm(5)),
 		GE(VarTerm(y), ConstTerm(5)),
 	)
-	sat, err := s.Satisfiable(f)
+	sat, err := s.SatisfiableCtx(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}

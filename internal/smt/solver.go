@@ -27,7 +27,7 @@ var ErrBudget = errors.New("smt: elimination budget exceeded")
 // propagates out of the whole pipeline.
 var ErrInterrupted = errors.New("smt: interrupted")
 
-// ErrUnsat is returned by Model when the formula has no model.
+// ErrUnsat is returned by ModelCtx when the formula has no model.
 var ErrUnsat = errors.New("smt: unsatisfiable")
 
 // Model is a satisfying assignment: exact rational values per variable
@@ -36,9 +36,9 @@ type Model map[Var]*big.Rat
 
 // Stats counts the work a solver has performed.
 type Stats struct {
-	SatQueries   int // calls to Satisfiable (including internal ones)
+	SatQueries   int // calls to SatisfiableCtx
 	Eliminations int // quantifier eliminations performed
-	ModelQueries int // calls to Model
+	ModelQueries int // calls to ModelCtx
 	SimplexCuts  int // UNSAT answers settled by the rational simplex fast path
 }
 
@@ -55,8 +55,8 @@ type Solver struct {
 	// MaxModulus bounds the divisibility period δ in Cooper elimination.
 	// 0 means the default.
 	MaxModulus int
-	// Timeout bounds the wall-clock time of one public call (Satisfiable,
-	// Valid, Model, QE). Exceeding it returns ErrBudget — the analogue of
+	// Timeout bounds the wall-clock time of one public call (QECtx,
+	// SatisfiableCtx, ModelCtx, EnumerateModelsCtx). Exceeding it returns ErrBudget — the analogue of
 	// the Z3 timeout the paper configures ("the optimizer may use SIA
 	// with an explicit timeout", §6.2). 0 means no timeout.
 	Timeout time.Duration
@@ -72,15 +72,13 @@ type Solver struct {
 	elimDepth atomic.Int32
 }
 
-// arm binds the caller's context and starts the timeout clock for a public
-// entry point. Nested public calls (e.g. Model calling QE) keep the
-// outermost context, deadline and query kind. The returned func disarms the
-// solver and records the call's wall time under sia_smt_query_seconds; it
-// must be deferred by every public entry point.
+// arm binds the caller's context and starts the timeout clock for one
+// public entry point. Public entry points never call one another (their
+// shared recursion goes through qe), so each call is charged to exactly its
+// own query kind. The returned func disarms the solver and records the
+// call's wall time under sia_smt_query_seconds; it must be deferred by every
+// public entry point.
 func (s *Solver) arm(ctx context.Context, kind string) func() {
-	if s.ctx != nil {
-		return func() {}
-	}
 	s.ctx = ctx
 	start := time.Now()
 	if s.Timeout > 0 {
@@ -147,15 +145,17 @@ func (s *Solver) freshVar() Var {
 	return Var{Name: fmt.Sprintf("$q%d", id), Sort: SortInt}
 }
 
-// QE returns a quantifier-free formula equivalent to f.
-func (s *Solver) QE(f Formula) (Formula, error) {
-	return s.QECtx(context.Background(), f)
-}
-
-// QECtx is QE honoring ctx: cancellation surfaces as ErrInterrupted within
-// one elimination step.
+// QECtx returns a quantifier-free formula equivalent to f. Cancelling ctx
+// surfaces as ErrInterrupted within one elimination step.
 func (s *Solver) QECtx(ctx context.Context, f Formula) (Formula, error) {
 	defer s.arm(ctx, opQE)()
+	return s.qe(f)
+}
+
+// qe is quantifier elimination under an already armed solver: the recursion
+// QECtx, SatisfiableCtx, ModelCtx and EnumerateModelsCtx share. It polls
+// checkStop once per subformula.
+func (s *Solver) qe(f Formula) (Formula, error) {
 	if err := s.checkStop(); err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func (s *Solver) QECtx(ctx context.Context, f Formula) (Formula, error) {
 	case *And:
 		fs := make([]Formula, 0, len(x.Fs))
 		for _, g := range x.Fs {
-			r, err := s.QE(g)
+			r, err := s.qe(g)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +175,7 @@ func (s *Solver) QECtx(ctx context.Context, f Formula) (Formula, error) {
 	case *Or:
 		fs := make([]Formula, 0, len(x.Fs))
 		for _, g := range x.Fs {
-			r, err := s.QE(g)
+			r, err := s.qe(g)
 			if err != nil {
 				return nil, err
 			}
@@ -183,19 +183,19 @@ func (s *Solver) QECtx(ctx context.Context, f Formula) (Formula, error) {
 		}
 		return NewOr(fs...), nil
 	case *Not:
-		inner, err := s.QE(x.F)
+		inner, err := s.qe(x.F)
 		if err != nil {
 			return nil, err
 		}
 		return NewNot(inner), nil
 	case *Exists:
-		inner, err := s.QE(x.F)
+		inner, err := s.qe(x.F)
 		if err != nil {
 			return nil, err
 		}
 		return s.eliminate(x.V, inner)
 	case *ForAll:
-		inner, err := s.QE(x.F)
+		inner, err := s.qe(x.F)
 		if err != nil {
 			return nil, err
 		}
@@ -425,14 +425,9 @@ func (s *Solver) eliminateDisjunctsParallel(v Var, or *Or) (Formula, error) {
 	return Simplify(NewOr(fs...)), nil
 }
 
-// Satisfiable decides whether f has a model. Free variables are treated as
-// existentially quantified.
-func (s *Solver) Satisfiable(f Formula) (bool, error) {
-	return s.SatisfiableCtx(context.Background(), f)
-}
-
-// SatisfiableCtx is Satisfiable honoring ctx: cancellation surfaces as
-// ErrInterrupted within one elimination step.
+// SatisfiableCtx decides whether f has a model. Free variables are treated
+// as existentially quantified. Cancelling ctx surfaces as ErrInterrupted
+// within one elimination step.
 func (s *Solver) SatisfiableCtx(ctx context.Context, f Formula) (bool, error) {
 	defer s.arm(ctx, opSat)()
 	// A dead context fails fast even when a shortcut (the simplex cut
@@ -454,7 +449,7 @@ func (s *Solver) SatisfiableCtx(ctx context.Context, f Formula) (bool, error) {
 	for _, v := range FreeVars(f) {
 		closed = &Exists{V: v, F: closed}
 	}
-	g, err := s.QE(closed)
+	g, err := s.qe(closed)
 	if err != nil {
 		return false, err
 	}
@@ -466,22 +461,9 @@ func (s *Solver) SatisfiableCtx(ctx context.Context, f Formula) (bool, error) {
 	return bool(b), nil
 }
 
-// Valid decides whether f holds under every assignment of its free
-// variables.
-func (s *Solver) Valid(f Formula) (bool, error) {
-	return s.ValidCtx(context.Background(), f)
-}
-
-// ValidCtx is Valid honoring ctx.
-func (s *Solver) ValidCtx(ctx context.Context, f Formula) (bool, error) {
-	sat, err := s.SatisfiableCtx(ctx, NewNot(f))
-	if err != nil {
-		return false, err
-	}
-	return !sat, nil
-}
-
-// Model returns a satisfying assignment for f's free variables, or ErrUnsat.
+// ModelCtx returns a satisfying assignment for f's free variables, or
+// ErrUnsat. Cancelling ctx surfaces as ErrInterrupted within one elimination
+// step.
 //
 // The procedure assigns variables one at a time: for each variable v it
 // projects all later variables away with quantifier elimination, obtaining
@@ -490,12 +472,6 @@ func (s *Solver) ValidCtx(ctx context.Context, f Formula) (bool, error) {
 // from that set and substitutes it before moving on. This mirrors how the
 // paper extracts concrete tuples from Z3's models (§5.3) while remaining
 // exact.
-func (s *Solver) Model(f Formula) (Model, error) {
-	return s.ModelCtx(context.Background(), f)
-}
-
-// ModelCtx is Model honoring ctx: cancellation surfaces as ErrInterrupted
-// within one elimination step.
 func (s *Solver) ModelCtx(ctx context.Context, f Formula) (Model, error) {
 	defer s.arm(ctx, opModel)()
 	if err := s.checkStop(); err != nil {
@@ -504,7 +480,7 @@ func (s *Solver) ModelCtx(ctx context.Context, f Formula) (Model, error) {
 	s.Stats.ModelQueries++
 	mModelQueries.Inc()
 	vars := FreeVars(f)
-	qf, err := s.QE(f)
+	qf, err := s.qe(f)
 	if err != nil {
 		return nil, err
 	}

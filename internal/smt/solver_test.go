@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -74,7 +75,7 @@ func TestCooperDifferential(t *testing.T) {
 	s := New()
 	for i := 0; i < 250; i++ {
 		f := randQF(r, vars, 3, false)
-		g, err := s.QE(&Exists{V: x, F: f})
+		g, err := s.QECtx(context.Background(), &Exists{V: x, F: f})
 		if err != nil {
 			t.Fatalf("QE failed on %s: %v", f, err)
 		}
@@ -99,7 +100,7 @@ func TestCooperForAllDifferential(t *testing.T) {
 	s := New()
 	for i := 0; i < 120; i++ {
 		f := randQF(r, []Var{x, y}, 2, false)
-		g, err := s.QE(&ForAll{V: x, F: f})
+		g, err := s.QECtx(context.Background(), &ForAll{V: x, F: f})
 		if err != nil {
 			t.Fatalf("QE failed on %s: %v", f, err)
 		}
@@ -126,7 +127,7 @@ func TestRealDifferential(t *testing.T) {
 	s := New()
 	for i := 0; i < 250; i++ {
 		f := randQF(r, vars, 3, true)
-		g, err := s.QE(&Exists{V: x, F: f})
+		g, err := s.QECtx(context.Background(), &Exists{V: x, F: f})
 		if err != nil {
 			t.Fatalf("QE failed on %s: %v", f, err)
 		}
@@ -163,7 +164,7 @@ func TestSatisfiableBasics(t *testing.T) {
 		{Bool(false), false},
 	}
 	for _, c := range cases {
-		got, err := s.Satisfiable(c.f)
+		got, err := s.SatisfiableCtx(context.Background(), c.f)
 		if err != nil {
 			t.Fatalf("%s: %v", c.f, err)
 		}
@@ -178,7 +179,7 @@ func TestSatisfiableRealDensity(t *testing.T) {
 	x, y := RealVar("x"), RealVar("y")
 	// x < y < x+1 has real solutions (unlike the integer case).
 	f := NewAnd(LT(VarTerm(x), VarTerm(y)), LT(VarTerm(y), VarTerm(x).Clone().AddInt64(1)))
-	got, err := s.Satisfiable(f)
+	got, err := s.SatisfiableCtx(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestSatisfiableRealDensity(t *testing.T) {
 		t.Fatal("dense order: x < y < x+1 must be satisfiable over reals")
 	}
 	// 2x = 7 over reals is satisfiable.
-	g, err := s.Satisfiable(EQ(VarTerm(x).Clone().Scale(big.NewRat(2, 1)), ConstTerm(7)))
+	g, err := s.SatisfiableCtx(context.Background(), EQ(VarTerm(x).Clone().Scale(big.NewRat(2, 1)), ConstTerm(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,19 +199,19 @@ func TestSatisfiableRealDensity(t *testing.T) {
 func TestValid(t *testing.T) {
 	s := New()
 	x := IntVar("x")
-	// x <= x is valid; x < x is not.
-	v, err := s.Valid(LE(VarTerm(x), VarTerm(x).Clone()))
+	// x <= x is valid (its negation is unsatisfiable); x < 10 is not.
+	sat, err := s.SatisfiableCtx(context.Background(), NewNot(LE(VarTerm(x), VarTerm(x).Clone())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v {
+	if sat {
 		t.Fatal("x <= x should be valid")
 	}
-	v, err = s.Valid(LT(VarTerm(x), ConstTerm(10)))
+	sat, err = s.SatisfiableCtx(context.Background(), NewNot(LT(VarTerm(x), ConstTerm(10))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v {
+	if !sat {
 		t.Fatal("x < 10 should not be valid")
 	}
 }
@@ -220,7 +221,7 @@ func TestAlternatingQuantifiers(t *testing.T) {
 	a, b := IntVar("a"), IntVar("b")
 	// ∀b ∃a (a > b): true over integers.
 	f := &ForAll{V: b, F: &Exists{V: a, F: GT(VarTerm(a), VarTerm(b))}}
-	got, err := s.Satisfiable(f)
+	got, err := s.SatisfiableCtx(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestAlternatingQuantifiers(t *testing.T) {
 	}
 	// ∃a ∀b (a > b): false.
 	g := &Exists{V: a, F: &ForAll{V: b, F: GT(VarTerm(a), VarTerm(b))}}
-	got, err = s.Satisfiable(g)
+	got, err = s.SatisfiableCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestPaperUnsatisfactionTuples(t *testing.T) {
 	unsat := func(v1, v2 int64) bool {
 		f := &ForAll{V: b1, F: NewNot(p)}
 		g := substAll(f, Model{a1: new(big.Rat).SetInt64(v1), a2: new(big.Rat).SetInt64(v2)})
-		ok, err := s.Satisfiable(g)
+		ok, err := s.SatisfiableCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +272,7 @@ func TestModelBasic(t *testing.T) {
 	s := New()
 	x, y := IntVar("x"), IntVar("y")
 	f := NewAnd(GT(VarTerm(x), ConstTerm(3)), LT(VarTerm(x), ConstTerm(6)), EQ(VarTerm(y), VarTerm(x).Clone().AddInt64(10)))
-	m, err := s.Model(f)
+	m, err := s.ModelCtx(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestModelUnsat(t *testing.T) {
 	s := New()
 	x := IntVar("x")
 	f := NewAnd(GT(VarTerm(x), ConstTerm(3)), LT(VarTerm(x), ConstTerm(4)))
-	_, err := s.Model(f)
+	_, err := s.ModelCtx(context.Background(), f)
 	if !errors.Is(err, ErrUnsat) {
 		t.Fatalf("expected ErrUnsat, got %v", err)
 	}
@@ -303,7 +304,7 @@ func TestModelDifferential(t *testing.T) {
 	sats := 0
 	for i := 0; i < 150; i++ {
 		f := randQF(r, vars, 3, false)
-		sat, err := s.Satisfiable(f)
+		sat, err := s.SatisfiableCtx(context.Background(), f)
 		if errors.Is(err, ErrBudget) {
 			// Cooper's worst case is exponential; a budget refusal is the
 			// honest analogue of a Z3 timeout and is acceptable on random
@@ -313,7 +314,7 @@ func TestModelDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sat: %v", err)
 		}
-		m, err := s.Model(f)
+		m, err := s.ModelCtx(context.Background(), f)
 		if errors.Is(err, ErrBudget) {
 			continue
 		}
@@ -346,14 +347,14 @@ func TestModelRealDifferential(t *testing.T) {
 	s := New()
 	for i := 0; i < 100; i++ {
 		f := randQF(r, vars, 2, true)
-		sat, err := s.Satisfiable(f)
+		sat, err := s.SatisfiableCtx(context.Background(), f)
 		if err != nil {
 			t.Fatalf("sat: %v", err)
 		}
 		if !sat {
 			continue
 		}
-		m, err := s.Model(f)
+		m, err := s.ModelCtx(context.Background(), f)
 		if err != nil {
 			t.Fatalf("Model failed on %s: %v", f, err)
 		}
@@ -371,7 +372,7 @@ func TestModelWithBlocking(t *testing.T) {
 	f := Formula(NewAnd(GE(VarTerm(x), ConstTerm(0)), LE(VarTerm(x), ConstTerm(4))))
 	seen := map[string]bool{}
 	for i := 0; i < 5; i++ {
-		m, err := s.Model(f)
+		m, err := s.ModelCtx(context.Background(), f)
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
@@ -383,7 +384,7 @@ func TestModelWithBlocking(t *testing.T) {
 		f = NewAnd(f, NE(VarTerm(x), NewTerm(m[x])))
 	}
 	// All five values are exhausted now.
-	if _, err := s.Model(f); !errors.Is(err, ErrUnsat) {
+	if _, err := s.ModelCtx(context.Background(), f); !errors.Is(err, ErrUnsat) {
 		t.Fatalf("expected exhaustion, got %v", err)
 	}
 }
@@ -396,7 +397,7 @@ func TestBudgetExceeded(t *testing.T) {
 	tm.Scale(big.NewRat(97, 1))
 	tm.AddVar(y, big.NewRat(1, 1))
 	f := &Exists{V: x, F: EQ(tm, ConstTerm(5))}
-	_, err := s.QE(f)
+	_, err := s.QECtx(context.Background(), f)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected ErrBudget, got %v", err)
 	}
@@ -406,12 +407,12 @@ func TestMixedSortRejected(t *testing.T) {
 	s := New()
 	x, r := IntVar("x"), RealVar("r")
 	f := &Exists{V: x, F: LT(VarTerm(x), VarTerm(r))}
-	if _, err := s.QE(f); err == nil {
+	if _, err := s.QECtx(context.Background(), f); err == nil {
 		t.Fatal("eliminating an integer from a mixed atom should error")
 	}
 	// The reverse — eliminating the real — is fine.
 	g := &Exists{V: r, F: LT(VarTerm(x), VarTerm(r))}
-	out, err := s.QE(g)
+	out, err := s.QECtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestMixedSortRejected(t *testing.T) {
 func TestQEStatsAccumulate(t *testing.T) {
 	s := New()
 	x := IntVar("x")
-	if _, err := s.Satisfiable(&Exists{V: x, F: GT(VarTerm(x), ConstTerm(0))}); err != nil {
+	if _, err := s.SatisfiableCtx(context.Background(), &Exists{V: x, F: GT(VarTerm(x), ConstTerm(0))}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Stats.SatQueries != 1 || s.Stats.Eliminations == 0 {

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"errors"
 	"math/big"
 	"testing"
@@ -26,7 +27,7 @@ func TestSolverTimeout(t *testing.T) {
 	}
 	f := NewAnd(fs...)
 	start := time.Now()
-	_, err := s.Satisfiable(f)
+	_, err := s.SatisfiableCtx(context.Background(), f)
 	elapsed := time.Since(start)
 	if err == nil {
 		// Fast machines may finish inside the window; only a hang or a
@@ -47,11 +48,11 @@ func TestSolverTimeoutResets(t *testing.T) {
 	// is per-call, not sticky.
 	s := &Solver{Timeout: 200 * time.Millisecond}
 	x := IntVar("x")
-	ok, err := s.Satisfiable(GT(VarTerm(x), ConstTerm(0)))
+	ok, err := s.SatisfiableCtx(context.Background(), GT(VarTerm(x), ConstTerm(0)))
 	if err != nil || !ok {
 		t.Fatalf("simple query failed: %v %v", err, ok)
 	}
-	m, err := s.Model(GT(VarTerm(x), ConstTerm(41)))
+	m, err := s.ModelCtx(context.Background(), GT(VarTerm(x), ConstTerm(41)))
 	if err != nil {
 		t.Fatal(err)
 	}

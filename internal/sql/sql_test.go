@@ -102,7 +102,7 @@ func TestPlanJoinExtraction(t *testing.T) {
 	if strings.Contains(explained, "o_orderkey = l_orderkey") {
 		t.Fatalf("join condition left in filter:\n%s", explained)
 	}
-	out, _, err := plan.Execute(node, cat)
+	out, _, err := plan.ExecuteOpts(node, cat, plan.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPlanExecutionMatchesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := plan.Execute(node, cat)
+	out, _, err := plan.ExecuteOpts(node, cat, plan.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPlanCountStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := plan.Execute(node, cat)
+	out, _, err := plan.ExecuteOpts(node, cat, plan.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

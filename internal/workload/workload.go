@@ -13,6 +13,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -143,6 +144,6 @@ func satisfiable(solver *smt.Solver, p predicate.Predicate, schema *predicate.Sc
 	if err != nil {
 		return false
 	}
-	sat, err := solver.Satisfiable(f)
+	sat, err := solver.SatisfiableCtx(context.Background(), f)
 	return err == nil && sat
 }

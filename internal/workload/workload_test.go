@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestGeneratedQueriesFollowTemplate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", q.ID, err)
 		}
-		sat, err := solver.Satisfiable(f)
+		sat, err := solver.SatisfiableCtx(context.Background(), f)
 		if err != nil {
 			t.Fatalf("query %d: %v", q.ID, err)
 		}

@@ -19,7 +19,7 @@
 //	res, _ := sia.SynthesizeContext(ctx, pred, []string{"l_commitdate", "l_shipdate"}, schema, sia.Options{})
 //	fmt.Println(res.Predicate) // e.g. -1*l_commitdate + l_shipdate + 29 > 0 AND ...
 //
-// SynthesizeContext is the primary entry point: cancelling ctx (or letting
+// SynthesizeContext is the synthesis entry point: cancelling ctx (or letting
 // its deadline pass) stops the loop — including a solver call in progress —
 // and returns an error matching ErrTimeout. Failures are classified with
 // the package's sentinel errors (ErrTimeout, ErrBudget, ErrInvalidOptions)
@@ -79,22 +79,12 @@ type (
 )
 
 // SynthesizeContext learns a valid (and, when the loop converges, optimal)
-// dimensionality reduction of p to cols. It is the primary synthesis entry
-// point: the CEGIS loop polls ctx between and during solver calls, so
-// cancelling ctx or exceeding its deadline aborts promptly with an error
-// matching ErrTimeout (and ctx.Err()). See core.SynthesizeContext.
+// dimensionality reduction of p to cols. The CEGIS loop polls ctx between
+// and during solver calls, so cancelling ctx or exceeding its deadline
+// aborts promptly with an error matching ErrTimeout (and ctx.Err()). See
+// core.SynthesizeContext.
 func SynthesizeContext(ctx context.Context, p Predicate, cols []string, schema *Schema, opts Options) (*Result, error) {
 	return core.SynthesizeContext(ctx, p, cols, schema, opts)
-}
-
-// Synthesize is SynthesizeContext with context.Background().
-//
-// Deprecated: it cannot be cancelled or given a caller deadline — only the
-// internal Options.Timeout bounds it. New code should call
-// SynthesizeContext; this form remains for existing callers and one-shot
-// tools where an unbounded run is acceptable.
-func Synthesize(p Predicate, cols []string, schema *Schema, opts Options) (*Result, error) {
-	return core.SynthesizeContext(context.Background(), p, cols, schema, opts)
 }
 
 // VerifyReductionContext reports whether candidate is implied by p under
@@ -103,14 +93,6 @@ func Synthesize(p Predicate, cols []string, schema *Schema, opts Options) (*Resu
 // aborts the solver call with an error matching ErrTimeout.
 func VerifyReductionContext(ctx context.Context, p, candidate Predicate, schema *Schema) (bool, error) {
 	return core.VerifyReductionContext(ctx, p, candidate, schema)
-}
-
-// VerifyReduction is VerifyReductionContext with context.Background().
-//
-// Deprecated: prefer VerifyReductionContext so implication checks inherit
-// request deadlines; this form remains for existing callers.
-func VerifyReduction(p, candidate Predicate, schema *Schema) (bool, error) {
-	return core.VerifyReductionContext(context.Background(), p, candidate, schema)
 }
 
 // ParsePredicate parses a SQL boolean expression against a schema.

@@ -1,6 +1,7 @@
 package sia_test
 
 import (
+	"context"
 	"testing"
 
 	"sia"
@@ -17,7 +18,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sia.Synthesize(pred, []string{"l_commitdate", "l_shipdate"}, schema, sia.Options{})
+	res, err := sia.SynthesizeContext(context.Background(), pred, []string{"l_commitdate", "l_shipdate"}, schema, sia.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +26,12 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("quickstart failed: %+v", res)
 	}
 	// The synthesized predicate must be a verified reduction.
-	ok, err := sia.VerifyReduction(pred, res.Predicate, schema)
+	ok, err := sia.VerifyReductionContext(context.Background(), pred, res.Predicate, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Fatalf("VerifyReduction rejects the synthesizer's own output: %s", res.Predicate)
+		t.Fatalf("VerifyReductionContext rejects the synthesizer's own output: %s", res.Predicate)
 	}
 	// And it must accept the paper's Q2 tuples: ship 1993-06-19,
 	// commit 1993-07-17 is feasible (order 1993-05-31).
@@ -53,7 +54,7 @@ func TestPublicAPIVerifyHandWrittenRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := sia.VerifyReduction(p, good, schema)
+	ok, err := sia.VerifyReductionContext(context.Background(), p, good, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPublicAPIVerifyHandWrittenRewrite(t *testing.T) {
 		t.Fatal("a < 19 is implied by a - b < 20 AND b < 0")
 	}
 	bad, _ := sia.ParsePredicate("a < 18", schema)
-	ok, err = sia.VerifyReduction(p, bad, schema)
+	ok, err = sia.VerifyReductionContext(context.Background(), p, bad, schema)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,23 +25,6 @@ func quickstartPredicate(t *testing.T) (sia.Predicate, *sia.Schema) {
 	return pred, schema
 }
 
-func TestSynthesizeContextMatchesSynthesize(t *testing.T) {
-	pred, schema := quickstartPredicate(t)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	res, err := sia.SynthesizeContext(ctx, pred, []string{"l_commitdate", "l_shipdate"}, schema, sia.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := sia.Synthesize(pred, []string{"l_commitdate", "l_shipdate"}, schema, sia.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Predicate.String() != legacy.Predicate.String() {
-		t.Fatalf("context and legacy entry points disagree:\n%s\n%s", res.Predicate, legacy.Predicate)
-	}
-}
-
 // TestSynthesizeContextCancellation is the acceptance check: cancelling ctx
 // during synthesis returns an ErrTimeout-compatible error promptly and
 // leaks no goroutines.
