@@ -1,12 +1,12 @@
 package cache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"sia/internal/cache/memo"
 	"sia/internal/core"
 	"sia/internal/obs"
 	"sia/internal/predicate"
@@ -43,10 +43,11 @@ type Stats struct {
 // immutable (every field is write-once metadata or an immutable predicate
 // tree, so ordinary use never mutates one).
 type Synthesizer struct {
+	// mu guards inflight. do looks a key up in results and inflight under
+	// it, and run stores a result and clears its inflight slot under it,
+	// so a request never misses both.
 	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently used
-	entries  map[string]*list.Element
+	results  *memo.Cache[string, *core.Result]
 	inflight map[string]*call
 
 	// The monotone counters are obs instruments so a registry can read
@@ -57,11 +58,6 @@ type Synthesizer struct {
 	// SetTracer; the atomic pointer keeps that pair race-free without
 	// widening c.mu over trace emission.
 	tracer atomic.Pointer[obs.Tracer]
-}
-
-type entry struct {
-	key string
-	res *core.Result
 }
 
 // call is one in-flight computation. Its lifecycle: created by the first
@@ -87,9 +83,7 @@ func NewSynthesizer(capacity int) *Synthesizer {
 		capacity = DefaultCapacity
 	}
 	return &Synthesizer{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  map[string]*list.Element{},
+		results:  memo.New[string, *core.Result](capacity),
 		inflight: map[string]*call{},
 	}
 }
@@ -133,10 +127,8 @@ func (c *Synthesizer) do(ctx context.Context, key string, fn func(context.Contex
 			return nil, false, fmt.Errorf("%w: %w", core.ErrTimeout, cerr)
 		}
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			c.ll.MoveToFront(el)
+		if res, ok := c.results.Get(key); ok {
 			c.hits.Inc()
-			res := el.Value.(*entry).res
 			c.mu.Unlock()
 			c.traceOutcome("hit")
 			return res, true, nil
@@ -215,29 +207,16 @@ func (c *Synthesizer) run(key string, cl *call, runCtx context.Context, fn func(
 		delete(c.inflight, key)
 	}
 	if err == nil {
-		c.insert(key, res)
+		c.store(key, res)
 	}
 	c.mu.Unlock()
 	close(cl.done)
 	cl.cancel()
 }
 
-// insert stores res under key, evicting from the LRU tail past capacity.
-// Caller holds c.mu.
-func (c *Synthesizer) insert(key string, res *core.Result) {
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry)
-		e.res = res
-		c.ll.MoveToFront(el)
-		return
-	}
-	e := &entry{key: key, res: res}
-	c.entries[key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		be := back.Value.(*entry)
-		delete(c.entries, be.key)
+// store keeps res under key, counting the entry the LRU bound drops.
+func (c *Synthesizer) store(key string, res *core.Result) {
+	if c.results.Add(key, res) {
 		c.evictions.Inc()
 	}
 }
@@ -249,15 +228,11 @@ func (c *Synthesizer) insert(key string, res *core.Result) {
 // fast path before forwarding a peer-owned key: a positive lookup skips
 // the network hop, a negative one proxies.
 func (c *Synthesizer) Peek(key string) (*core.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
+	res, ok := c.results.Get(key)
+	if ok {
+		c.hits.Inc()
 	}
-	c.ll.MoveToFront(el)
-	c.hits.Inc()
-	return el.Value.(*entry).res, true
+	return res, ok
 }
 
 // Put stores res under key without counting a miss, evicting past
@@ -265,9 +240,7 @@ func (c *Synthesizer) Peek(key string) (*core.Result, bool) {
 // batched group runs (one grouped result stored under each member's key);
 // ordinary synthesis results should flow through Synthesize.
 func (c *Synthesizer) Put(key string, res *core.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert(key, res)
+	c.store(key, res)
 }
 
 // Entry is one exported cache entry.
@@ -281,13 +254,10 @@ type Entry struct {
 // use the MRU order so a capacity-truncated restore keeps the hottest
 // keys.
 func (c *Synthesizer) Export() []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		out = append(out, Entry{Key: e.key, Res: e.res})
-	}
+	out := make([]Entry, 0, c.results.Len())
+	c.results.Each(func(key string, res *core.Result) {
+		out = append(out, Entry{Key: key, Res: res})
+	})
 	return out
 }
 
@@ -300,7 +270,7 @@ func (c *Synthesizer) Stats() Stats {
 		Misses:    c.misses.Value(),
 		Coalesced: c.coalesced.Value(),
 		Evictions: c.evictions.Value(),
-		Entries:   c.ll.Len(),
+		Entries:   c.results.Len(),
 		InFlight:  len(c.inflight),
 	}
 }
@@ -327,10 +297,10 @@ func (c *Synthesizer) RegisterMetrics(reg *obs.Registry) error {
 		fn         func() float64
 		gauge      bool
 	}
-	gauges := func() (entries, inflight int) {
+	inflight := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return c.ll.Len(), len(c.inflight)
+		return len(c.inflight)
 	}
 	metrics := []metric{
 		{"sia_cache_hits_total", "Requests answered from a stored entry.",
@@ -342,9 +312,9 @@ func (c *Synthesizer) RegisterMetrics(reg *obs.Registry) error {
 		{"sia_cache_evictions_total", "Entries dropped by the LRU bound.",
 			func() float64 { return float64(c.evictions.Value()) }, false},
 		{"sia_cache_entries", "Current number of stored results.",
-			func() float64 { e, _ := gauges(); return float64(e) }, true},
+			func() float64 { return float64(c.results.Len()) }, true},
 		{"sia_cache_inflight", "Current number of running computations.",
-			func() float64 { _, f := gauges(); return float64(f) }, true},
+			func() float64 { return float64(inflight()) }, true},
 	}
 	for _, m := range metrics {
 		var err error

@@ -1,8 +1,7 @@
 // Package memo provides a small, bounded, concurrency-safe memoization
-// cache with LRU eviction. It is the building block for hot-path memo
-// tables (such as the SMT quantifier-elimination memo) that need a hard
-// footprint bound and deterministic eviction, without the admission
-// policies or tracing of internal/cache. Unlike internal/cache it never
+// cache with LRU eviction. It is the store under both internal/cache's
+// synthesis results and the SMT quantifier-elimination memo: a hard
+// footprint bound and deterministic eviction, nothing more. It never
 // computes values itself: the caller decides what is safe to store, which
 // matters when a computation can be aborted mid-way (a cancelled
 // elimination must not poison the table).
@@ -79,6 +78,21 @@ func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// Each calls fn on every entry, most recently used first, without changing
+// recency. It walks a copy taken under the lock, so fn sees one consistent
+// snapshot and may itself use the cache.
+func (c *Cache[K, V]) Each(fn func(K, V)) {
+	c.mu.Lock()
+	snap := make([]entry[K, V], 0, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		snap = append(snap, *el.Value.(*entry[K, V]))
+	}
+	c.mu.Unlock()
+	for _, e := range snap {
+		fn(e.key, e.val)
+	}
 }
 
 // Purge empties the cache.

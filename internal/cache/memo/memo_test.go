@@ -48,6 +48,30 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+func TestEachMRUFirst(t *testing.T) {
+	c := New[string, int](4)
+	for i, k := range []string{"a", "b", "c"} {
+		c.Add(k, i)
+	}
+	c.Get("a") // "a" becomes most recently used
+	var keys []string
+	var vals []int
+	c.Each(func(k string, v int) {
+		keys = append(keys, k)
+		vals = append(vals, v)
+		c.Len() // fn may use the cache
+	})
+	if fmt.Sprint(keys) != "[a c b]" || fmt.Sprint(vals) != "[0 2 1]" {
+		t.Fatalf("Each walked %v %v, want [a c b] [0 2 1]", keys, vals)
+	}
+	// The walk does not touch recency: "b" is still the LRU victim.
+	c.Add("d", 3)
+	c.Add("e", 4)
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("Each refreshed the LRU entry")
+	}
+}
+
 func TestPurge(t *testing.T) {
 	c := New[int, int](8)
 	for i := 0; i < 8; i++ {

@@ -512,8 +512,8 @@ func (s *Server) parse(req api.SynthesizeRequest) (parsedRequest, error) {
 	}
 	key, ok := cache.KeyFor(pred, req.Cols, schema, opts)
 	if !ok {
-		// Wire requests cannot carry a Solver or Tracer, so every one is
-		// cacheable; reaching here is a programmer error.
+		// Wire requests cannot carry a Trace hook or Tracer, so every one
+		// is cacheable; reaching here is a programmer error.
 		return pr, fmt.Errorf("serve: request unexpectedly uncacheable")
 	}
 	pr = parsedRequest{pred: pred, cols: req.Cols, schema: schema, opts: opts, key: key}

@@ -202,7 +202,7 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 		return nil, err
 	}
 
-	if !delta.IsInt64() || delta.Int64() > int64(s.maxModulus()) {
+	if !delta.IsInt64() || delta.Int64() > maxModulus {
 		return nil, fmt.Errorf("%w: divisibility period %s too large eliminating %s", ErrBudget, delta, v)
 	}
 	dn := delta.Int64()
@@ -211,7 +211,7 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 	if !useLower {
 		bounds = uppers
 	}
-	if (int64(len(bounds))+1)*dn > int64(s.maxDisjuncts()) {
+	if (int64(len(bounds))+1)*dn > maxDisjuncts {
 		return nil, fmt.Errorf("%w: %d×%d substitutions eliminating %s", ErrBudget, len(bounds)+1, dn, v)
 	}
 
@@ -249,8 +249,8 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 			}
 			disjuncts = append(disjuncts, d)
 			total += CountNodes(d)
-			if total > s.maxNodes() {
-				return nil, fmt.Errorf("%w: formula grew past %d nodes eliminating %s", ErrBudget, s.maxNodes(), v)
+			if total > maxNodes {
+				return nil, fmt.Errorf("%w: formula grew past %d nodes eliminating %s", ErrBudget, maxNodes, v)
 			}
 		}
 	}

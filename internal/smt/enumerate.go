@@ -20,7 +20,7 @@ import (
 // representative subset of the region — but not necessarily every point of
 // an interval. Callers that must distinguish "no more points" from
 // "candidates ran out" (Sia's optimality proof does) should confirm
-// exhaustion with a blocked SatisfiableCtx query. Cancelling ctx surfaces as
+// exhaustion with a blocked ModelCtx query. Cancelling ctx surfaces as
 // ErrInterrupted within one elimination step.
 func (s *Solver) EnumerateModelsCtx(ctx context.Context, f Formula, vars []Var, limit int, emit func(Model) bool) error {
 	defer s.arm(ctx, opEnumerate)()
@@ -114,32 +114,7 @@ func univariateCandidates(v Var, f Formula, spread int64) ([]*big.Rat, error) {
 	if _, ok := f.(Bool); ok {
 		return []*big.Rat{new(big.Rat)}, nil
 	}
-	var bounds []*big.Rat
-	seenBounds := map[string]bool{}
-	delta := big.NewInt(1)
-	err := walkLeaves(f, func(leaf Formula) error {
-		switch x := leaf.(type) {
-		case *Atom:
-			c := x.T.Coeff(v)
-			if c.Sign() == 0 {
-				return fmt.Errorf("smt: internal: ground atom %s survived simplification", x)
-			}
-			rest := new(big.Rat).Set(x.T.Const())
-			b := rest.Neg(rest)
-			b.Quo(b, c)
-			if key := b.RatString(); !seenBounds[key] {
-				seenBounds[key] = true
-				bounds = append(bounds, b)
-			}
-		case *Div:
-			if x.T.Has(v) {
-				lcmInto(delta, x.M)
-			}
-		default:
-			// walkLeaves yields only Atom and Div leaves.
-		}
-		return nil
-	})
+	bounds, base, delta, err := readUnivariate(v, f)
 	if err != nil {
 		return nil, err
 	}
@@ -161,11 +136,6 @@ func univariateCandidates(v Var, f Formula, spread int64) ([]*big.Rat, error) {
 		}
 		if est := int64(2*len(bounds)+1) * (2*dn + 1); est > 200000 {
 			return nil, fmt.Errorf("%w: %d enumeration candidates", ErrBudget, est)
-		}
-		base := []*big.Rat{new(big.Rat)}
-		for _, b := range bounds {
-			fl := ratFloor(b)
-			base = append(base, new(big.Rat).SetInt(fl), new(big.Rat).SetInt(new(big.Int).Add(fl, bigOne)))
 		}
 		// Order matters for enumeration quality: emit center-out offsets
 		// (0, +1, -1, +2, -2, …) round-robin across the base points, so
@@ -214,6 +184,53 @@ func univariateCandidates(v Var, f Formula, spread int64) ([]*big.Rat, error) {
 		}
 	}
 	return candidates, nil
+}
+
+// readUnivariate reads what both univariate scans — solveUnivariate and
+// univariateCandidates — need from a quantifier-free formula whose only
+// free variable is v: the distinct bound constants its atoms put on v, in
+// first-seen order; δ, the lcm of the moduli of the divisibility
+// constraints on v; and, for an integer v, the base points of the integer
+// scan, 0 followed by ⌊b⌋ and ⌊b⌋+1 for each bound b. Each caller applies
+// its own caps, window and candidate order to these.
+func readUnivariate(v Var, f Formula) (bounds, base []*big.Rat, delta *big.Int, err error) {
+	seen := map[string]bool{}
+	delta = big.NewInt(1)
+	err = walkLeaves(f, func(leaf Formula) error {
+		switch x := leaf.(type) {
+		case *Atom:
+			c := x.T.Coeff(v)
+			if c.Sign() == 0 {
+				return fmt.Errorf("smt: internal: ground atom %s survived simplification", x)
+			}
+			rest := new(big.Rat).Set(x.T.Const())
+			// bound = -rest/c
+			b := rest.Neg(rest)
+			b.Quo(b, c)
+			if key := b.RatString(); !seen[key] {
+				seen[key] = true
+				bounds = append(bounds, b)
+			}
+		case *Div:
+			if x.T.Has(v) {
+				lcmInto(delta, x.M)
+			}
+		default:
+			// walkLeaves yields only Atom and Div leaves.
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if v.Sort == SortInt {
+		base = []*big.Rat{new(big.Rat)}
+		for _, b := range bounds {
+			fl := ratFloor(b)
+			base = append(base, new(big.Rat).SetInt(fl), new(big.Rat).SetInt(new(big.Int).Add(fl, bigOne)))
+		}
+	}
+	return bounds, base, delta, nil
 }
 
 // intBases64 extracts the base points as int64 values when every one is an

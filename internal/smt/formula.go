@@ -57,8 +57,8 @@ func (op AtomOp) String() string {
 
 // Atom asserts T Op 0.
 //
-// An interned atom (see Intern) is frozen: its rendering and the canonical
-// key of its complement are cached, and its term is frozen too.
+// An interned atom (see internLeaf) is frozen: its rendering and the
+// canonical key of its complement are cached, and its term is frozen too.
 type Atom struct {
 	Op AtomOp
 	T  *Term
@@ -66,12 +66,10 @@ type Atom struct {
 	// Interning metadata, set once under the intern shard lock before the
 	// atom is published; read-only afterwards. str caches the display
 	// rendering, key the sort-qualified interner key, negKey the canonical
-	// display key of the complement. canon marks leaves published by the
-	// simplifier's canonicalizers (internLeaf): they are Simplify fixed
-	// points, so Simplify returns them unchanged without re-deriving the
-	// canonical form.
+	// display key of the complement. Only the simplifier's canonicalizers
+	// publish leaves, so a frozen leaf is a Simplify fixed point and
+	// Simplify returns it unchanged without re-deriving the canonical form.
 	frozen bool
-	canon  bool
 	str    string
 	key    string
 	negKey string
@@ -108,7 +106,6 @@ type Div struct {
 
 	// Interning metadata; see Atom.
 	frozen bool
-	canon  bool
 	str    string
 	key    string
 }
@@ -141,59 +138,35 @@ func (d *Div) appendString(b []byte) []byte {
 // And is an n-ary conjunction.
 type And struct {
 	Fs []Formula
-
-	// Interning metadata; see Atom.
-	frozen bool
-	str    string
-	key    string
 }
 
 func (*And) formula() {}
 
 func (a *And) String() string {
-	if a.frozen {
-		return a.str
-	}
 	return joinFormulas(a.Fs, " & ", "true")
 }
 
 // Or is an n-ary disjunction.
 type Or struct {
 	Fs []Formula
-
-	// Interning metadata; see Atom.
-	frozen bool
-	str    string
-	key    string
 }
 
 func (*Or) formula() {}
 
 func (o *Or) String() string {
-	if o.frozen {
-		return o.str
-	}
 	return joinFormulas(o.Fs, " | ", "false")
 }
 
 // Not negates a formula.
 type Not struct {
 	F Formula
-
-	// Interning metadata; see Atom.
-	frozen bool
-	str    string
-	key    string
 }
 
 func (*Not) formula() {}
 
 // String renders the negation.
-// alloc: string building is the product on the uncached path.
+// alloc: string building is the product.
 func (n *Not) String() string {
-	if n.frozen {
-		return n.str
-	}
 	return "!(" + n.F.String() + ")"
 }
 
@@ -201,21 +174,13 @@ func (n *Not) String() string {
 type Exists struct {
 	V Var
 	F Formula
-
-	// Interning metadata; see Atom.
-	frozen bool
-	str    string
-	key    string
 }
 
 func (*Exists) formula() {}
 
 // String renders the quantifier.
-// alloc: string building is the product on the uncached path.
+// alloc: string building is the product.
 func (e *Exists) String() string {
-	if e.frozen {
-		return e.str
-	}
 	return fmt.Sprintf("exists %s:%s. (%s)", e.V.Name, e.V.Sort, e.F)
 }
 
@@ -223,21 +188,13 @@ func (e *Exists) String() string {
 type ForAll struct {
 	V Var
 	F Formula
-
-	// Interning metadata; see Atom.
-	frozen bool
-	str    string
-	key    string
 }
 
 func (*ForAll) formula() {}
 
 // String renders the quantifier.
-// alloc: string building is the product on the uncached path.
+// alloc: string building is the product.
 func (f *ForAll) String() string {
-	if f.frozen {
-		return f.str
-	}
 	return fmt.Sprintf("forall %s:%s. (%s)", f.V.Name, f.V.Sort, f.F)
 }
 
@@ -372,58 +329,6 @@ func evalAtomSign(op AtomOp, s int) bool {
 		return s != 0
 	default:
 		panic("smt: bad atom op")
-	}
-}
-
-// FormulaEqual reports whether two formulas are structurally identical.
-// Interned nodes compare by pointer first.
-func FormulaEqual(a, b Formula) bool {
-	if a == b {
-		return true
-	}
-	switch x := a.(type) {
-	case Bool:
-		y, ok := b.(Bool)
-		return ok && x == y
-	case *Atom:
-		y, ok := b.(*Atom)
-		return ok && x.Op == y.Op && x.T.Equal(y.T)
-	case *Div:
-		y, ok := b.(*Div)
-		return ok && x.Neg == y.Neg && x.M.Cmp(y.M) == 0 && x.T.Equal(y.T)
-	case *And:
-		y, ok := b.(*And)
-		if !ok || len(x.Fs) != len(y.Fs) {
-			return false
-		}
-		for i := range x.Fs {
-			if !FormulaEqual(x.Fs[i], y.Fs[i]) {
-				return false
-			}
-		}
-		return true
-	case *Or:
-		y, ok := b.(*Or)
-		if !ok || len(x.Fs) != len(y.Fs) {
-			return false
-		}
-		for i := range x.Fs {
-			if !FormulaEqual(x.Fs[i], y.Fs[i]) {
-				return false
-			}
-		}
-		return true
-	case *Not:
-		y, ok := b.(*Not)
-		return ok && FormulaEqual(x.F, y.F)
-	case *Exists:
-		y, ok := b.(*Exists)
-		return ok && x.V == y.V && FormulaEqual(x.F, y.F)
-	case *ForAll:
-		y, ok := b.(*ForAll)
-		return ok && x.V == y.V && FormulaEqual(x.F, y.F)
-	default:
-		panic(fmt.Sprintf("smt: unknown formula %T", a))
 	}
 }
 

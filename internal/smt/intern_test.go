@@ -19,57 +19,59 @@ func genTerm(rng *rand.Rand, vars []Var) *Term {
 	return t
 }
 
-func genFormula(rng *rand.Rand, vars []Var, depth int) Formula {
-	if depth == 0 || rng.Intn(3) == 0 {
-		ops := []AtomOp{OpLT, OpLE, OpEQ, OpNE}
-		return &Atom{Op: ops[rng.Intn(len(ops))], T: genTerm(rng, vars)}
-	}
-	switch rng.Intn(4) {
-	case 0:
-		return &And{Fs: []Formula{genFormula(rng, vars, depth-1), genFormula(rng, vars, depth-1)}}
-	case 1:
-		return &Or{Fs: []Formula{genFormula(rng, vars, depth-1), genFormula(rng, vars, depth-1)}}
-	case 2:
-		return &Not{F: genFormula(rng, vars, depth-1)}
-	default:
+// genLeaf builds a fresh random atom or divisibility leaf.
+func genLeaf(rng *rand.Rand, vars []Var) Formula {
+	if rng.Intn(4) == 0 {
 		return &Div{Neg: rng.Intn(2) == 0, M: big.NewInt(int64(rng.Intn(5) + 2)), T: genTerm(rng, vars)}
+	}
+	ops := []AtomOp{OpLT, OpLE, OpEQ, OpNE}
+	return &Atom{Op: ops[rng.Intn(len(ops))], T: genTerm(rng, vars)}
+}
+
+// leafEqual is structural equality over Simplify's leaf results. Term.Equal
+// compares variables together with their sorts.
+func leafEqual(a, b Formula) bool {
+	switch x := a.(type) {
+	case *Atom:
+		y, ok := b.(*Atom)
+		return ok && x.Op == y.Op && x.T.Equal(y.T)
+	case *Div:
+		y, ok := b.(*Div)
+		return ok && x.Neg == y.Neg && x.M.Cmp(y.M) == 0 && x.T.Equal(y.T)
+	default:
+		return a == b
 	}
 }
 
-// TestInternCanonical is the interner's core property: Intern(a) and
-// Intern(b) return the same pointer exactly when a and b are structurally
-// equal. The formula count stays far below the shard cap so no reset can
-// rotate canonical pointers mid-test.
+// TestInternCanonical is the interner's core property where the solver
+// relies on it: leaves that come out of Simplify are one pointer exactly
+// when they are structurally equal, sorts included. The pool holds an
+// integer x and a real x, which render identically. A shard reset rotates
+// canonical pointers, so a build that saw one is redone; each build inserts
+// far fewer entries than a shard holds, so every shard resets at most once
+// and internShards+1 builds always leave one reset-free.
 func TestInternCanonical(t *testing.T) {
-	vars := []Var{IntVar("x"), IntVar("y"), RealVar("r")}
-	const n = 120
-	seeds := make([]int64, n)
-	orig := make([]Formula, n)
-	interned := make([]Formula, n)
-	for i := range seeds {
-		seeds[i] = int64(i % 40) // forced duplicates across the pool
-		rng := rand.New(rand.NewSource(seeds[i]))
-		orig[i] = genFormula(rng, vars, 3)
-		// Intern a separately built copy, so Intern never sees the
-		// original pointer and must match by structure alone.
-		rng = rand.New(rand.NewSource(seeds[i]))
-		interned[i] = Intern(genFormula(rng, vars, 3))
+	vars := []Var{IntVar("x"), IntVar("y"), RealVar("x"), RealVar("r")}
+	const n = 160
+	leaves := make([]Formula, n)
+	for attempt := 0; ; attempt++ {
+		if attempt > internShards {
+			t.Fatal("interner shard resets in every build of the leaf pool")
+		}
+		resets := mInternResets.Value()
+		for i := range leaves {
+			rng := rand.New(rand.NewSource(int64(i % 50))) // forced duplicates across the pool
+			leaves[i] = Simplify(genLeaf(rng, vars))
+		}
+		if mInternResets.Value() == resets {
+			break
+		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			eq := FormulaEqual(orig[i], orig[j])
-			same := interned[i] == interned[j]
-			if eq != same {
-				t.Fatalf("equal=%v pointerEqual=%v for\n  %s\n  %s", eq, same, orig[i], orig[j])
+			if eq, same := leafEqual(leaves[i], leaves[j]), leaves[i] == leaves[j]; eq != same {
+				t.Fatalf("equal=%v pointerEqual=%v for\n  %s\n  %s", eq, same, leaves[i], leaves[j])
 			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !FormulaEqual(orig[i], interned[i]) {
-			t.Fatalf("interned formula differs structurally:\n  %s\n  %s", orig[i], interned[i])
-		}
-		if orig[i].String() != interned[i].String() {
-			t.Fatalf("interning changed the rendering: %q vs %q", orig[i], interned[i])
 		}
 	}
 }
@@ -78,11 +80,10 @@ func TestInternCanonical(t *testing.T) {
 // dropped variable sorts: an integer x and a real x render identically but
 // must never share a canonical node.
 func TestInternSortsDistinguished(t *testing.T) {
-	fi := LT(VarTerm(IntVar("x")), ConstTerm(0))
-	fr := LT(VarTerm(RealVar("x")), ConstTerm(0))
-	ai, ar := Intern(fi), Intern(fr)
-	if ai == ar {
-		t.Fatalf("int and real atoms interned to one node: %s", ai)
+	ai := Simplify(LE(VarTerm(IntVar("x")), ConstTerm(0)))
+	ar := Simplify(LE(VarTerm(RealVar("x")), ConstTerm(0)))
+	if ai.String() != ar.String() || ai == ar {
+		t.Fatalf("int atom %q and real atom %q: one node = %v", ai, ar, ai == ar)
 	}
 	ti := InternTerm(VarTerm(IntVar("y")))
 	tr := InternTerm(VarTerm(RealVar("y")))

@@ -2,11 +2,12 @@ package smt
 
 import "sia/internal/obs"
 
-// Package-level metrics in the Default registry, mirroring the per-solver
-// Stats struct as process-wide totals. Registered at init so every metric
-// name is present in a /metrics scrape even before the first query.
+// Package-level metrics in the Default registry: the solver's only
+// counters, process-wide totals over every Solver. Registered at init so
+// every metric name is present in a /metrics scrape even before the first
+// query.
 var (
-	mSatQueries   = obs.Default().Counter("sia_smt_sat_queries_total", "Satisfiability queries answered (including internal ones).")
+	mSatQueries   = obs.Default().Counter("sia_smt_sat_queries_total", "Satisfiability queries answered.")
 	mModelQueries = obs.Default().Counter("sia_smt_model_queries_total", "Model-extraction queries answered.")
 	mEliminations = obs.Default().Counter("sia_smt_eliminations_total", "Quantifier eliminations performed.")
 	mSimplexCuts  = obs.Default().Counter("sia_smt_simplex_cuts_total", "UNSAT answers settled by the rational simplex fast path.")
@@ -64,8 +65,8 @@ type BenchSnapshot struct {
 	// totals. The "elimination" cost the ROADMAP targets is the sum charged
 	// to whichever public kind drove it; per-kind means expose the drop.
 	Query map[string]QueryStat `json:"query_seconds"`
-	// SatQueries, ModelQueries, Eliminations and SimplexCuts mirror the
-	// process-wide Stats counters.
+	// SatQueries, ModelQueries, Eliminations and SimplexCuts are the
+	// solver's process-wide counters.
 	SatQueries   uint64 `json:"sat_queries"`
 	ModelQueries uint64 `json:"model_queries"`
 	Eliminations uint64 `json:"eliminations"`

@@ -85,25 +85,32 @@ func TestQEMemoCancellationSweep(t *testing.T) {
 	}
 }
 
-// TestQEMemoBudgetErrorNotCached drives an elimination into ErrBudget with
-// a tiny disjunct budget and then requires a full-budget solver to produce
-// the clean answer: a budget-aborted partial result must not be served
-// from the memo.
+// TestQEMemoBudgetErrorNotCached drives an elimination into ErrBudget
+// mid-way: the disjuncts of qeMemoTestFormula eliminate cleanly and are
+// stored, then one more disjunct needs a divisibility period past
+// maxModulus. The aborted disjunction must not be stored — a rerun aborts
+// again instead of being served a partial answer — and the sub-results
+// stored before the abort must answer as a clean run does.
 func TestQEMemoBudgetErrorNotCached(t *testing.T) {
-	f := qeMemoTestFormula()
+	ctx := context.Background()
+	clean := qeMemoTestFormula()
 	qeMemo.Purge()
-	want, err := New().SatisfiableCtx(context.Background(), f)
+	want, err := New().SatisfiableCtx(ctx, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
 	qeMemo.Purge()
-	small := &Solver{MaxDisjuncts: 1}
-	if _, err := small.SatisfiableCtx(context.Background(), f); err == nil {
-		t.Skip("budget of 1 disjunct did not trip on this formula")
-	} else if !errors.Is(err, ErrBudget) {
-		t.Fatalf("unexpected error kind: %v", err)
+	x, y := IntVar("mx"), IntVar("my")
+	over := NewOr(clean, EQ(VarTerm(x).Scale(big.NewRat(maxModulus+3, 1)).Add(VarTerm(y)), ConstTerm(5)))
+	for run := 0; run < 2; run++ {
+		if _, err := New().SatisfiableCtx(ctx, over); !errors.Is(err, ErrBudget) {
+			t.Fatalf("run %d: want ErrBudget, got %v", run, err)
+		}
+		if run == 0 && qeMemo.Len() == 0 {
+			t.Fatal("the abort came before any sub-result was stored")
+		}
 	}
-	got, err := New().SatisfiableCtx(context.Background(), f)
+	got, err := New().SatisfiableCtx(ctx, clean)
 	if err != nil {
 		t.Fatalf("rerun after budget abort failed: %v", err)
 	}

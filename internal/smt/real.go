@@ -116,8 +116,8 @@ func (s *Solver) eliminateReal(v Var, f Formula) (Formula, error) {
 		}
 		disjuncts = append(disjuncts, g)
 		total += CountNodes(g)
-		if total > s.maxNodes() {
-			return nil, fmt.Errorf("%w: formula grew past %d nodes eliminating %s", ErrBudget, s.maxNodes(), v)
+		if total > maxNodes {
+			return nil, fmt.Errorf("%w: formula grew past %d nodes eliminating %s", ErrBudget, maxNodes, v)
 		}
 	}
 	return Simplify(NewOr(disjuncts...)), nil

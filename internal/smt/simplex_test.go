@@ -129,24 +129,25 @@ func TestSimplexDifferentialAgainstSolver(t *testing.T) {
 }
 
 func TestSatisfiableUsesSimplexCut(t *testing.T) {
-	s := New()
 	x, y := IntVar("x"), IntVar("y")
 	f := NewAnd(
 		LE(VarTerm(x).Clone().AddVar(y, big.NewRat(1, 1)), ConstTerm(0)),
 		GE(VarTerm(x), ConstTerm(5)),
 		GE(VarTerm(y), ConstTerm(5)),
 	)
-	sat, err := s.SatisfiableCtx(context.Background(), f)
+	before := Snapshot()
+	sat, err := New().SatisfiableCtx(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	after := Snapshot()
 	if sat {
 		t.Fatal("x+y<=0 with x,y>=5 should be UNSAT")
 	}
-	if s.Stats.SimplexCuts == 0 {
+	if after.SimplexCuts-before.SimplexCuts != 1 {
 		t.Fatal("the simplex fast path should have settled this query")
 	}
-	if s.Stats.Eliminations != 0 {
-		t.Fatalf("no eliminations expected on the fast path, got %d", s.Stats.Eliminations)
+	if d := after.Eliminations - before.Eliminations; d != 0 {
+		t.Fatalf("no eliminations expected on the fast path, got %d", d)
 	}
 }

@@ -22,13 +22,13 @@ func Simplify(f Formula) Formula {
 	case Bool:
 		return x
 	case *Atom:
-		if x.canon {
+		if x.frozen {
 			// Published by a canonicalizer: already a Simplify fixed point.
 			return x
 		}
 		return canonAtom(x.Op, x.T.Clone())
 	case *Div:
-		if x.canon {
+		if x.frozen {
 			// Published by a canonicalizer: already a Simplify fixed point.
 			return x
 		}

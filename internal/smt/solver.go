@@ -34,27 +34,23 @@ var ErrUnsat = errors.New("smt: unsatisfiable")
 // (integer-sorted variables always map to integral rationals).
 type Model map[Var]*big.Rat
 
-// Stats counts the work a solver has performed.
-type Stats struct {
-	SatQueries   int // calls to SatisfiableCtx
-	Eliminations int // quantifier eliminations performed
-	ModelQueries int // calls to ModelCtx
-	SimplexCuts  int // UNSAT answers settled by the rational simplex fast path
-}
+// Elimination budgets, sized for Sia's predicates. Exceeding one aborts the
+// elimination with ErrBudget.
+const (
+	// maxNodes bounds the node count of any intermediate formula during a
+	// single quantifier elimination.
+	maxNodes = 400000
+	// maxDisjuncts bounds the number of substitution instances a single
+	// Cooper elimination may expand.
+	maxDisjuncts = 50000
+	// maxModulus bounds the divisibility period δ in Cooper elimination.
+	maxModulus = 100000
+)
 
 // Solver decides satisfiability of linear-arithmetic formulas with
-// quantifiers and extracts models. The zero value is ready to use; limits
-// default to values suited to Sia's predicate sizes.
+// quantifiers and extracts models. The zero value is ready to use. Its work
+// is counted process-wide (Snapshot).
 type Solver struct {
-	// MaxNodes bounds the node count of any intermediate formula during a
-	// single quantifier elimination. 0 means the default.
-	MaxNodes int
-	// MaxDisjuncts bounds the number of substitution instances a single
-	// Cooper elimination may expand. 0 means the default.
-	MaxDisjuncts int
-	// MaxModulus bounds the divisibility period δ in Cooper elimination.
-	// 0 means the default.
-	MaxModulus int
 	// Timeout bounds the wall-clock time of one public call (QECtx,
 	// SatisfiableCtx, ModelCtx, EnumerateModelsCtx). Exceeding it returns ErrBudget — the analogue of
 	// the Z3 timeout the paper configures ("the optimizer may use SIA
@@ -64,8 +60,6 @@ type Solver struct {
 	// per outermost quantifier elimination. A nil Tracer is free.
 	Tracer *obs.Tracer
 
-	Stats     Stats
-	statsMu   sync.Mutex // guards Stats during parallel disjunct elimination
 	freshID   atomic.Int64
 	ctx       context.Context
 	deadline  time.Time
@@ -113,29 +107,8 @@ func (s *Solver) checkStop() error {
 	return nil
 }
 
-// New returns a solver with default limits.
+// New returns a solver with no timeout.
 func New() *Solver { return &Solver{} }
-
-func (s *Solver) maxNodes() int {
-	if s.MaxNodes > 0 {
-		return s.MaxNodes
-	}
-	return 400000
-}
-
-func (s *Solver) maxDisjuncts() int {
-	if s.MaxDisjuncts > 0 {
-		return s.MaxDisjuncts
-	}
-	return 50000
-}
-
-func (s *Solver) maxModulus() int {
-	if s.MaxModulus > 0 {
-		return s.MaxModulus
-	}
-	return 100000
-}
 
 func (s *Solver) freshVar() Var {
 	// The counter only keeps generated names distinct; eliminated
@@ -230,7 +203,7 @@ const qeMemoCap = 1 << 16
 // qeMemoKey renders the memo key for eliminating v from f. The formula
 // part is the interner's sort-qualified key, so same-named variables of
 // different sorts never share an entry.
-// alloc: key rendering; frozen formulas contribute their cached keys.
+// alloc: key rendering; interned leaves contribute their cached keys.
 func qeMemoKey(v Var, f Formula) string {
 	b := make([]byte, 0, 64)
 	b = append(b, byte(v.Sort))
@@ -272,7 +245,10 @@ func (s *Solver) eliminate(v Var, f Formula) (Formula, error) {
 	if !occurs(v, f) {
 		return f, nil
 	}
-	s.bumpEliminations()
+	// Memo hits count too: sia_smt_eliminations_total is "elimination
+	// requests answered", and the memo counters break out how many were
+	// served from cache.
+	mEliminations.Inc()
 	key := qeMemoKey(v, f)
 	if r, ok := qeMemo.Get(key); ok {
 		mQEMemoHits.Inc()
@@ -297,19 +273,6 @@ func (s *Solver) eliminate(v Var, f Formula) (Formula, error) {
 		mQEMemoEvictions.Inc()
 	}
 	return r, nil
-}
-
-// bumpEliminations counts one elimination request against the solver's
-// Stats and the process totals. Memo hits count too: Stats.Eliminations is
-// "elimination requests answered", and the memo counters break out how
-// many were served from cache.
-// The mutex only serializes the per-solver counter against parallel
-// disjunct workers.
-func (s *Solver) bumpEliminations() {
-	s.statsMu.Lock()
-	s.Stats.Eliminations++
-	s.statsMu.Unlock()
-	mEliminations.Inc()
 }
 
 // traceQEMemo emits the per-outermost-elimination memo span.
@@ -435,13 +398,11 @@ func (s *Solver) SatisfiableCtx(ctx context.Context, f Formula) (bool, error) {
 	if err := s.checkStop(); err != nil {
 		return false, err
 	}
-	s.Stats.SatQueries++
 	mSatQueries.Inc()
 	f = Simplify(NNF(f))
 	// Fast path: a conjunction of linear atoms that is already infeasible
 	// over the rationals needs no quantifier elimination.
 	if simplexCheck(f) == simplexInfeasible {
-		s.Stats.SimplexCuts++
 		mSimplexCuts.Inc()
 		return false, nil
 	}
@@ -477,7 +438,6 @@ func (s *Solver) ModelCtx(ctx context.Context, f Formula) (Model, error) {
 	if err := s.checkStop(); err != nil {
 		return nil, err
 	}
-	s.Stats.ModelQueries++
 	mModelQueries.Inc()
 	vars := FreeVars(f)
 	qf, err := s.qe(f)
@@ -551,33 +511,7 @@ func solveUnivariate(v Var, f Formula) (*big.Rat, error) {
 		}
 		return new(big.Rat), nil // any value works; use 0
 	}
-	var bounds []*big.Rat
-	seenBounds := map[string]bool{}
-	delta := big.NewInt(1)
-	err := walkLeaves(f, func(leaf Formula) error {
-		switch x := leaf.(type) {
-		case *Atom:
-			c := x.T.Coeff(v)
-			if c.Sign() == 0 {
-				return fmt.Errorf("smt: internal: ground atom %s survived simplification", x)
-			}
-			rest := new(big.Rat).Set(x.T.Const())
-			// bound = -rest/c
-			b := rest.Neg(rest)
-			b.Quo(b, c)
-			if key := b.RatString(); !seenBounds[key] {
-				seenBounds[key] = true
-				bounds = append(bounds, b)
-			}
-		case *Div:
-			if x.T.Has(v) {
-				lcmInto(delta, x.M)
-			}
-		default:
-			// walkLeaves yields only Atom and Div leaves.
-		}
-		return nil
-	})
+	bounds, base, delta, err := readUnivariate(v, f)
 	if err != nil {
 		return nil, err
 	}
@@ -597,11 +531,6 @@ func solveUnivariate(v Var, f Formula) (*big.Rat, error) {
 		dn := delta.Int64()
 		if est := int64(2*len(bounds)+1) * (2*dn + 3); est > 500000 {
 			return nil, fmt.Errorf("%w: %d univariate candidates", ErrBudget, est)
-		}
-		base := []*big.Rat{new(big.Rat)}
-		for _, b := range bounds {
-			fl := ratFloor(b)
-			base = append(base, new(big.Rat).SetInt(fl), new(big.Rat).SetInt(new(big.Int).Add(fl, bigOne)))
 		}
 		if base64, ok := intBases64(base, dn); ok {
 			// Lazy int64 scan: identical candidate order and dedup as the

@@ -390,14 +390,14 @@ func TestModelWithBlocking(t *testing.T) {
 }
 
 func TestBudgetExceeded(t *testing.T) {
-	s := &Solver{MaxModulus: 50}
 	x, y := IntVar("x"), IntVar("y")
-	// Coefficient 97 forces a divisibility period of 97 > 50.
+	// A coefficient past maxModulus forces a divisibility period that
+	// large.
 	tm := VarTerm(x)
-	tm.Scale(big.NewRat(97, 1))
+	tm.Scale(big.NewRat(maxModulus+3, 1))
 	tm.AddVar(y, big.NewRat(1, 1))
 	f := &Exists{V: x, F: EQ(tm, ConstTerm(5))}
-	_, err := s.QECtx(context.Background(), f)
+	_, err := New().QECtx(context.Background(), f)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected ErrBudget, got %v", err)
 	}
@@ -422,12 +422,14 @@ func TestMixedSortRejected(t *testing.T) {
 }
 
 func TestQEStatsAccumulate(t *testing.T) {
-	s := New()
 	x := IntVar("x")
-	if _, err := s.SatisfiableCtx(context.Background(), &Exists{V: x, F: GT(VarTerm(x), ConstTerm(0))}); err != nil {
+	before := Snapshot()
+	if _, err := New().SatisfiableCtx(context.Background(), &Exists{V: x, F: GT(VarTerm(x), ConstTerm(0))}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats.SatQueries != 1 || s.Stats.Eliminations == 0 {
-		t.Fatalf("stats not tracked: %+v", s.Stats)
+	after := Snapshot()
+	sat, elims := after.SatQueries-before.SatQueries, after.Eliminations-before.Eliminations
+	if sat != 1 || elims == 0 {
+		t.Fatalf("counters not tracked: %d sat queries, %d eliminations", sat, elims)
 	}
 }

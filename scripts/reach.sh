@@ -12,7 +12,8 @@
 # functions no run entered. Unit tests are left out on purpose: a function
 # only a test reaches is a deletion candidate, not evidence of use.
 #
-# The runs: the paper outputs at -queries N over scales 1 and 4; each
+# The runs: the paper outputs at -queries N over scales 1 and 4, and Table 2
+# at 5 queries with the CEGIS tracer on; each
 # benchmark workload at seed 1, untraced and traced; the examples; cmd/sia
 # on an integer schema under every preset and on a nullable DOUBLE schema;
 # tpchgen in CSV and segment mode; scripts/smoke-siad.sh and
@@ -47,6 +48,8 @@ log="$out/log"
 echo "reach: paper outputs at -queries $queries" >&2
 "$bin/siabench" -experiment table1,table2,table3,table4,fig6,fig7,fig8,fig9,fig9-disk,motivating \
 	-queries "$queries" -scale 1,4 >"$log/siabench.txt"
+# The CEGIS tracer (obs/trace.go) only runs under -trace.
+"$bin/siabench" -experiment table2 -queries 5 -trace "$out/tmp/cegis.jsonl" >"$log/siabench-trace.txt"
 
 for w in synth_cold query_mem query_disk serve_mix; do
 	for trace in 0 1; do
