@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-bench bench-compare race lint fuzz-smoke fuzz-storage smoke-siad smoke-cluster check clean
+.PHONY: build vet test test-bench bench-compare race lint examples fuzz-smoke fuzz-storage smoke-siad smoke-cluster check clean
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,16 @@ race:
 lint:
 	$(GO) run ./cmd/sialint ./...
 
+# The four examples, run end to end: each prints its before/after
+# narrative and exits non-zero on a wrong result. tpch_rewrite is the Sia
+# rule's one end-to-end demo (SQL, the rule, pushdown, both plans
+# executed and compared); a small scale keeps it to seconds.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/optimizer_pushdown
+	$(GO) run ./examples/null_semantics
+	$(GO) run ./examples/tpch_rewrite -scale 0.2
+
 fuzz-smoke:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -run='^$$' ./internal/predicate/
 
@@ -70,7 +80,7 @@ smoke-cluster:
 # check is the full CI gate: everything must pass before merging. It runs
 # every step CI runs except the paired benchmark comparison, which needs a
 # base ref (make bench-compare BASE=<ref>).
-check: build vet test-bench race lint fuzz-storage fuzz-smoke smoke-siad smoke-cluster
+check: build vet test-bench race lint examples fuzz-storage fuzz-smoke smoke-siad smoke-cluster
 
 clean:
 	$(GO) clean ./...

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"sia/internal/cache"
 	"sia/internal/core"
 	"sia/internal/plan"
 	"sia/internal/sql"
@@ -53,9 +54,10 @@ func main() {
 	fmt.Println("plan without Sia:")
 	fmt.Print(plan.Explain(origPlan))
 
-	// The Sia rule synthesizes per-side reductions and conjoins them;
-	// pushdown then moves them below the join.
-	rewritten, infos, err := plan.SiaRewrite(context.Background(), node, parsed.Schema, core.PresetSIA())
+	// The Sia rule synthesizes per-side reductions (through a synthesis
+	// cache, as an optimizer would keep one) and conjoins them; pushdown
+	// then moves them below the join.
+	rewritten, infos, err := plan.SiaRewrite(context.Background(), node, parsed.Schema, cache.NewSynthesizer(0), core.PresetSIA())
 	if err != nil {
 		log.Fatal(err)
 	}

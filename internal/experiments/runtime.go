@@ -20,11 +20,12 @@ import (
 	"sia/internal/workload"
 )
 
-// fig9Synth memoizes Fig9's synthesis phase. Synthesis is data-independent,
-// so repeated runs (multiple scale factors, -all invocations, reruns with a
-// larger query count sharing a seed prefix) reuse earlier results instead of
-// re-running CEGIS loops. SynthesisSweep deliberately does NOT use it: its
-// records report per-variant synthesis times, which a cache hit would fake.
+// fig9Synth is the synthesis cache Fig9's Sia rule runs through. Synthesis
+// is data-independent, so repeated runs (multiple scale factors, -all
+// invocations, reruns with a larger query count sharing a seed prefix)
+// reuse earlier results instead of re-running CEGIS loops. SynthesisSweep
+// deliberately does NOT use it: its records report per-variant synthesis
+// times, which a cache hit would fake.
 var fig9Synth = cache.NewSynthesizer(0)
 
 // RuntimeRecord is one query's runtime comparison at one scale factor
@@ -35,10 +36,9 @@ type RuntimeRecord struct {
 	// Rewritten reports whether Sia produced a valid lineitem-side
 	// predicate for this query (the paper's "114 of 200").
 	Rewritten bool
-	// SynthesisErr is the error text of a failed synthesis attempt (empty
-	// when synthesis succeeded or was never attempted). A failed synthesis
-	// is not silent: the query runs unrewritten, and the render surfaces
-	// the error count.
+	// SynthesisErr is the error text of a failed Sia rewrite (empty when
+	// the rule succeeded). A failed synthesis is not silent: the query
+	// runs unrewritten, and the render surfaces the error count.
 	SynthesisErr string
 	// Synthesized is the predicate pushed below the join (nil if none).
 	Synthesized predicate.Predicate
@@ -62,9 +62,9 @@ func (r RuntimeRecord) Speedup() float64 {
 	return float64(r.Original) / float64(r.RewrittenTime)
 }
 
-// Fig9 runs the end-to-end runtime experiment: for every benchmark query,
-// synthesize lineitem-side predicates, rewrite, and execute both plans on
-// the engine over in-memory tables at each scale factor.
+// Fig9 runs the end-to-end runtime experiment: every benchmark query is
+// planned, rewritten by the Sia rule (plan.SiaRewrite), and both plans are
+// executed on the engine over in-memory tables at each scale factor.
 func Fig9(cfg Config) ([]RuntimeRecord, error) {
 	return fig9(cfg, func(sf float64) (mem, cat *plan.Catalog, err error) {
 		orders, lineitem := tpch.Generate(tpch.Config{ScaleFactor: sf})
@@ -88,40 +88,9 @@ func memCatalog(orders, lineitem *engine.Table) *plan.Catalog {
 func fig9(cfg Config, build func(sf float64) (mem, cat *plan.Catalog, err error)) ([]RuntimeRecord, error) {
 	cfg = cfg.withDefaults()
 	queries := workload.Generate(workload.Config{N: cfg.Queries, Seed: cfg.Seed})
-
-	// Synthesis is data-independent: do it once per query.
-	type rewriteInfo struct {
-		pred predicate.Predicate // synthesized lineitem predicate, or nil
-		err  error               // synthesis failure, recorded per query
-	}
-	schema := tpch.JoinSchema()
-	rewrites := make([]rewriteInfo, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, q := range queries {
-		cols := lineitemCols(q.Pred)
-		if len(cols) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, q workload.Query, cols []string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			opts := core.PresetSIA()
-			opts.MaxIterations = cfg.MaxIterations
-			opts.Tracer = cfg.Tracer // a tracer bypasses fig9Synth's memoization
-			res, _, err := fig9Synth.Synthesize(context.Background(), q.Pred, cols, schema, opts)
-			if err != nil {
-				rewrites[i] = rewriteInfo{err: err}
-				return
-			}
-			if res.Predicate != nil && res.Valid {
-				rewrites[i] = rewriteInfo{pred: res.Predicate}
-			}
-		}(i, q, cols)
-	}
-	wg.Wait()
+	opts := core.PresetSIA()
+	opts.MaxIterations = cfg.MaxIterations
+	opts.Tracer = cfg.Tracer // a tracer bypasses fig9Synth's memoization
 
 	const runs = 3
 	// perRun is the storage activity of one of the runs executions since
@@ -149,24 +118,18 @@ func fig9(cfg Config, build func(sf float64) (mem, cat *plan.Catalog, err error)
 		if err != nil {
 			return nil, err
 		}
+		plans, err := planAll(queries, cat, opts)
+		if err != nil {
+			return nil, err
+		}
 		for i, q := range queries {
+			p := plans[i]
 			rec := RuntimeRecord{QueryID: q.ID, ScaleFactor: sf}
-			if serr := rewrites[i].err; serr != nil {
-				rec.SynthesisErr = serr.Error()
+			if p.err != nil {
+				rec.SynthesisErr = p.err.Error()
 			}
-			parsed, err := sql.Parse(q.SQL(), cat)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: parse query %d: %w", q.ID, err)
-			}
-			node, err := parsed.Plan(cat)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: plan query %d: %w", q.ID, err)
-			}
-			// Original: plain pushdown only (which moves nothing to
-			// lineitem, by the workload's construction).
-			origPlan := plan.PushDownFilters(node)
 			before := storage.SnapshotCounters()
-			origTable, origStats, err := executeBest(origPlan, cat, runs, cfg.Parallelism)
+			origTable, origStats, err := executeBest(p.orig, cat, runs, cfg.Parallelism)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: execute query %d: %w", q.ID, err)
 			}
@@ -177,7 +140,7 @@ func fig9(cfg Config, build func(sf float64) (mem, cat *plan.Catalog, err error)
 			// The first query at each scale factor is additionally checked
 			// value-identical against the in-memory engine end to end.
 			if i == 0 && cat != mem {
-				memTable, _, err := executeBest(origPlan, mem, 1, cfg.Parallelism)
+				memTable, _, err := executeBest(p.orig, mem, 1, cfg.Parallelism)
 				if err != nil {
 					return nil, err
 				}
@@ -186,14 +149,12 @@ func fig9(cfg Config, build func(sf float64) (mem, cat *plan.Catalog, err error)
 				}
 			}
 
-			if rw := rewrites[i]; rw.pred != nil {
+			if p.synthesized != nil {
 				rec.Rewritten = true
-				rec.Synthesized = rw.pred
-				rec.Selectivity = selectivity(lineitem, rw.pred)
-				rwNode := &plan.Filter{Pred: predicate.NewAnd(parsed.Where, rw.pred), Input: join(node)}
-				rwPlan := plan.PushDownFilters(rwNode)
+				rec.Synthesized = p.synthesized
+				rec.Selectivity = selectivity(lineitem, p.synthesized)
 				before := storage.SnapshotCounters()
-				rwTable, rwStats, err := executeBest(rwPlan, cat, runs, cfg.Parallelism)
+				rwTable, rwStats, err := executeBest(p.rw, cat, runs, cfg.Parallelism)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: execute rewritten %d: %w", q.ID, err)
 				}
@@ -211,6 +172,66 @@ func fig9(cfg Config, build func(sf float64) (mem, cat *plan.Catalog, err error)
 		}
 	}
 	return out, nil
+}
+
+// fig9Plan is one benchmark query planned with and without the Sia rule.
+type fig9Plan struct {
+	// orig is the plan after plain pushdown, which moves nothing to
+	// lineitem by the workload's construction.
+	orig plan.Node
+	// rw is the plan after the Sia rule and pushdown, and synthesized the
+	// lineitem-side predicate the rule added; both are nil when the rule
+	// synthesized none.
+	rw          plan.Node
+	synthesized predicate.Predicate
+	// err is the rule's failure: the query then runs unrewritten.
+	err error
+}
+
+// planAll plans every query over cat and applies plan.SiaRewrite to each,
+// up to GOMAXPROCS queries at a time. The pass is off the measured clock,
+// and its synthesis goes through fig9Synth, so after the first scale
+// factor it runs no CEGIS loop.
+func planAll(queries []workload.Query, cat *plan.Catalog, opts core.Options) ([]fig9Plan, error) {
+	lineitem, err := cat.Schema("lineitem")
+	if err != nil {
+		return nil, err
+	}
+	nodes := make([]plan.Node, len(queries))
+	plans := make([]fig9Plan, len(queries))
+	for i, q := range queries {
+		parsed, err := sql.Parse(q.SQL(), cat)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: parse query %d: %w", q.ID, err)
+		}
+		if nodes[i], err = parsed.Plan(cat); err != nil {
+			return nil, fmt.Errorf("experiments: plan query %d: %w", q.ID, err)
+		}
+		plans[i].orig = plan.PushDownFilters(nodes[i])
+	}
+	schema := tpch.JoinSchema()
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := range plans {
+		wg.Add(1)
+		go func(p *fig9Plan, node plan.Node) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			rw, infos, err := plan.SiaRewrite(context.Background(), node, schema, fig9Synth, opts)
+			if err != nil {
+				p.err = err
+				return
+			}
+			for _, info := range infos {
+				if _, onLineitem := lineitem.Lookup(info.Cols[0]); onLineitem && info.Result.Predicate != nil && info.Result.Valid {
+					p.rw, p.synthesized = plan.PushDownFilters(rw), info.Result.Predicate
+				}
+			}
+		}(&plans[i], nodes[i])
+	}
+	wg.Wait()
+	return plans, nil
 }
 
 // sameTables checks that every table of the reference catalog reads back
@@ -288,30 +309,6 @@ func executeBest(n plan.Node, cat *plan.Catalog, runs, parallelism int) (*engine
 		}
 	}
 	return bestTable, bestStats, nil
-}
-
-// join unwraps a Filter(Join) plan to its join (the benchmark queries all
-// have this shape).
-func join(n plan.Node) plan.Node {
-	if f, ok := n.(*plan.Filter); ok {
-		return f.Input
-	}
-	return n
-}
-
-// lineitemCols returns the lineitem date columns a predicate uses.
-func lineitemCols(p predicate.Predicate) []string {
-	var out []string
-	used := map[string]bool{}
-	for _, c := range predicate.Columns(p) {
-		used[c] = true
-	}
-	for _, c := range workload.LineitemDateCols {
-		if used[c] {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // selectivity measures the fraction of lineitem rows the predicate keeps.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"sia/internal/cache"
 	"sia/internal/core"
 	"sia/internal/predicate"
 )
@@ -27,20 +28,22 @@ type SynthesisInfo struct {
 // A subsequent PushDownFilters pass then moves the synthesized conjuncts
 // below the join — the plan transformation of Fig. 1.
 //
-// The returned infos describe every synthesis attempt (used by the
-// experiment harness); the rewritten plan is semantically equivalent to the
-// input because only verified-valid predicates are added. Every solver call
-// of the rewrite honors ctx.
-func SiaRewrite(ctx context.Context, n Node, schema *predicate.Schema, opts core.Options) (Node, []SynthesisInfo, error) {
+// Every synthesis goes through synth, so a repeated rewrite of an equal
+// plan is answered from its cache and concurrent rewrites share one CEGIS
+// loop per key. The returned infos describe every synthesis attempt (used
+// by the experiment harness); the rewritten plan is semantically
+// equivalent to the input because only verified-valid predicates are
+// added. Every solver call of the rewrite honors ctx.
+func SiaRewrite(ctx context.Context, n Node, schema *predicate.Schema, synth *cache.Synthesizer, opts core.Options) (Node, []SynthesisInfo, error) {
 	var infos []SynthesisInfo
-	out, err := siaRewrite(ctx, n, schema, opts, &infos)
+	out, err := siaRewrite(ctx, n, schema, synth, opts, &infos)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, infos, nil
 }
 
-func siaRewrite(ctx context.Context, n Node, schema *predicate.Schema, opts core.Options, infos *[]SynthesisInfo) (Node, error) {
+func siaRewrite(ctx context.Context, n Node, schema *predicate.Schema, synth *cache.Synthesizer, opts core.Options, infos *[]SynthesisInfo) (Node, error) {
 	f, ok := n.(*Filter)
 	if !ok {
 		ch := n.Children()
@@ -49,7 +52,7 @@ func siaRewrite(ctx context.Context, n Node, schema *predicate.Schema, opts core
 		}
 		newCh := make([]Node, len(ch))
 		for i, c := range ch {
-			nc, err := siaRewrite(ctx, c, schema, opts, infos)
+			nc, err := siaRewrite(ctx, c, schema, synth, opts, infos)
 			if err != nil {
 				return nil, err
 			}
@@ -59,7 +62,7 @@ func siaRewrite(ctx context.Context, n Node, schema *predicate.Schema, opts core
 	}
 	join, ok := f.Input.(*Join)
 	if !ok {
-		in, err := siaRewrite(ctx, f.Input, schema, opts, infos)
+		in, err := siaRewrite(ctx, f.Input, schema, synth, opts, infos)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +87,7 @@ func siaRewrite(ctx context.Context, n Node, schema *predicate.Schema, opts core
 			// synthesis can add nothing pushdown would not already move.
 			continue
 		}
-		res, err := core.SynthesizeContext(ctx, pred, sideCols, schema, opts)
+		res, _, err := synth.Synthesize(ctx, pred, sideCols, schema, opts)
 		if err != nil {
 			if errors.Is(err, core.ErrUnsupported) {
 				continue
@@ -111,7 +114,7 @@ func siaRewrite(ctx context.Context, n Node, schema *predicate.Schema, opts core
 			extra = append(extra, res.Predicate)
 		}
 	}
-	in, err := siaRewrite(ctx, join, schema, opts, infos)
+	in, err := siaRewrite(ctx, join, schema, synth, opts, infos)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,14 @@ package plan
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
+	"sia/internal/cache"
 	"sia/internal/core"
+	"sia/internal/engine"
 	"sia/internal/predicate"
 	"sia/internal/predtest"
 	"sia/internal/tpch"
@@ -21,7 +25,8 @@ func TestSiaRewriteEndToEnd(t *testing.T) {
 		AND o_orderdate < DATE '1993-06-01'`
 	node := joinQueryPlan(t, cat, where)
 
-	rewritten, infos, err := SiaRewrite(context.Background(), node, schema, core.PresetSIA())
+	synth := cache.NewSynthesizer(0)
+	rewritten, infos, err := SiaRewrite(context.Background(), node, schema, synth, core.PresetSIA())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +57,13 @@ func TestSiaRewriteEndToEnd(t *testing.T) {
 	if !strings.Contains(before[strings.Index(before, "HashJoin"):], "Filter") {
 		t.Fatalf("no filter above lineitem below the join:\n%s", explained)
 	}
+	// The join key is the HashJoin's alone: no filter re-checks it on
+	// every matched pair.
+	for _, line := range strings.Split(explained, "\n") {
+		if strings.Contains(line, "Filter") && (strings.Contains(line, "l_orderkey") || strings.Contains(line, "o_orderkey")) {
+			t.Fatalf("join key left in a filter:\n%s", explained)
+		}
+	}
 
 	// Semantics preserved and join input reduced.
 	origTable, origStats, err := ExecuteOpts(PushDownFilters(node), cat, ExecOptions{})
@@ -62,12 +74,40 @@ func TestSiaRewriteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if origTable.NumRows() != rwTable.NumRows() {
-		t.Fatalf("rewrite changed results: %d vs %d rows", origTable.NumRows(), rwTable.NumRows())
+	if got, want := rowCounts(rwTable), rowCounts(origTable); !maps.Equal(got, want) {
+		t.Fatalf("rewrite changed results: %d vs %d rows", rwTable.NumRows(), origTable.NumRows())
 	}
 	if rwStats.JoinInputRows >= origStats.JoinInputRows {
 		t.Fatalf("rewrite did not reduce join input: %d vs %d", rwStats.JoinInputRows, origStats.JoinInputRows)
 	}
+
+	// A second rewrite of an equal plan through the same synthesizer runs
+	// no CEGIS loop and yields the same plan.
+	stats := synth.Stats()
+	again, _, err := SiaRewrite(context.Background(), joinQueryPlan(t, cat, where), schema, synth, core.PresetSIA())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := synth.Stats(); after.Misses != stats.Misses || after.Hits == stats.Hits {
+		t.Fatalf("repeat rewrite missed the cache: %+v then %+v", stats, after)
+	}
+	if got := Explain(PushDownFilters(again)); got != explained {
+		t.Fatalf("repeat rewrite differs:\n%s\nvs\n%s", got, explained)
+	}
+}
+
+// rowCounts is t's rows as a multiset: the rewrite may flip the join's
+// build and probe sides, which reorders its output.
+func rowCounts(t *engine.Table) map[string]int {
+	out := map[string]int{}
+	for r := 0; r < t.NumRows(); r++ {
+		var sb strings.Builder
+		for _, c := range t.Schema().Columns() {
+			fmt.Fprintf(&sb, "%v|", t.Value(r, c.Name))
+		}
+		out[sb.String()]++
+	}
+	return out
 }
 
 func TestSiaRewriteSkipsImpliedPredicates(t *testing.T) {
@@ -78,7 +118,7 @@ func TestSiaRewriteSkipsImpliedPredicates(t *testing.T) {
 	// not duplicate the existing bound.
 	where := "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01'"
 	node := joinQueryPlan(t, cat, where)
-	rewritten, _, err := SiaRewrite(context.Background(), node, schema, core.PresetSIA())
+	rewritten, _, err := SiaRewrite(context.Background(), node, schema, cache.NewSynthesizer(0), core.PresetSIA())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +138,7 @@ func TestSiaRewriteNoJoinNoChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &Filter{Pred: predtest.MustParse("l_quantity > 10", tpch.LineitemSchema()), Input: li}
-	out, infos, err := SiaRewrite(context.Background(), f, tpch.LineitemSchema(), core.PresetSIA())
+	out, infos, err := SiaRewrite(context.Background(), f, tpch.LineitemSchema(), cache.NewSynthesizer(0), core.PresetSIA())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,11 +85,10 @@ type Server struct {
 	logger   atomic.Pointer[slog.Logger]
 	draining atomic.Bool
 
-	ring    *ring
-	peers   map[string]*client.Client
-	batch   *batcher
-	adm     *admission
-	schemas *schemaTable
+	ring  *ring
+	peers map[string]*client.Client
+	batch *batcher
+	adm   *admission
 
 	reg      *obs.Registry
 	requests *obs.Counter
@@ -131,11 +130,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxTimeout = 2 * time.Minute
 	}
 	s := &Server{
-		cfg:     cfg,
-		synth:   cache.NewSynthesizer(cfg.Capacity),
-		start:   time.Now(),
-		schemas: newSchemaTable(),
-		stopCh:  make(chan struct{}),
+		cfg:    cfg,
+		synth:  cache.NewSynthesizer(cfg.Capacity),
+		start:  time.Now(),
+		stopCh: make(chan struct{}),
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -459,7 +457,6 @@ func (s *Server) process(ctx context.Context, req api.SynthesizeRequest, tenant 
 	if out.err != nil {
 		return resp, "", "", out.err
 	}
-	s.schemas.record(pr.key, out.res, pr.schema)
 	resp = api.ResultResponse(out.res)
 	resp.Cached = out.cached
 	resp.Batched = out.batched

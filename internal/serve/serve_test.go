@@ -360,23 +360,26 @@ func TestClusterRestartWarmsFromSnapshot(t *testing.T) {
 		cfg.SnapshotPath = filepath.Join(dir, fmt.Sprintf("snap.%d", i))
 	})
 
-	// Seed several distinct keys through one ingress so every replica owns
-	// a few.
-	bodies := make([]string, 8)
-	for i := range bodies {
-		bodies[i] = fmt.Sprintf(`{"predicate": "a - b < %d AND b < %d", "cols": ["a"],
+	// Seed distinct keys through one ingress so every replica owns a few,
+	// and keep seeding until the ring has given replica 0 one at least.
+	const minBodies, maxBodies = 8, 64
+	r0 := reps[0]
+	var bodies []string
+	for len(bodies) < minBodies || r0.srv.Synth().Stats().Entries == 0 {
+		if len(bodies) == maxBodies {
+			t.Fatalf("the ring gave replica 0 none of %d keys", maxBodies)
+		}
+		i := len(bodies)
+		body := fmt.Sprintf(`{"predicate": "a - b < %d AND b < %d", "cols": ["a"],
 			"schema": [{"name": "a", "type": "int"}, {"name": "b", "type": "int"}]}`, 10+i, i)
-		if resp, _, raw := post(t, reps[0].ts.URL, api.PathSynthesize, bodies[i]); resp.StatusCode != http.StatusOK {
+		if resp, _, raw := post(t, r0.ts.URL, api.PathSynthesize, body); resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed %d: status %d, body %s", i, resp.StatusCode, raw)
 		}
+		bodies = append(bodies, body)
 	}
 
 	// Kill replica 0: drain, snapshot, replace with a fresh server.
-	r0 := reps[0]
 	preStats := r0.srv.Synth().Stats()
-	if preStats.Entries == 0 {
-		t.Skip("ring assigned no keys to replica 0 (cannot exercise warm restart)")
-	}
 	r0.srv.StartDrain()
 	if _, err := r0.srv.WriteSnapshot(); err != nil {
 		t.Fatal(err)

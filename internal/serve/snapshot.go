@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"sia/internal/core"
@@ -27,7 +26,7 @@ type snapshotFile struct {
 }
 
 // snapshotEntry serializes one result. The synthesized predicate travels
-// as SQL text plus the schema of its columns, which is exactly enough to
+// as SQL text plus the types of its columns, which is exactly enough to
 // re-parse it at boot; counters and flags travel verbatim.
 type snapshotEntry struct {
 	Key          string             `json:"key"`
@@ -41,60 +40,6 @@ type snapshotEntry struct {
 	GaveUp       string             `json:"gave_up,omitempty"`
 }
 
-// schemaTable remembers, per cache key, the wire schema of the columns the
-// stored result's predicate mentions — the piece a snapshot needs that the
-// cache itself does not hold. It is pruned against the cache's live key
-// set at every snapshot write, so it cannot outgrow the cache by more
-// than the churn between two writes.
-type schemaTable struct {
-	mu   sync.Mutex
-	cols map[string][]api.SchemaColumn
-}
-
-func newSchemaTable() *schemaTable {
-	return &schemaTable{cols: map[string][]api.SchemaColumn{}}
-}
-
-// record stores the schema columns the result's predicate needs, derived
-// from the request schema. A nil result predicate records an empty set.
-func (t *schemaTable) record(key string, res *core.Result, schema *predicate.Schema) {
-	var cols []api.SchemaColumn
-	if res != nil && res.Predicate != nil {
-		for _, name := range predicate.Columns(res.Predicate) {
-			col, ok := schema.Lookup(name)
-			if !ok {
-				return // cannot reconstruct; leave unrecorded
-			}
-			cols = append(cols, api.SchemaColumn{
-				Name:     col.Name,
-				Type:     api.FormatType(col.Type),
-				Nullable: !col.NotNull,
-			})
-		}
-	}
-	t.mu.Lock()
-	t.cols[key] = cols
-	t.mu.Unlock()
-}
-
-func (t *schemaTable) lookup(key string) ([]api.SchemaColumn, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cols, ok := t.cols[key]
-	return cols, ok
-}
-
-// prune drops every key not in live.
-func (t *schemaTable) prune(live map[string]bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k := range t.cols {
-		if !live[k] {
-			delete(t.cols, k)
-		}
-	}
-}
-
 // writeSnapshot persists the cache to path atomically and durably via
 // fsatomic: the file is written next to its destination, fsynced, renamed
 // into place, and the directory is fsynced — so a crash at any point
@@ -103,18 +48,10 @@ func (t *schemaTable) prune(live map[string]bool) {
 // journaled before the data blocks reach disk; a crash in that window
 // used to surface an empty snapshot despite the "atomic" rename.)
 func (s *Server) writeSnapshot(path string) (int, error) {
-	entries := s.synth.Export()
-	live := make(map[string]bool, len(entries))
 	snap := snapshotFile{Version: snapshotVersion, SavedAtUnix: time.Now().Unix()}
-	for _, e := range entries {
-		live[e.Key] = true
-		cols, ok := s.schemas.lookup(e.Key)
-		if !ok {
-			continue // restored-then-evicted races or pre-table entries
-		}
+	for _, e := range s.synth.Export() {
 		se := snapshotEntry{
 			Key:          e.Key,
-			Schema:       cols,
 			Valid:        e.Res.Valid,
 			Optimal:      e.Res.Optimal,
 			Iterations:   e.Res.Iterations,
@@ -124,10 +61,10 @@ func (s *Server) writeSnapshot(path string) (int, error) {
 		}
 		if e.Res.Predicate != nil {
 			se.Predicate = e.Res.Predicate.String()
+			se.Schema = predicateSchema(e.Res.Predicate)
 		}
 		snap.Entries = append(snap.Entries, se)
 	}
-	s.schemas.prune(live)
 
 	raw, err := json.Marshal(&snap)
 	if err != nil {
@@ -174,7 +111,6 @@ func (s *Server) loadSnapshot(path string) (int, error) {
 			FalseSamples: e.FalseSamples,
 			GaveUp:       core.GiveUpReason(e.GaveUp),
 		}
-		var schema *predicate.Schema
 		if e.Predicate != "" {
 			sch, err := api.BuildSchema(e.Schema)
 			if err != nil {
@@ -185,13 +121,51 @@ func (s *Server) loadSnapshot(path string) (int, error) {
 				continue
 			}
 			res.Predicate = p
-			schema = sch
-		} else {
-			schema = predicate.NewSchema()
 		}
 		s.synth.Put(e.Key, res)
-		s.schemas.record(e.Key, res, schema)
 		n++
 	}
 	return n, nil
+}
+
+// predicateSchema is the wire schema of the columns p references, each
+// typed by its own ColumnRef: the type is all predicate.Parse reads back.
+func predicateSchema(p predicate.Predicate) []api.SchemaColumn {
+	var cols []api.SchemaColumn
+	seen := map[string]bool{}
+	var expr func(predicate.Expr)
+	expr = func(e predicate.Expr) {
+		switch x := e.(type) {
+		case *predicate.ColumnRef:
+			if !seen[x.Name] {
+				seen[x.Name] = true
+				cols = append(cols, api.SchemaColumn{Name: x.Name, Type: api.FormatType(x.Type)})
+			}
+		case *predicate.BinaryExpr:
+			expr(x.Left)
+			expr(x.Right)
+		case *predicate.Const:
+		}
+	}
+	var walk func(predicate.Predicate)
+	walk = func(p predicate.Predicate) {
+		switch x := p.(type) {
+		case *predicate.Compare:
+			expr(x.Left)
+			expr(x.Right)
+		case *predicate.And:
+			for _, q := range x.Preds {
+				walk(q)
+			}
+		case *predicate.Or:
+			for _, q := range x.Preds {
+				walk(q)
+			}
+		case *predicate.Not:
+			walk(x.P)
+		case *predicate.Literal:
+		}
+	}
+	walk(p)
+	return cols
 }

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sia/internal/core"
+	"sia/internal/predicate"
 )
 
 // TestSnapshotWriteIsAtomicAndClean is the regression test for the
@@ -51,5 +54,70 @@ func TestSnapshotWriteIsAtomicAndClean(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".fsatomic-") || strings.HasPrefix(e.Name(), ".sia-snapshot-") {
 			t.Fatalf("leftover temporary file %s after snapshot writes", e.Name())
 		}
+	}
+}
+
+// TestSnapshotRoundTripsColumnTypes: a stored predicate over a DATE and a
+// nullable DOUBLE column prints identically after a write and a restore,
+// and reads its columns as the same types, recovered from the predicate
+// itself. A file in the same version that also records nullability still
+// loads.
+func TestSnapshotRoundTripsColumnTypes(t *testing.T) {
+	schema := predicate.NewSchema(
+		predicate.Column{Name: "d", Type: predicate.TypeDate, NotNull: true},
+		predicate.Column{Name: "x", Type: predicate.TypeDouble},
+	)
+	p, err := predicate.Parse("d < DATE '1995-03-15' AND 2 * x > 1.5 OR x > d + 0.25", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only a DOUBLE reading of x satisfies p on this tuple.
+	probe := predicate.Tuple{"d": predicate.IntVal(1000), "x": predicate.RealVal(0.8)}
+	if predicate.Eval(p, probe) != predicate.True {
+		t.Fatalf("%s is not true on %v", p, probe)
+	}
+	same := func(q predicate.Predicate) bool {
+		return q != nil && q.String() == p.String() && predicate.Eval(q, probe) == predicate.True
+	}
+	path := filepath.Join(t.TempDir(), "snap.json")
+	cfg := testConfig()
+	cfg.SnapshotPath = path
+	srvA, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA.Synth().Put("typed", &core.Result{Predicate: p, Valid: true})
+	srvA.Synth().Put("trivial", &core.Result{Valid: true})
+	if n, err := srvA.WriteSnapshot(); err != nil || n != 2 {
+		t.Fatalf("snapshot write: n=%d err=%v", n, err)
+	}
+	srvA.Close()
+
+	restore := func(t *testing.T) *Server {
+		t.Helper()
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	if got, ok := restore(t).Synth().Peek("typed"); !ok || !same(got.Predicate) {
+		t.Fatalf("stored %q, restored %v", p, got)
+	}
+
+	quoted, err := json.Marshal(p.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := `{"version": 1, "saved_at_unix": 1, "entries": [{"key": "typed",
+		"predicate": ` + string(quoted) + `,
+		"schema": [{"name": "d", "type": "date"}, {"name": "x", "type": "double", "nullable": true}],
+		"valid": true}]}`
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := restore(t).Synth().Peek("typed"); !ok || !same(got.Predicate) {
+		t.Fatalf("file with nullability did not restore %q: %v", p, got)
 	}
 }
