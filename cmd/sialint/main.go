@@ -10,9 +10,6 @@
 //	                   on every cycle (path-sensitive, over the CFG)
 //	err-wrap           sentinel errors are matched with errors.Is and wrapped
 //	                   with %w across exported boundaries
-//	alloc-budget       code reachable from // sia:hotpath entries does not
-//	                   allocate unless the site carries an // alloc: reason
-//	                   (interprocedural, over the call graph)
 //	taint-bound        request-derived values are clamped/validated before
 //	                   becoming timeouts, budgets, loop bounds, allocation
 //	                   sizes, or Options fields (// taint: escapes)

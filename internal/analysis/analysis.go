@@ -4,8 +4,7 @@
 // enforce invariants the Go compiler cannot: exhaustive dispatch over Sia's
 // AST interfaces, disciplined use of three-valued logic, panic hygiene and
 // error wrapping in library code, cancellation polling in the solver loops,
-// the allocation budget of the hot paths, and bounds on request-derived
-// values.
+// and bounds on request-derived values.
 //
 // The framework is deliberately small: an Analyzer is a named function over
 // a type-checked Pass, and a Finding is a position plus a message. The
@@ -152,18 +151,8 @@ type Pass struct {
 	Cfg      *Config
 	Pkg      *Package
 	All      []*Package
-	Shared   *Shared // per-run cache of whole-program state (may be nil)
 	analyzer string
 	sink     *[]Finding
-}
-
-// Program returns the per-run interprocedural call graph, building it on
-// first use. Passes constructed without a Shared (tests) get a private one.
-func (p *Pass) Program() *Program {
-	if p.Shared == nil {
-		p.Shared = &Shared{}
-	}
-	return p.Shared.ProgramFor(p.All)
 }
 
 // Reportf records a finding at pos.
@@ -183,7 +172,6 @@ func Analyzers(cfg *Config) []*Analyzer {
 		NoPanicInLibrary(cfg),
 		CancelPoll(cfg),
 		ErrWrap(cfg),
-		AllocBudget(cfg),
 		TaintBound(cfg),
 	}
 }
@@ -193,10 +181,9 @@ func Analyzers(cfg *Config) []*Analyzer {
 // the findings sorted by position. Findings are reported in pkgs only.
 func Run(pkgs, all []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
 	var findings []Finding
-	shared := &Shared{}
 	for _, a := range analyzers {
 		for _, pkg := range pkgs {
-			pass := &Pass{Cfg: cfg, Pkg: pkg, All: all, Shared: shared, analyzer: a.Name, sink: &findings}
+			pass := &Pass{Cfg: cfg, Pkg: pkg, All: all, analyzer: a.Name, sink: &findings}
 			a.Run(pass)
 		}
 	}
@@ -207,8 +194,7 @@ func Run(pkgs, all []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
 // sortFindings orders findings by file, line, column, analyzer name, and
 // finally message. The full key makes rendered output byte-identical across
 // repeated invocations: an analyzer may report several findings at one
-// position (e.g. alloc-budget for distinct hot roots), and sort.Slice is not
-// stable.
+// position, and sort.Slice is not stable.
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]

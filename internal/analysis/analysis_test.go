@@ -7,19 +7,6 @@ import (
 	"testing"
 )
 
-// loadFixture loads one of the mini-modules under testdata/.
-func loadFixture(t *testing.T, name string) []*Package {
-	t.Helper()
-	pkgs, _, err := Load(filepath.Join("testdata", name), []string{"./..."})
-	if err != nil {
-		t.Fatalf("load %s: %v", name, err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("load %s: no packages", name)
-	}
-	return pkgs
-}
-
 // runOne runs a single analyzer over ./... from a directory under testdata/
 // — a fixture module, or a package inside one for a subset run — and
 // returns its findings.
@@ -110,24 +97,6 @@ var fixtureCases = []struct {
 	{"cancelpoll_bad", CancelPoll, cancelCfg("cpbad"), 6, []string{"poll"}},
 	{"errwrap_good", ErrWrap, &Config{ErrWrapBoundaryPackages: []string{"ewgood/api"}}, 0, nil},
 	{"errwrap_bad", ErrWrap, &Config{ErrWrapBoundaryPackages: []string{"ewbad/api"}}, 5, []string{"errors.Is", "%w", "errors.New"}},
-	{"allocbudget_good", AllocBudget, &Config{}, 0, nil},
-	// 16 allocations + the misspelt // sia:hotpth annotation.
-	{"allocbudget_bad", AllocBudget, &Config{}, 17, []string{
-		"make",
-		"map literal",
-		"map assignment",
-		"escapes to the heap",
-		"interface call",
-		"boxes",
-		"string concatenation",
-		"append",
-		"go statement",
-		"unresolved function value",
-		"conversion",
-		"fmt.Sprintf",
-		"captures base",
-		"unknown annotation",
-	}},
 	{"taintbound_good", TaintBound, taintCfg("tagood"), 0, nil},
 	{"taintbound_bad", TaintBound, taintCfg("tabad"), 5, []string{
 		"WithTimeout", "make() size", "loop bound", "MaxIterations", "literal"}},
@@ -149,10 +118,10 @@ func TestFixtures(t *testing.T) {
 }
 
 // TestNoOrphanFixtures fails when a directory under testdata/ is exercised
-// by no test: every entry is a fixtureCases row or one of the modules the
-// call-graph and loader tests load by name.
+// by no test: every entry is a fixtureCases row or the module the loader
+// tests load by name.
 func TestNoOrphanFixtures(t *testing.T) {
-	used := map[string]bool{"callgraph": true, "loadskip": true}
+	used := map[string]bool{"loadskip": true}
 	for _, tc := range fixtureCases {
 		used[tc.fixture] = true
 	}

@@ -145,8 +145,6 @@ func (dst *colData) allocLike(src *colData, n int) {
 
 // gather copies src's value at rows[i] to position i of dst, for i in
 // [lo, hi).
-//
-// sia:hotpath
 func (dst *colData) gather(src *colData, rows []int, lo, hi int) {
 	if src.typ.Integral() {
 		d, s := dst.ints, src.ints

@@ -295,8 +295,6 @@ func buildJoinTable(build *joinSide, par int) *joinTable {
 
 // histogram counts the build rows at positions [lo, hi) of rows per
 // partition.
-//
-// sia:hotpath
 func (jt *joinTable) histogram(counts []int, rows []int, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		counts[jt.partition(mixHash(uint64(jt.keys[rowAt(rows, i)])))]++
@@ -305,8 +303,6 @@ func (jt *joinTable) histogram(counts []int, rows []int, lo, hi int) {
 
 // scatter writes the build rows at positions [lo, hi) of rows to their
 // partitions' runs, advancing the morsel's offsets.
-//
-// sia:hotpath
 func (jt *joinTable) scatter(runs []int32, offsets []int, rows []int, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := rowAt(rows, i)
@@ -317,8 +313,6 @@ func (jt *joinTable) scatter(runs []int32, offsets []int, rows []int, lo, hi int
 }
 
 // insert pushes one partition's rows on their chains, last row first.
-//
-// sia:hotpath
 func (jt *joinTable) insert(rows []int32) {
 	for i := len(rows) - 1; i >= 0; i-- {
 		row := rows[i]
@@ -333,8 +327,6 @@ func (jt *joinTable) insert(rows []int32) {
 // position, 1 + the first matching build row in first and the number of
 // matches in matches, so the hash and the chain up to the first match are
 // walked once.
-//
-// sia:hotpath
 func (jt *joinTable) count(pk []int64, rows []int, lo, hi int, first, matches []int32) int {
 	c := 0
 	for i := lo; i < hi; i++ {
@@ -356,8 +348,6 @@ func (jt *joinTable) count(pk []int64, rows []int, lo, hi int, first, matches []
 
 // fill writes the pairs count counted to brows and prows: probe rows in
 // ascending order, each with its build rows in ascending order.
-//
-// sia:hotpath
 func (jt *joinTable) fill(pk []int64, rows []int, lo, hi int, first, matches []int32, brows, prows []int) {
 	c := 0
 	for i := lo; i < hi; i++ {
@@ -467,8 +457,6 @@ func (res *residual) cut(ws *probeScratch, c int) int {
 
 // compactPairs moves the selected pairs to the front, in order, and
 // returns their number.
-//
-// sia:hotpath
 func compactPairs(sel []bool, brows, prows []int) int {
 	n := 0
 	for i, ok := range sel {

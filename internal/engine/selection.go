@@ -133,8 +133,6 @@ func bindKernel(t *Table, p *predicate.Program) (*boundNode, bool) {
 
 // run ANDs the node's "is TRUE" bitmap into sel, where sel[i] corresponds
 // to row lo+i of t. scratch holds 2·orDepth bitmaps of len(sel).
-//
-// sia:hotpath
 func (n *boundNode) run(t *Table, sel []bool, lo int, scratch []bool) {
 	switch n.op {
 	case nodeAnd:

@@ -233,8 +233,8 @@ func TablesEqual(a, b *Table) bool {
 // behind result inspection, tests, and the filter leaves only predicate.Eval
 // can read.
 //
-// alloc: one map per row is the price of the reference evaluator; leaves
-// that can avoid it bind to the column kernels instead
+// One map per row is the price of the reference evaluator; leaves
+// that can avoid it bind to the column kernels instead.
 func (t *Table) Tuple(row int) predicate.Tuple {
 	out := predicate.Tuple{}
 	for _, name := range t.order {

@@ -132,8 +132,6 @@ func (t *Tracer) Enabled() bool { return t != nil }
 
 // Emit records one span. On a nil tracer it is a no-op that performs zero
 // allocations, so call sites on hot paths need no separate guard.
-//
-// sia:hotpath
 func (t *Tracer) Emit(s Span) {
 	if t == nil {
 		return
@@ -252,8 +250,6 @@ func appendStringField(b []byte, key, v string) []byte {
 
 // appendJSONString appends v as a JSON string literal, escaping quotes,
 // backslashes and control characters. Valid UTF-8 passes through.
-// alloc: append-style builder; writes into the caller's reusable buffer
-// and only grows it when capacity runs out (amortized across events).
 func appendJSONString(b []byte, v string) []byte {
 	b = append(b, '"')
 	for i := 0; i < len(v); {

@@ -57,6 +57,36 @@ func TestEvalArithmetic(t *testing.T) {
 	}
 }
 
+// TestEvalExactPastInt64 pins exact integer arithmetic when an
+// intermediate leaves int64: the comparison sees the exact value, an
+// expression that comes back into range is an INTEGER again, and only a
+// result still outside int64 becomes the nearest DOUBLE.
+func TestEvalExactPastInt64(t *testing.T) {
+	a, b := Col("a", TypeInteger), Col("b", TypeInteger)
+	tu := tup(map[string]int64{"a": 1<<62 + 1, "b": 1<<62 - 4})
+	preds := []struct {
+		p    Predicate
+		want TriBool
+	}{
+		// a + a overflows; the exact form is a - b = 5.
+		{Cmp(CmpLE, Sub(Sub(Add(a, a), a), b), IntConst(0)), False},
+		// a·a and a·a - 1 round to the same float64.
+		{Cmp(CmpGT, Mul(a, a), Sub(Mul(a, a), IntConst(1))), True},
+		{Cmp(CmpEQ, Sub(Mul(a, b), Mul(b, a)), IntConst(0)), True},
+	}
+	for _, c := range preds {
+		if got := Eval(c.p, tu); got != c.want {
+			t.Errorf("%s: got %v, want %v", c.p, got, c.want)
+		}
+	}
+	if got := EvalExpr(Sub(Add(a, a), b), tu); got != IntVal(1<<62+6) {
+		t.Errorf("a + a - b: got %+v, want the INTEGER 2^62 + 6", got)
+	}
+	if got := EvalExpr(Add(a, a), tu); got != RealVal(1<<63) {
+		t.Errorf("a + a: got %+v, want the DOUBLE 2^63", got)
+	}
+}
+
 func TestEvalDivisionByZeroIsNull(t *testing.T) {
 	a := Col("a", TypeInteger)
 	p := Cmp(CmpGT, Div(a, IntConst(0)), IntConst(1))

@@ -74,7 +74,6 @@ func (c *coef) denom() int64 {
 // setInt64 sets c to the integer n.
 func (c *coef) setInt64(n int64) {
 	if !fastOK(n) {
-		// alloc: over-int64 promotion; slow path by design
 		c.r = new(big.Rat).SetInt64(n)
 		return
 	}
@@ -84,7 +83,6 @@ func (c *coef) setInt64(n int64) {
 // setFrac64 sets c to num/den (den != 0), reducing.
 func (c *coef) setFrac64(num, den int64) {
 	if !fastOK(num) || !fastOK(den) {
-		// alloc: over-int64 promotion; slow path by design
 		c.r = new(big.Rat).SetFrac64(num, den)
 		c.demote()
 		return
@@ -106,7 +104,6 @@ func (c *coef) setRat(x *big.Rat) {
 		c.num, c.den, c.r = n.Int64(), d.Int64(), nil
 		return
 	}
-	// alloc: promotion copy; big coefficients are the slow path by design
 	c.r = new(big.Rat).Set(x)
 }
 
@@ -117,7 +114,6 @@ func (c *coef) set(o *coef) {
 		return
 	}
 	if c.r == nil {
-		// alloc: promotion copy when the source is already big
 		c.r = new(big.Rat).Set(o.r)
 		return
 	}
@@ -127,7 +123,6 @@ func (c *coef) set(o *coef) {
 // promote moves c onto the big path and returns the big value.
 func (c *coef) promote() *big.Rat {
 	if c.r == nil {
-		// alloc: overflow promotion is the fast path's escape hatch
 		c.r = new(big.Rat).SetFrac64(c.num, c.denom())
 	}
 	return c.r
@@ -331,7 +326,6 @@ func (c *coef) equal(o *coef) bool {
 }
 
 // rat returns a fresh big.Rat with c's value; the caller owns it.
-// alloc: materializing a big.Rat is this function's contract.
 func (c *coef) rat() *big.Rat {
 	if c.r == nil {
 		return new(big.Rat).SetFrac64(c.num, c.denom())
@@ -340,7 +334,6 @@ func (c *coef) rat() *big.Rat {
 }
 
 // numBig returns c's numerator as a fresh big.Int.
-// alloc: materializing a big.Int is this function's contract.
 func (c *coef) numBig() *big.Int {
 	if c.r == nil {
 		return big.NewInt(c.num)
@@ -349,7 +342,6 @@ func (c *coef) numBig() *big.Int {
 }
 
 // denomBig returns c's denominator as a fresh big.Int.
-// alloc: materializing a big.Int is this function's contract.
 func (c *coef) denomBig() *big.Int {
 	if c.r == nil {
 		return big.NewInt(c.denom())
@@ -389,7 +381,6 @@ func (c *coef) appendRat(b []byte) []byte {
 		}
 		return b
 	}
-	// alloc: big.Rat rendering; over-int64 slow path
 	return append(b, c.r.RatString()...)
 }
 
@@ -404,6 +395,5 @@ func (c *coef) setBigInt(n *big.Int) {
 		c.num, c.den, c.r = n.Int64(), 1, nil
 		return
 	}
-	// alloc: promotion copy; big coefficients are the slow path by design
 	c.r = new(big.Rat).SetInt(n)
 }

@@ -25,14 +25,10 @@ import (
 //     ⋁_{j=1..δ} F_{-∞}(j) ∨ ⋁_{j=1..δ} ⋁_{b∈B} F(b+j).
 //     The dual (upper bound) form is used when it has fewer substitution
 //     terms.
-//
-// sia:hotpath
 func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 	// Pass 1: validate and compute m, the LCM of |coeff(v)|.
-	// alloc: per-elimination LCM accumulator, scratch and one visitor closure
 	m := big.NewInt(1)
 	var scratch big.Int
-	// alloc: one visitor closure per elimination
 	err := walkLeaves(f, func(leaf Formula) error {
 		switch x := leaf.(type) {
 		case *Atom:
@@ -50,7 +46,6 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 				return nil
 			}
 			c := x.T.at(v)
-			// alloc: scratch integers per over-int64 atom; slow path by design
 			a := c.numBig()
 			a.Mul(a, x.T.DenomLCM())
 			a.Quo(a, c.denomBig()).Abs(a)
@@ -70,7 +65,6 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 				lcmInto(m, scratch.SetInt64(n))
 				return nil
 			}
-			// alloc: one scratch integer per over-int64 divisibility atom
 			a := c.numBig()
 			lcmInto(m, a.Abs(a))
 		default:
@@ -84,8 +78,6 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 
 	// Pass 2: rewrite so v's coefficient is ±1 on the fresh variable y.
 	y := s.freshVar()
-	// alloc: one rewriter closure per elimination; the rewritten formula is
-	// the product
 	rewritten, err := rewriteLeaves(f, func(leaf Formula) (Formula, error) {
 		switch x := leaf.(type) {
 		case *Atom:
@@ -109,13 +101,10 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 				k.setInt64(m.Int64() / n)
 				t.scaleCoef(&k)
 			} else {
-				// alloc: per-atom scaling factor m/|a|; over-int64 slow path
 				a := t.at(v).numBig()
-				// alloc: scale factor materialization; over-int64 slow path
 				t.Scale(new(big.Rat).SetFrac(new(big.Int).Quo(m, a.Abs(a)), bigOne))
 			}
 			sign := t.at(v).sign()
-			// alloc: substituting y for v opens one cell in the atom's term
 			t.setCoefInt64(y, int64(sign))
 			t.remove(v)
 			return expandIntAtom(op, t, y), nil
@@ -125,21 +114,17 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 			}
 			t := x.T.Clone()
 			a := t.at(v).numBig()
-			// alloc: per-atom scaling factor and scaled modulus
 			k := new(big.Int).Quo(m, a.Abs(a))
 			var kc coef
 			kc.setBigInt(k)
 			t.scaleCoef(&kc)
-			// alloc: per-atom scaled modulus
 			mod := new(big.Int).Mul(x.M, k)
 			sign := t.at(v).sign()
-			// alloc: substituting y for v opens one cell in the atom's term
 			t.setCoefInt64(y, int64(sign))
 			t.remove(v)
 			if sign < 0 {
 				t.Neg() // d | t  ==  d | -t
 			}
-			// alloc: the rewritten divisibility atom is the product
 			return &Div{Neg: x.Neg, M: mod, T: t}, nil
 		default:
 			return leaf, nil
@@ -150,18 +135,13 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 	}
 	work := rewritten
 	if m.Cmp(bigOne) != 0 {
-		// alloc: the m | y constraint, once per elimination
 		work = NewAnd(work, &Div{M: new(big.Int).Set(m), T: VarTerm(y)})
 	}
 
 	// Collect δ, lower bound terms and upper bound terms.
-	// alloc: per-elimination period accumulator, bound dedup tables, and
-	// one collector closure
 	delta := big.NewInt(1)
 	var lowers, uppers []*Term
-	// alloc: per-elimination bound dedup tables
 	lowerSeen, upperSeen := map[string]bool{}, map[string]bool{}
-	// alloc: one collector closure per elimination
 	err = walkLeaves(work, func(leaf Formula) error {
 		switch x := leaf.(type) {
 		case *Atom:
@@ -177,14 +157,12 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 				// y + r < 0, i.e. y < -r: upper bound -r.
 				rest.Neg()
 				if key := rest.String(); !upperSeen[key] {
-					// alloc: dedup table grows once per distinct bound
 					upperSeen[key] = true
 					uppers = append(uppers, rest)
 				}
 			} else {
 				// -y + r < 0, i.e. r < y: lower bound r.
 				if key := rest.String(); !lowerSeen[key] {
-					// alloc: dedup table grows once per distinct bound
 					lowerSeen[key] = true
 					lowers = append(lowers, rest)
 				}
@@ -220,7 +198,6 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 	// value ± 1 — so the per-(j, bound) deep clone of the old loop becomes a
 	// single constant update. Subst only reads the replacement term, never
 	// retains it, so reuse across iterations is safe.
-	// alloc: one clone per bound, reused across all δ iterations
 	shifted := make([]*Term, len(bounds))
 	for i, b := range bounds {
 		shifted[i] = b.Clone()
@@ -259,7 +236,6 @@ func (s *Solver) eliminateInt(v Var, f Formula) (Formula, error) {
 
 // expandIntAtom turns an atom whose y-coefficient is ±1 into strict bounds
 // on y.
-// alloc: the expanded bound atoms are the product.
 func expandIntAtom(op AtomOp, t *Term, y Var) Formula {
 	switch op {
 	case OpLT:
@@ -285,8 +261,6 @@ func expandIntAtom(op AtomOp, t *Term, y Var) Formula {
 // substInfinity computes F with y sent to -∞ (useLower) or +∞: bound atoms
 // collapse to constants and divisibility atoms get y := ±j (any value with
 // the right residue, since they are periodic).
-// alloc: one rewrite closure and residue term per call; the rewritten
-// tree is the product.
 func substInfinity(f Formula, y Var, j int64, useLower bool) Formula {
 	repl := ConstTerm(j)
 	if !useLower {
@@ -346,7 +320,6 @@ func walkLeaves(f Formula, visit func(Formula) error) error {
 
 // rewriteLeaves rebuilds a quantifier-free NNF formula with every Atom/Div
 // leaf replaced by the callback's result.
-// alloc: rebuilds the tree; growth is bounded by the eliminator's budgets.
 func rewriteLeaves(f Formula, repl func(Formula) (Formula, error)) (Formula, error) {
 	switch x := f.(type) {
 	case Bool:

@@ -242,7 +242,6 @@ func intBases64(base []*big.Rat, dn int64) ([]int64, bool) {
 	if dn >= margin {
 		return nil, false
 	}
-	// alloc: one int64 per base point; the fast path's working set
 	out := make([]int64, len(base))
 	for i, b := range base {
 		if !b.IsInt() || !b.Num().IsInt64() {

@@ -50,7 +50,6 @@ func (op AtomOp) String() string {
 	case OpNE:
 		return "!="
 	default:
-		// alloc: unreachable for valid operators; diagnostic rendering only
 		return fmt.Sprintf("AtomOp(%d)", int(op))
 	}
 }
@@ -79,7 +78,6 @@ func (*Atom) formula() {}
 
 // String renders the atom; used by the eliminators as a dedup key.
 // Interned atoms return the cached rendering.
-// alloc: string building is the product on the uncached path.
 func (a *Atom) String() string {
 	if a.frozen {
 		return a.str
@@ -87,8 +85,6 @@ func (a *Atom) String() string {
 	return string(a.appendString(nil))
 }
 
-// alloc: display rendering grows the caller's buffer; interned atoms pay
-// it once and serve the cached string afterwards.
 func (a *Atom) appendString(b []byte) []byte {
 	b = a.T.appendString(b)
 	b = append(b, ' ')
@@ -114,7 +110,6 @@ func (*Div) formula() {}
 
 // String renders the divisibility atom. Interned divisibility atoms return
 // the cached rendering.
-// alloc: string building is the product on the uncached path.
 func (d *Div) String() string {
 	if d.frozen {
 		return d.str
@@ -122,8 +117,6 @@ func (d *Div) String() string {
 	return string(d.appendString(nil))
 }
 
-// alloc: display rendering grows the caller's buffer; interned atoms pay
-// it once and serve the cached string afterwards.
 func (d *Div) appendString(b []byte) []byte {
 	if d.Neg {
 		b = append(b, '!')
@@ -165,7 +158,6 @@ type Not struct {
 func (*Not) formula() {}
 
 // String renders the negation.
-// alloc: string building is the product.
 func (n *Not) String() string {
 	return "!(" + n.F.String() + ")"
 }
@@ -179,7 +171,6 @@ type Exists struct {
 func (*Exists) formula() {}
 
 // String renders the quantifier.
-// alloc: string building is the product.
 func (e *Exists) String() string {
 	return fmt.Sprintf("exists %s:%s. (%s)", e.V.Name, e.V.Sort, e.F)
 }
@@ -193,13 +184,11 @@ type ForAll struct {
 func (*ForAll) formula() {}
 
 // String renders the quantifier.
-// alloc: string building is the product.
 func (f *ForAll) String() string {
 	return fmt.Sprintf("forall %s:%s. (%s)", f.V.Name, f.V.Sort, f.F)
 }
 
 // joinFormulas renders an n-ary connective.
-// alloc: string building is the product.
 func joinFormulas(fs []Formula, sep, empty string) string {
 	if len(fs) == 0 {
 		return empty
@@ -220,8 +209,6 @@ func joinFormulas(fs []Formula, sep, empty string) string {
 // formulas collapse immediately.
 
 // NewAnd returns the conjunction of fs, flattening and folding constants.
-// alloc: formula construction is the product; growth is bounded by the
-// eliminator's maxNodes budget.
 func NewAnd(fs ...Formula) Formula {
 	var flat []Formula
 	for _, f := range fs {
@@ -246,8 +233,6 @@ func NewAnd(fs ...Formula) Formula {
 }
 
 // NewOr returns the disjunction of fs, flattening and folding constants.
-// alloc: formula construction is the product; growth is bounded by the
-// eliminator's maxNodes budget.
 func NewOr(fs ...Formula) Formula {
 	var flat []Formula
 	for _, f := range fs {
@@ -272,7 +257,6 @@ func NewOr(fs ...Formula) Formula {
 }
 
 // NewNot returns the negation of f, folding constants and double negation.
-// alloc: formula construction is the product.
 func NewNot(f Formula) Formula {
 	switch x := f.(type) {
 	case Bool:
@@ -305,7 +289,6 @@ func NE(a, b *Term) Formula { return newAtom(OpNE, diff(a, b)) }
 func diff(a, b *Term) *Term { return a.Clone().AddScaled(b, big.NewRat(-1, 1)) }
 
 // newAtom folds ground atoms to Bool.
-// alloc: formula construction is the product.
 func newAtom(op AtomOp, t *Term) Formula {
 	if t.IsConst() {
 		// Only the sign of the constant matters; skip the big.Rat copy.
@@ -393,8 +376,6 @@ func FreeVars(f Formula) []Var {
 // Subst returns f with every free occurrence of v replaced by the term
 // repl. f must be quantifier-free in v's scope for the substitution to be
 // capture-free; quantifiers binding v shadow the substitution.
-// alloc: builds the substituted tree; untouched subtrees are shared, and
-// growth is bounded by the eliminator's maxNodes budget.
 func Subst(f Formula, v Var, repl *Term) Formula {
 	switch x := f.(type) {
 	case Bool:
@@ -456,7 +437,6 @@ func simplifyDiv(d *Div) Formula {
 			}
 		}
 	} else if k.r.IsInt() {
-		// alloc: one scratch integer for the over-int64 modulus check
 		m := new(big.Int).Mod(k.r.Num(), d.M)
 		holds = m.Sign() == 0
 	}

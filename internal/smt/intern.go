@@ -57,7 +57,6 @@ func shardFor(key string) *internShard {
 
 // room makes space for one more entry, resetting the shard at the cap.
 // Caller holds sh.mu.
-// alloc: fresh maps on a shard reset; bounds the interner's footprint.
 func (sh *internShard) room() {
 	if sh.n < internShardCap {
 		sh.n++
@@ -74,8 +73,6 @@ func (sh *internShard) room() {
 // encoding of the tree. Its inputs are the leaves the interner publishes
 // and the simplified NNF And/Or trees qeMemoKey renders; frozen leaves
 // contribute their cached key.
-// alloc: key rendering grows the caller's buffer; paid once per interned
-// leaf, then served from the cached key.
 func appendFormulaKey(b []byte, f Formula) []byte {
 	switch x := f.(type) {
 	case *Atom:
@@ -119,7 +116,6 @@ func appendFormulaKey(b []byte, f Formula) []byte {
 // InternTerm returns the canonical shared term equal to t. When t itself
 // becomes canonical it is frozen in place — the caller gives up the right
 // to mutate it (mutators panic on frozen terms; Clone first).
-// alloc: renders t's canonical key; cached on the canonical node.
 // The interner is an idempotent cache: one key always maps to one
 // canonical node for a shard generation, and the freeze happens before the
 // node is published.
@@ -148,7 +144,6 @@ func InternTerm(t *Term) *Term {
 		return c
 	}
 	if sh.terms == nil {
-		// alloc: lazy shard map initialization, once per shard generation
 		sh.terms = make(map[string]*Term)
 	}
 	sh.room()
@@ -160,7 +155,6 @@ func InternTerm(t *Term) *Term {
 
 // internAtom returns the canonical shared atom equal to a, with the
 // rendering and complement key cached on it.
-// alloc: renders the key and builds the canonical node on a miss.
 func internAtom(a *Atom) *Atom {
 	if a.frozen {
 		return a
@@ -186,7 +180,6 @@ func internAtom(a *Atom) *Atom {
 		return c
 	}
 	if sh.atoms == nil {
-		// alloc: lazy shard map initialization, once per shard generation
 		sh.atoms = make(map[string]*Atom)
 	}
 	sh.room()
@@ -197,7 +190,6 @@ func internAtom(a *Atom) *Atom {
 }
 
 // internDivNode returns the canonical shared divisibility atom equal to d.
-// alloc: renders the key and builds the canonical node on a miss.
 func internDivNode(d *Div) *Div {
 	if d.frozen {
 		return d
@@ -219,7 +211,6 @@ func internDivNode(d *Div) *Div {
 		return c
 	}
 	if sh.divs == nil {
-		// alloc: lazy shard map initialization, once per shard generation
 		sh.divs = make(map[string]*Div)
 	}
 	sh.room()

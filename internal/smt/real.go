@@ -20,21 +20,15 @@ import (
 // about. Divisibility atoms mentioning x are rejected (they would make x
 // integer-constrained, which contradicts its sort; they are never produced
 // for real variables).
-//
-// sia:hotpath
 func (s *Solver) eliminateReal(v Var, f Formula) (Formula, error) {
 	// Collect test points.
 	type testPoint struct {
 		term *Term // nil for -∞
 		eps  bool  // substitute term + ε
 	}
-	// alloc: per-elimination test-point list
 	points := []testPoint{{term: nil}}
-	// alloc: per-elimination dedup table
 	seenExact := map[string]bool{}
-	// alloc: per-elimination dedup table
 	seenEps := map[string]bool{}
-	// alloc: one collector closure per elimination
 	err := walkLeaves(f, func(leaf Formula) error {
 		switch x := leaf.(type) {
 		case *Div:
@@ -50,21 +44,16 @@ func (s *Solver) eliminateReal(v Var, f Formula) (Formula, error) {
 			// Solve the atom for v: v ⋈ s with s = -rest/a.
 			rest := x.T.Clone()
 			rest.remove(v)
-			// alloc: one reciprocal per bound atom
 			bound := rest.Neg().Scale(new(big.Rat).Inv(a))
 			key := bound.String()
-			// alloc: per-atom dedup closure
 			addExact := func() {
 				if !seenExact[key] {
-					// alloc: dedup table grows once per distinct bound
 					seenExact[key] = true
 					points = append(points, testPoint{term: bound})
 				}
 			}
-			// alloc: per-atom dedup closure
 			addEps := func() {
 				if !seenEps[key] {
-					// alloc: dedup table grows once per distinct bound
 					seenEps[key] = true
 					points = append(points, testPoint{term: bound, eps: true})
 				}
@@ -124,7 +113,6 @@ func (s *Solver) eliminateReal(v Var, f Formula) (Formula, error) {
 }
 
 // substRealMinusInf virtually substitutes v := -∞.
-// alloc: one rewrite closure per call; the rewritten tree is the product.
 func substRealMinusInf(f Formula, v Var) Formula {
 	out, err := rewriteLeaves(f, func(leaf Formula) (Formula, error) {
 		a, ok := leaf.(*Atom)
@@ -156,8 +144,6 @@ func substRealMinusInf(f Formula, v Var) Formula {
 //	a > 0:  t + a·ε <  0  ==  t < 0      a < 0:  t + a·ε <  0  ==  t <= 0
 //	a > 0:  t + a·ε <= 0  ==  t < 0      a < 0:  t + a·ε <= 0  ==  t <= 0
 //	        t + a·ε =  0  ==  false              t + a·ε != 0  ==  true
-//
-// alloc: one rewrite closure per call; the rewritten tree is the product.
 func substRealEps(f Formula, v Var, s0 *Term) Formula {
 	out, err := rewriteLeaves(f, func(leaf Formula) (Formula, error) {
 		a, ok := leaf.(*Atom)

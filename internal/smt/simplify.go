@@ -15,8 +15,6 @@ import (
 // Simplified atoms and divisibility constraints are interned: structurally
 // equal leaves come back as one shared, frozen node whose canonical string
 // is cached, which is what makes the dedup keys below cheap.
-// alloc: rebuilds the simplified tree; the result is usually smaller than
-// the input and growth is bounded by the eliminator's maxNodes budget.
 func Simplify(f Formula) Formula {
 	switch x := f.(type) {
 	case Bool:
@@ -113,8 +111,6 @@ func occurs(v Var, f Formula) bool {
 // scalings are by positive rationals, so the relation is preserved. If the
 // term has integer variables only and integer coefficients, a strict
 // inequality t < 0 is tightened to t + 1 <= 0. The result is interned.
-// alloc: the canonical atom is the product; the scalings stay on the coef
-// fast path for int64-sized coefficients.
 func canonAtom(op AtomOp, t *Term) Formula {
 	return internLeaf(canonAtomRaw(op, t))
 }
@@ -172,7 +168,6 @@ func clearDenominators(t *Term) {
 		t.scaleCoef(&k)
 		return
 	}
-	// alloc: big-integer LCM scaling; the over-int64 slow path
 	t.Scale(new(big.Rat).SetInt(t.DenomLCM()))
 }
 
@@ -189,7 +184,6 @@ func divideContent(t *Term) {
 	}
 	content := contentGCDBig(t)
 	if content.Cmp(bigOne) != 0 {
-		// alloc: big-integer content division; the over-int64 slow path
 		t.Scale(new(big.Rat).SetFrac(bigOne, content))
 	}
 }
@@ -217,7 +211,6 @@ func contentGCD64(t *Term) (int64, bool) {
 }
 
 // contentGCDBig is the arbitrary-precision fallback of divideContent.
-// alloc: scratch integers for the GCD accumulation; slow path by design.
 func contentGCDBig(t *Term) *big.Int {
 	g := new(big.Int)
 	acc := func(n *big.Int) {
@@ -254,7 +247,6 @@ func divideVarGCD(t *Term) {
 	}
 	g := varCoeffGCDBig(t)
 	if g.Cmp(bigOne) > 0 {
-		// alloc: big-integer GCD division; the over-int64 slow path
 		t.Scale(new(big.Rat).SetFrac(bigOne, g))
 	}
 }
@@ -276,7 +268,6 @@ func varCoeffGCD64(t *Term) (int64, bool) {
 }
 
 // varCoeffGCDBig is the arbitrary-precision fallback of divideVarGCD.
-// alloc: scratch integers for the GCD accumulation; slow path by design.
 func varCoeffGCDBig(t *Term) *big.Int {
 	g := new(big.Int)
 	for i := range t.cells {
@@ -333,13 +324,10 @@ func roundIntAtomLE(t *Term) *Term {
 			return t
 		}
 	}
-	// alloc: scratch integers for the floor computation; slow path by design.
 	negC := new(big.Rat).Neg(t.konst.rat())
-	// alloc: floor quotient scratch; slow path by design
 	fl := new(big.Int).Quo(negC.Num(), negC.Denom())
 	// big.Int Quo truncates toward zero; adjust to floor for negatives.
 	if negC.Sign() < 0 {
-		// alloc: remainder scratch for the floor adjustment; slow path
 		r := new(big.Int).Rem(negC.Num(), negC.Denom())
 		if r.Sign() != 0 {
 			fl.Sub(fl, bigOne)
@@ -352,8 +340,6 @@ func roundIntAtomLE(t *Term) *Term {
 // canonDiv canonicalizes a divisibility atom: the term's coefficients and
 // constant are reduced modulo M, and ground instances fold to Bool. The
 // result is interned.
-// alloc: the reduced atom is the product; the modular reductions stay on
-// the coef fast path for int64-sized values.
 func canonDiv(d *Div) Formula {
 	if d.M.Cmp(bigOne) == 0 {
 		return Bool(!d.Neg)
@@ -380,7 +366,6 @@ func canonDiv(d *Div) Formula {
 			c.setInt64(r)
 			return false
 		}
-		// alloc: big-integer modulus; the over-int64 slow path
 		mod := new(big.Int).Mod(c.numBig(), d.M)
 		if mod.Sign() == 0 {
 			return true
@@ -419,8 +404,6 @@ func allIntRat(t *Term) bool {
 // Children coming out of Simplify are interned leaves or rebuilt
 // connectives, so the String() dedup keys are cached for the leaves that
 // dominate junction width.
-// alloc: the dedup table, visitor closure, and rebuilt child list are the
-// per-junction working set; bounded by the input's size.
 func simplifyJunction(fs []Formula, isAnd bool) Formula {
 	var out []Formula
 	seen := map[string]bool{}

@@ -92,9 +92,6 @@ func (s *Solver) arm(ctx context.Context, kind string) func() {
 // go unnoticed to a fraction of one solver call.
 func (s *Solver) checkStop() error {
 	if s.ctx != nil {
-		// alloc: context implementations live in the runtime; Err returns a
-		// cached sentinel without allocating, and the wrap below only runs
-		// on the way out
 		if err := s.ctx.Err(); err != nil {
 			return fmt.Errorf("%w: %w", ErrInterrupted, err)
 		}
@@ -114,7 +111,6 @@ func (s *Solver) freshVar() Var {
 	// The counter only keeps generated names distinct; eliminated
 	// variables never appear in results.
 	id := s.freshID.Add(1)
-	// alloc: one short name per eliminated quantifier
 	return Var{Name: fmt.Sprintf("$q%d", id), Sort: SortInt}
 }
 
@@ -203,7 +199,6 @@ const qeMemoCap = 1 << 16
 // qeMemoKey renders the memo key for eliminating v from f. The formula
 // part is the interner's sort-qualified key, so same-named variables of
 // different sorts never share an entry.
-// alloc: key rendering; interned leaves contribute their cached keys.
 func qeMemoKey(v Var, f Formula) string {
 	b := make([]byte, 0, 64)
 	b = append(b, byte(v.Sort))
@@ -232,7 +227,6 @@ func (s *Solver) eliminate(v Var, f Formula) (Formula, error) {
 		start := time.Now()
 		defer func() {
 			s.elimDepth.Add(-1)
-			// alloc: deferred metrics closure, once per outermost elimination
 			mQuerySeconds[opElimination].Observe(time.Since(start).Seconds())
 		}()
 	} else {
@@ -321,9 +315,6 @@ const parallelDisjunctMin = 4
 // serial elimination: claims are issued in ascending order and a worker
 // finishes what it claimed, so every index before the first error/true
 // trigger is complete by the join.
-//
-// alloc: per-call worker bookkeeping (result slices, WaitGroup); one
-// outermost elimination amortizes it over its disjuncts.
 func (s *Solver) eliminateDisjunctsParallel(v Var, or *Or) (Formula, error) {
 	n := len(or.Fs)
 	results := make([]Formula, n)

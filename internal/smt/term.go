@@ -113,8 +113,6 @@ func (t *Term) mutable() {
 
 // NewTerm returns the constant term c (c may be nil for zero). c is copied,
 // never retained: later mutations of c cannot reach the term.
-// alloc: constructing a term is the product; the QE budgets
-// (maxNodes/maxDisjuncts) bound how many terms an elimination can build.
 func NewTerm(c *big.Rat) *Term {
 	t := &Term{}
 	if c != nil {
@@ -124,7 +122,6 @@ func NewTerm(c *big.Rat) *Term {
 }
 
 // ConstTerm returns the integer constant term n.
-// alloc: term constructor; bounded by the elimination budgets.
 func ConstTerm(n int64) *Term {
 	t := &Term{}
 	t.konst.setInt64(n)
@@ -132,7 +129,6 @@ func ConstTerm(n int64) *Term {
 }
 
 // VarTerm returns the term 1*v.
-// alloc: term constructor; bounded by the elimination budgets.
 func VarTerm(v Var) *Term {
 	t := &Term{cells: make([]cell, 1)}
 	t.cells[0].v = v
@@ -143,8 +139,6 @@ func VarTerm(v Var) *Term {
 // Clone returns a deep copy of the term. The clone-then-mutate discipline
 // is what keeps the in-place arithmetic below memo-safe; hot paths are
 // expected to hoist clones out of inner loops (see eliminateInt).
-// alloc: a deep copy is this function's contract — one slice copy, plus a
-// big.Rat copy per promoted coefficient (rare).
 func (t *Term) Clone() *Term {
 	c := &Term{}
 	c.konst.set(&t.konst)
@@ -153,7 +147,6 @@ func (t *Term) Clone() *Term {
 		copy(c.cells, t.cells)
 		for i := range c.cells {
 			if r := c.cells[i].c.r; r != nil {
-				// alloc: deep copy of a promoted (over-int64) coefficient
 				c.cells[i].c.r = new(big.Rat).Set(r)
 			}
 		}
@@ -180,8 +173,6 @@ func (t *Term) find(v Var) (int, bool) {
 // insertAt opens a cell for v at index i (as computed by find) and returns
 // its coefficient, which starts at zero. Any previously taken cell pointers
 // are invalidated by the slice growth.
-// alloc: growing the cell array is the cost of a term's first mention of a
-// variable; bounded by the elimination budgets.
 func (t *Term) insertAt(i int, v Var) *coef {
 	t.cells = append(t.cells, cell{})
 	copy(t.cells[i+1:], t.cells[i:])
@@ -191,7 +182,6 @@ func (t *Term) insertAt(i int, v Var) *coef {
 
 // removeAt deletes the cell at index i, preserving order.
 func (t *Term) removeAt(i int) {
-	// alloc: compaction within the existing cell array; never grows
 	t.cells = append(t.cells[:i], t.cells[i+1:]...)
 }
 
@@ -280,8 +270,6 @@ func (t *Term) Add(o *Term) *Term {
 
 // AddScaled adds k*o to the term in place and returns the term. k is read,
 // never retained.
-// alloc: one scratch coefficient per call, reused across all of o's
-// coefficients.
 func (t *Term) AddScaled(o *Term, k *big.Rat) *Term {
 	var kc coef
 	kc.setRat(k)
@@ -339,7 +327,6 @@ func (t *Term) Neg() *Term {
 
 // Coeff returns the coefficient of v (zero if absent) as a fresh rational
 // the caller owns; it never aliases term internals.
-// alloc: materializing the big.Rat copy is this accessor's contract.
 func (t *Term) Coeff(v Var) *big.Rat {
 	if c := t.at(v); c != nil {
 		return c.rat()
@@ -349,7 +336,6 @@ func (t *Term) Coeff(v Var) *big.Rat {
 
 // Const returns the constant part as a fresh rational the caller owns; it
 // never aliases term internals.
-// alloc: materializing the big.Rat copy is this accessor's contract.
 func (t *Term) Const() *big.Rat { return t.konst.rat() }
 
 // IsConst reports whether the term has no variables.
@@ -362,7 +348,6 @@ func (t *Term) Has(v Var) bool {
 }
 
 // Vars appends the term's variables to dst in canonical (sorted) order.
-// alloc: append grows the caller's buffer.
 func (t *Term) Vars(dst []Var) []Var {
 	for i := range t.cells {
 		dst = append(dst, t.cells[i].v)
@@ -389,8 +374,6 @@ func (t *Term) Subst(v Var, repl *Term) *Term {
 // a result allocated at final capacity — the allocation-lean form of
 // t.Clone().Subst(v, repl), which is what the eliminators substitute test
 // points with.
-// alloc: one result term and one cell array sized up front; promoted
-// coefficients (rare) deep-copy their big.Rat.
 func substTermCopy(t *Term, v Var, repl *Term) *Term {
 	i, ok := t.find(v)
 	if !ok {
@@ -448,7 +431,6 @@ func substTermCopy(t *Term, v Var, repl *Term) *Term {
 
 // DenomLCM returns the least common multiple of the denominators of all
 // coefficients and the constant.
-// alloc: one fresh accumulator; the result is the caller's to keep.
 func (t *Term) DenomLCM() *big.Int {
 	if l, ok := t.denomLCM64(); ok {
 		return big.NewInt(l)
@@ -465,7 +447,6 @@ func (t *Term) DenomLCM() *big.Int {
 // every denominator and the running LCM stayed inside the fast domain.
 func (t *Term) denomLCM64() (int64, bool) {
 	l := int64(1)
-	// alloc: one closure per LCM scan; keeps the per-denominator step inlined
 	step := func(d int64) bool {
 		m, ok := mul64(l/gcd64(l, d), d)
 		if !ok {
@@ -520,7 +501,6 @@ func (t *Term) AllIntVars() bool {
 // String renders the term. Hot callers (bound dedup in the eliminators)
 // use it as a canonical key; interned terms carry the rendering cached, so
 // repeated keying of a shared term is a string-header copy.
-// alloc: string building is the product on the uncached path.
 func (t *Term) String() string {
 	if t.frozen {
 		return t.str
@@ -530,7 +510,6 @@ func (t *Term) String() string {
 
 // appendString appends the canonical rendering of t to b. Cells are stored
 // sorted, so the rendering needs no sorting pass.
-// alloc: append grows the caller's buffer.
 func (t *Term) appendString(b []byte) []byte {
 	if len(t.cells) == 0 {
 		return t.konst.appendRat(b)
@@ -558,8 +537,6 @@ func (t *Term) appendString(b []byte) []byte {
 // appendKey appends the interner key of t: the canonical rendering with
 // each variable qualified by its sort, so same-named variables of
 // different sorts never collide in the intern tables.
-// alloc: key rendering grows the caller's buffer; paid once per interned
-// term, then served from the cached key.
 func (t *Term) appendKey(b []byte) []byte {
 	if t.frozen {
 		return append(b, t.key...)
@@ -613,7 +590,6 @@ func (t *Term) Eval(m Model) (*big.Rat, error) {
 var ratOne = big.NewRat(1, 1)
 
 // lcmInto sets l = lcm(l, d) for positive d.
-// alloc: one scratch integer for the GCD.
 func lcmInto(l, d *big.Int) {
 	g := new(big.Int).GCD(nil, nil, l, d)
 	l.Div(l, g).Mul(l, d)

@@ -409,8 +409,6 @@ func decodeRows(c predicate.Column, rows int, page []byte, sel []int, dst engine
 // decodeInt64s fills dst from the little-endian 8-byte slots sel of src
 // (slot i for dst[i] when sel is nil) — the segment scan's innermost
 // decode loop.
-//
-// sia:hotpath
 func decodeInt64s(dst []int64, src []byte, sel []int) {
 	for i := range dst {
 		r := i
@@ -422,8 +420,6 @@ func decodeInt64s(dst []int64, src []byte, sel []int) {
 }
 
 // decodeFloat64s is decodeInt64s for float64 bit patterns.
-//
-// sia:hotpath
 func decodeFloat64s(dst []float64, src []byte, sel []int) {
 	for i := range dst {
 		r := i

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 
 	"sia/internal/engine"
 	"sia/internal/predicate"
+	"sia/internal/predtest"
 )
 
 // testSchema covers all four column types plus a nullable column.
@@ -242,7 +244,23 @@ func TestOpenSegmentMissingFile(t *testing.T) {
 //	(iii) the Program's negation normal form, evaluated three-valued,
 //	      agrees on every row, NULL rows included — which pins the
 //	      NOT-pushing step on its own.
+//
+// The first input is fixed at the int64 edge. On its first row a + a
+// overflows int64 while the linear form a - b is exactly 5, so Eval must
+// carry the sum exactly (5 <= 0 is FALSE), as the kernels and the zone-map
+// intervals do; float64 arithmetic would round it to 0 <= 0. The second
+// row (a - b = 0, TRUE) keeps the segment from being pruned, so the
+// engine check is the one that sees the difference.
 func TestZoneMapSoundness(t *testing.T) {
+	s := predicate.NewSchema(
+		predicate.Column{Name: "a", Type: predicate.TypeInteger, NotNull: true},
+		predicate.Column{Name: "b", Type: predicate.TypeInteger, NotNull: true},
+	)
+	edge := engine.NewTable("edge", s)
+	edge.AppendRow(predicate.IntVal(1<<62+1), predicate.IntVal(1<<62-4))
+	edge.AppendRow(predicate.IntVal(1<<62-4), predicate.IntVal(1<<62-4))
+	checkSoundness(t, "int64 edge", edge, predtest.MustParse("a + a - a - b <= 0", s))
+
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		// Most segments are small, so zone maps are tight and pruning
@@ -253,35 +271,40 @@ func TestZoneMapSoundness(t *testing.T) {
 			rows = 2*4096 + 50
 		}
 		tbl := propTable(r, rows, trial%3 == 0, trial%7 == 0)
-		seg, err := OpenSegment(writeTestSegment(t, tbl))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := randPredicate(r, 3)
-		prog := predicate.Compile(p)
-		set := seg.truth(prog)
+		checkSoundness(t, fmt.Sprintf("trial %d", trial), tbl, randPredicate(r, 3))
+	}
+}
 
-		var trueRows []int
-		for row := 0; row < tbl.NumRows(); row++ {
-			tu := tbl.Tuple(row)
-			got := predicate.Eval(p, tu)
-			if got == predicate.True { // tribool: collecting the WHERE-accepted rows
-				trueRows = append(trueRows, row)
-			}
-			if set&triBit(got) == 0 {
-				t.Fatalf("trial %d: %s evaluates to %v on row %d but the abstract set is %03b", trial, p, got, row, set)
-			}
-			if nnf := evalProgram(prog, tu); nnf != got {
-				t.Fatalf("trial %d: %s evaluates to %v on row %d (%v) but its negation normal form to %v", trial, p, got, row, tu, nnf)
-			}
+// checkSoundness runs TestZoneMapSoundness's three checks for p on tbl.
+func checkSoundness(t *testing.T, name string, tbl *engine.Table, p predicate.Predicate) {
+	t.Helper()
+	seg, err := OpenSegment(writeTestSegment(t, tbl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := predicate.Compile(p)
+	set := seg.truth(prog)
+
+	var trueRows []int
+	for row := 0; row < tbl.NumRows(); row++ {
+		tu := tbl.Tuple(row)
+		got := predicate.Eval(p, tu)
+		if got == predicate.True { // tribool: collecting the WHERE-accepted rows
+			trueRows = append(trueRows, row)
 		}
-		if set&canTrue == 0 && len(trueRows) > 0 {
-			t.Fatalf("trial %d: %s pruned a segment with %d TRUE rows", trial, p, len(trueRows))
+		if set&triBit(got) == 0 {
+			t.Fatalf("%s: %s evaluates to %v on row %d but the abstract set is %03b", name, p, got, row, set)
 		}
-		for _, par := range []int{1, 4} {
-			if got := engine.SelectRows(tbl, prog, par); !slices.Equal(got, trueRows) {
-				t.Fatalf("trial %d par %d: %s: engine kept %d rows, Eval is TRUE on %d", trial, par, p, len(got), len(trueRows))
-			}
+		if nnf := evalProgram(prog, tu); nnf != got {
+			t.Fatalf("%s: %s evaluates to %v on row %d (%v) but its negation normal form to %v", name, p, got, row, tu, nnf)
+		}
+	}
+	if set&canTrue == 0 && len(trueRows) > 0 {
+		t.Fatalf("%s: %s pruned a segment with %d TRUE rows", name, p, len(trueRows))
+	}
+	for _, par := range []int{1, 4} {
+		if got := engine.SelectRows(tbl, prog, par); !slices.Equal(got, trueRows) {
+			t.Fatalf("%s par %d: %s: engine kept %d rows, Eval is TRUE on %d", name, par, p, len(got), len(trueRows))
 		}
 	}
 }
@@ -349,9 +372,9 @@ func randPredicate(r *rand.Rand, depth int) predicate.Predicate {
 
 // randCompare builds one comparison. Most are linear over the NOT NULL d
 // and the nullable ts; some add a term in id (the column that may hold
-// int64-edge values — on one side only, so it cannot cancel out of the
-// linear form and leave Eval's float64 overflow fallback as the only
-// witness), a DOUBLE column, a halved side, or the non-linear id*d.
+// int64-edge values) to one side, or the same term to both so that it
+// cancels out of the linear form while Eval still computes it; others add
+// a DOUBLE column, a halved side, or the non-linear id*d.
 func randCompare(r *rand.Rand) predicate.Predicate {
 	ops := []predicate.CmpOp{
 		predicate.CmpLT, predicate.CmpGT, predicate.CmpLE,
@@ -360,8 +383,12 @@ func randCompare(r *rand.Rand) predicate.Predicate {
 	id := predicate.Col("id", predicate.TypeInteger)
 	left, right := randExpr(r, 2), randExpr(r, 2)
 	switch r.Intn(8) {
-	case 0, 1:
+	case 0:
 		left = predicate.Add(predicate.Mul(predicate.IntConst(int64(1+r.Intn(4))), id), left)
+	case 1:
+		k := predicate.IntConst(int64(1 + r.Intn(4)))
+		left = predicate.Add(predicate.Mul(k, id), left)
+		right = predicate.Add(predicate.Mul(k, id), right)
 	case 2:
 		left = predicate.Add(left, predicate.Col("x", predicate.TypeDouble))
 	case 3:
