@@ -133,19 +133,23 @@ func (t *Table) Nulls(col string) []bool {
 // ColumnValues is the bulk columnar form of one column for
 // NewTableFromColumns: exactly one of Ints/Reals is set (matching the
 // column's type), and Nulls is nil when the column holds no NULLs (it must
-// be nil for a NOT NULL column).
+// be nil for a NOT NULL column). MaxAbs is the caller's upper bound on |v|
+// over Ints, which the compiled filters rely on to rule out int64
+// overflow; a segment's zone maps supply it without a pass over the data.
 type ColumnValues struct {
-	Ints  []int64
-	Reals []float64
-	Nulls []bool
+	Ints   []int64
+	Reals  []float64
+	Nulls  []bool
+	MaxAbs uint64
 }
 
 // NewTableFromColumns builds a table directly from column arrays, cols[i]
 // holding schema column i — the bulk constructor the storage layer's
 // segment decoder uses instead of materializing predicate.Values row by
 // row. The slices are adopted, not copied: the caller must not mutate them
-// afterwards. Every column must have length nRows; maxAbs overflow bounds
-// are recomputed by scanning the adopted arrays.
+// afterwards. Every column must have length nRows. Each integral column's
+// overflow bound is its MaxAbs, taken as given: it is not checked against
+// the values.
 func NewTableFromColumns(name string, schema *predicate.Schema, nRows int, cols []ColumnValues) (*Table, error) {
 	t := NewTable(name, schema)
 	if len(cols) != len(t.order) {
@@ -158,12 +162,7 @@ func NewTableFromColumns(name string, schema *predicate.Schema, nRows int, cols 
 			if len(cv.Ints) != nRows {
 				return nil, fmt.Errorf("engine: column %s.%s has %d values, want %d", name, sc.Name, len(cv.Ints), nRows)
 			}
-			cd.ints = cv.Ints
-			for _, v := range cv.Ints {
-				if a := predicate.AbsUint64(v); a > cd.maxAbs {
-					cd.maxAbs = a
-				}
-			}
+			cd.ints, cd.maxAbs = cv.Ints, cv.MaxAbs
 		} else {
 			if len(cv.Reals) != nRows {
 				return nil, fmt.Errorf("engine: column %s.%s has %d values, want %d", name, sc.Name, len(cv.Reals), nRows)

@@ -50,6 +50,10 @@ func ExecuteOpts(n Node, c *Catalog, opts ExecOptions) (*engine.Table, *ExecStat
 // threaded down to the joins and the source scans, which materialize
 // nothing else; every other operator may return more columns than need
 // names.
+//
+// Every operator that consumes exec's output calls c.release on it once it
+// returns: the table a source scan built belongs to the plan and is dead
+// by then, because every operator copies what it keeps.
 func exec(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need []string) (*engine.Table, error) {
 	// A filter directly over an external source hands its predicate to the
 	// source's scan, which may prune whole segments before reading them and
@@ -70,6 +74,7 @@ func exec(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need []string)
 		if err != nil {
 			return nil, err
 		}
+		defer c.release(x.Input, in)
 		return engine.FilterPar(in, x.Pred, opts.Parallelism), nil
 	case *Join:
 		return execJoin(x, nil, c, stats, opts, need)
@@ -78,6 +83,7 @@ func exec(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need []string)
 		if err != nil {
 			return nil, err
 		}
+		defer c.release(x.Input, in)
 		return engine.ProjectPar(in, x.Cols, opts.Parallelism)
 	case *Aggregate:
 		inputs := append([]string{}, x.GroupBy...)
@@ -90,6 +96,7 @@ func exec(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need []string)
 		if err != nil {
 			return nil, err
 		}
+		defer c.release(x.Input, in)
 		return engine.AggregatePar(in, x.GroupBy, x.Aggs, opts.Parallelism)
 	default:
 		return nil, fmt.Errorf("plan: unknown node %T", n)
@@ -104,14 +111,18 @@ func execJoin(x *Join, residual predicate.Predicate, c *Catalog, stats *ExecStat
 	if residual != nil {
 		inputNeed = withColumns(inputNeed, predicate.Columns(residual)...)
 	}
-	l, lpred, err := execJoinInput(x.Left, c, stats, opts, inputNeed)
+	ln, lpred, lneed := c.joinInput(x.Left, inputNeed)
+	l, err := exec(ln, c, stats, opts, lneed)
 	if err != nil {
 		return nil, err
 	}
-	r, rpred, err := execJoinInput(x.Right, c, stats, opts, inputNeed)
+	defer c.release(ln, l)
+	rn, rpred, rneed := c.joinInput(x.Right, inputNeed)
+	r, err := exec(rn, c, stats, opts, rneed)
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(rn, r)
 	out, jstats, err := engine.HashJoinWherePar(l, r, engine.JoinSpec{
 		LeftKey: x.LeftKey, RightKey: x.RightKey,
 		LeftPred: lpred, RightPred: rpred,
@@ -124,15 +135,16 @@ func execJoin(x *Join, residual predicate.Predicate, c *Catalog, stats *ExecStat
 	return out, nil
 }
 
-// execJoinInput materializes one side of a join. A Filter directly above
-// the side's child is fused into the join's selection pass: the returned
-// predicate is then evaluated during the scan without materializing an
-// intermediate table, the way real engines execute pushdown. A Filter on a
-// Join stays where it is, as that join's residual, and one on a source
-// stays in the source's scan, which reads its columns without returning
-// them. need is split by side here: only the columns of this side's schema
-// are asked of it.
-func execJoinInput(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need []string) (*engine.Table, predicate.Predicate, error) {
+// joinInput splits one side n of a join into the node to execute, the
+// predicate fused into the join's selection (nil for none) and the columns
+// to ask of that node. A Filter directly above the side's child is fused:
+// its predicate is evaluated during the join's selection pass without
+// materializing an intermediate table, the way real engines execute
+// pushdown. A Filter on a Join stays where it is, as that join's residual,
+// and one on a source stays in the source's scan, which reads its columns
+// without returning them. need is split by side here: only the columns of
+// this side's schema are asked of it.
+func (c *Catalog) joinInput(n Node, need []string) (Node, predicate.Predicate, []string) {
 	if need != nil {
 		schema, side := n.Schema(), []string{}
 		for _, name := range need {
@@ -149,11 +161,19 @@ func execJoinInput(n Node, c *Catalog, stats *ExecStats, opts ExecOptions, need 
 		fused = !onJoin && !onSource
 	}
 	if !fused {
-		t, err := exec(n, c, stats, opts, need)
-		return t, nil, err
+		return n, nil, need
 	}
-	t, err := exec(f.Input, c, stats, opts, withColumns(need, predicate.Columns(f.Pred)...))
-	return t, f.Pred, err
+	return f.Input, f.Pred, withColumns(need, predicate.Columns(f.Pred)...)
+}
+
+// release hands t, which exec(n) returned, back to the engine's column
+// pool when a source scan built it; a catalog table is never released.
+// The consumer calls it once it has returned, so only the plan's result
+// outlives its operator.
+func (c *Catalog) release(n Node, t *engine.Table) {
+	if _, _, ok := c.sourceScan(n); ok {
+		engine.Release(t)
+	}
 }
 
 // withColumns returns need with more columns added; nil, meaning every

@@ -18,7 +18,9 @@ import (
 // Scan must return exactly what engine.FilterPar over the fully
 // materialized source would, projected to spec.Cols (see engine.ScanSpec),
 // so plans over sources stay value-identical to plans over in-memory
-// tables.
+// tables. The returned table belongs to the caller, and the executor hands
+// its arrays to engine.Release once the operator reading it returns, so
+// Scan must never return a table whose arrays anything else still holds.
 type TableSource interface {
 	Name() string
 	Schema() *predicate.Schema

@@ -14,16 +14,18 @@ import (
 // Segment file layout (all integers little-endian):
 //
 //	┌──────────────────────────────────────────────────────────────┐
-//	│ header   magic "SIASEG01" (8) — name + format version        │
+//	│ header   magic "SIASEG02" (8) — name + format version        │
 //	│          rowCount uint64                                     │
 //	│          colCount uint32 · catalogLen uint32                 │
 //	│          catalog: per column {nameLen u16, name, type u8,    │
-//	│                               notNull u8}                    │
+//	│                               notNull u8, width u8}          │
 //	│          headerCRC uint32 (CRC-32/IEEE of everything above)  │
 //	│          zero padding to an 8-byte boundary                  │
 //	├──────────────────────────────────────────────────────────────┤
 //	│ pages    one per column, in catalog order, each 8-aligned:   │
-//	│          values  rowCount × 8 bytes (int64, or float64 bits) │
+//	│          values  rowCount × width bytes: an integral value   │
+//	│                  v as v − min (the footer's), a DOUBLE as    │
+//	│                  its float64 bits (width 8); NULL slots 0    │
 //	│          bitmap  ⌈rowCount/8⌉ bytes, nullable columns only   │
 //	│                  (bit r&7 of byte r>>3 set ⇔ row r is NULL)  │
 //	│          pageCRC uint32 over values+bitmap · pad to 8        │
@@ -36,13 +38,15 @@ import (
 //	│          end magic "SIASEGZ1" (8)                            │
 //	└──────────────────────────────────────────────────────────────┘
 //
-// The fixed 8-byte stride and 8-aligned page starts make the value arrays
-// directly overlayable by an mmap-style reader; every offset is computable
-// from the header alone, so the reader seeks straight to any column. The
-// trailer sits at a fixed distance from the end of the file, so zone maps
-// load with one small read regardless of segment size.
+// An integral page is frame-of-reference coded: its width is the fewest of
+// 1, 2, 4 or 8 bytes that hold max − min, and an all-NULL column has width
+// 1 and reference 0. Every offset is computable from the header alone, so
+// the reader seeks straight to any column and cross-checks the file size.
+// The trailer sits at a fixed distance from the end of the file, so zone
+// maps load with one small read regardless of segment size.
 const (
-	segMagic    = "SIASEG01"
+	segMagic    = "SIASEG02"
+	segMagicV1  = "SIASEG01" // fixed 8-byte slots; no longer read
 	segEndMagic = "SIASEGZ1"
 
 	headerFixedLen = 8 + 8 + 4 + 4 // magic, rowCount, colCount, catalogLen
@@ -67,9 +71,48 @@ type ZoneMap struct {
 	HasValues bool
 }
 
+// base is the reference an integral page stores its values' offsets
+// from: the minimum, or 0 for a column without values.
+func (zm ZoneMap) base() int64 {
+	if zm.HasValues {
+		return zm.Min
+	}
+	return 0
+}
+
+// maxAbs bounds |v| over an integral column's decoded values, NULL slots
+// (which decode to base) included: the overflow bound Program.FitsInt64
+// takes.
+func (zm ZoneMap) maxAbs() uint64 {
+	if !zm.HasValues {
+		return 0
+	}
+	return max(predicate.AbsUint64(zm.Min), predicate.AbsUint64(zm.Max))
+}
+
+// slotWidth returns the bytes per value of column c's page given its zone
+// map: 8 for DOUBLE bits, otherwise the fewest of 1, 2, 4 and 8 that hold
+// max − min.
+func slotWidth(c predicate.Column, zm ZoneMap) int {
+	if !c.Type.Integral() {
+		return 8
+	}
+	switch span := uint64(zm.Max) - uint64(zm.Min); {
+	case !zm.HasValues || span < 1<<8:
+		return 1
+	case span < 1<<16:
+		return 2
+	case span < 1<<32:
+		return 4
+	default:
+		return 8
+	}
+}
+
 // pageSpec locates one column page inside a segment file.
 type pageSpec struct {
 	off    int64 // start of the values array (8-aligned)
+	width  int   // bytes per value slot
 	valLen int64
 	bmLen  int64 // 0 for NOT NULL columns
 }
@@ -79,8 +122,8 @@ func (p pageSpec) dataLen() int64 { return p.valLen + p.bmLen }
 
 // segLayout is the computed geometry of a segment file: where every page
 // and the footer live, and the exact total size. It is a pure function of
-// (rowCount, catalog), which is what lets the reader cross-check a file's
-// actual size against what its header implies.
+// the header (row count, catalog and slot widths), which is what lets the
+// reader cross-check a file's actual size against what its header implies.
 type segLayout struct {
 	rows      int
 	cols      []predicate.Column
@@ -92,18 +135,19 @@ type segLayout struct {
 
 func align8(v int64) int64 { return (v + 7) &^ 7 }
 
-// computeLayout derives the file geometry from the header's claims.
-// Bounds on rows and cols are enforced by the header parser, so the
-// arithmetic here cannot overflow int64.
-func computeLayout(rows int, cols []predicate.Column, headerLen int64) segLayout {
+// computeLayout derives the file geometry from the header's claims, with
+// widths[i] the slot width of column i. Bounds on rows, cols and widths
+// are enforced by the header parser, so the arithmetic here cannot
+// overflow int64.
+func computeLayout(rows int, cols []predicate.Column, widths []int, headerLen int64) segLayout {
 	l := segLayout{rows: rows, cols: cols}
 	off := align8(headerLen)
 	bmLen := int64(0)
 	if rows > 0 {
 		bmLen = int64((rows + 7) / 8)
 	}
-	for _, c := range cols {
-		p := pageSpec{off: off, valLen: int64(rows) * 8}
+	for i, c := range cols {
+		p := pageSpec{off: off, width: widths[i], valLen: int64(rows) * int64(widths[i])}
 		if !c.NotNull {
 			p.bmLen = bmLen
 		}
@@ -122,7 +166,9 @@ func corrupt(format string, args ...any) error {
 }
 
 // encodeSegment serializes rows [lo, hi) of t into the segment format,
-// returning the file bytes and the per-column zone maps it embedded.
+// returning the file bytes and the per-column zone maps it embedded. One
+// pass over the rows computes the zone maps, which fix the slot widths
+// and so the layout; a second encodes the pages.
 func encodeSegment(t *engine.Table, lo, hi int) ([]byte, []ZoneMap, error) {
 	if lo < 0 || hi < lo || hi > t.NumRows() {
 		return nil, nil, fmt.Errorf("storage: row range [%d,%d) outside table of %d rows", lo, hi, t.NumRows())
@@ -133,17 +179,21 @@ func encodeSegment(t *engine.Table, lo, hi int) ([]byte, []ZoneMap, error) {
 	}
 	rows := hi - lo
 
+	zones := make([]ZoneMap, len(cols))
+	widths := make([]int, len(cols))
 	catalog := make([]byte, 0, 32*len(cols))
-	for _, c := range cols {
+	for i, c := range cols {
 		if len(c.Name) == 0 || len(c.Name) > maxColNameLen {
 			return nil, nil, fmt.Errorf("storage: column name %q out of range", c.Name)
 		}
+		zones[i] = zoneMap(t, c, lo, hi)
+		widths[i] = slotWidth(c, zones[i])
 		catalog = binary.LittleEndian.AppendUint16(catalog, uint16(len(c.Name)))
 		catalog = append(catalog, c.Name...)
-		catalog = append(catalog, byte(c.Type), boolByte(c.NotNull))
+		catalog = append(catalog, byte(c.Type), boolByte(c.NotNull), byte(widths[i]))
 	}
 	headerLen := int64(headerFixedLen + len(catalog) + 4)
-	layout := computeLayout(rows, cols, headerLen)
+	layout := computeLayout(rows, cols, widths, headerLen)
 
 	buf := make([]byte, layout.size)
 	copy(buf, segMagic)
@@ -154,12 +204,11 @@ func encodeSegment(t *engine.Table, lo, hi int) ([]byte, []ZoneMap, error) {
 	binary.LittleEndian.PutUint32(buf[headerFixedLen+len(catalog):],
 		crc32.ChecksumIEEE(buf[:headerFixedLen+len(catalog)]))
 
-	zones := make([]ZoneMap, len(cols))
 	for i, c := range cols {
 		page := layout.pages[i]
 		vals := buf[page.off : page.off+page.valLen]
 		bm := buf[page.off+page.valLen : page.off+page.dataLen()]
-		zones[i] = encodeColumn(t, c, lo, hi, vals, bm)
+		encodeColumn(t, c, lo, hi, zones[i].base(), page.width, vals, bm)
 		binary.LittleEndian.PutUint32(buf[page.off+page.dataLen():],
 			crc32.ChecksumIEEE(buf[page.off:page.off+page.dataLen()]))
 	}
@@ -178,50 +227,91 @@ func encodeSegment(t *engine.Table, lo, hi int) ([]byte, []ZoneMap, error) {
 	return buf, zones, nil
 }
 
-// encodeColumn fills one column page (values and, when nullable, the NULL
-// bitmap) for rows [lo, hi) and returns the column's zone map. NULL rows
-// write a zero value slot; only non-NULL values feed min/max.
-func encodeColumn(t *engine.Table, c predicate.Column, lo, hi int, vals, bm []byte) ZoneMap {
+// zoneMap computes column c's zone map over rows [lo, hi) of t: only
+// non-NULL values feed min/max.
+func zoneMap(t *engine.Table, c predicate.Column, lo, hi int) ZoneMap {
 	zm := ZoneMap{Min: math.MaxInt64, Max: math.MinInt64}
-	var fmin, fmax = math.Inf(1), math.Inf(-1)
 	nulls := t.Nulls(c.Name)
-	put := func(i int, bits int64) {
-		binary.LittleEndian.PutUint64(vals[8*i:], uint64(bits))
+	if nulls != nil {
+		nulls = nulls[lo:hi]
 	}
-	for r := lo; r < hi; r++ {
-		i := r - lo
-		if nulls != nil && nulls[r] {
-			zm.NullCount++
-			bm[i>>3] |= 1 << (i & 7)
-			put(i, 0)
-			continue
+	if c.Type.Integral() {
+		for i, v := range t.Ints(c.Name)[lo:hi] {
+			if nulls != nil && nulls[i] {
+				zm.NullCount++
+				continue
+			}
+			zm.Min, zm.Max = min(zm.Min, v), max(zm.Max, v)
 		}
-		if c.Type.Integral() {
-			v := t.Ints(c.Name)[r]
-			if v < zm.Min {
-				zm.Min = v
+	} else {
+		fmin, fmax := math.Inf(1), math.Inf(-1)
+		for i, v := range t.Reals(c.Name)[lo:hi] {
+			if nulls != nil && nulls[i] {
+				zm.NullCount++
+				continue
 			}
-			if v > zm.Max {
-				zm.Max = v
-			}
-			put(i, v)
-		} else {
-			v := t.Reals(c.Name)[r]
 			if v < fmin {
 				fmin = v
 			}
 			if v > fmax {
 				fmax = v
 			}
-			put(i, int64(math.Float64bits(v)))
 		}
+		zm.Min, zm.Max = int64(math.Float64bits(fmin)), int64(math.Float64bits(fmax))
 	}
 	zm.HasValues = zm.NullCount < uint64(hi-lo)
-	if !c.Type.Integral() {
-		zm.Min = int64(math.Float64bits(fmin))
-		zm.Max = int64(math.Float64bits(fmax))
-	}
 	return zm
+}
+
+// encodeColumn fills one column page for rows [lo, hi) of t, whose vals
+// and bm arrive zeroed: the values as w-byte offsets from base, or as
+// float64 bits, and, for a nullable column, the NULL bitmap. A NULL row's
+// slot stays 0.
+func encodeColumn(t *engine.Table, c predicate.Column, lo, hi int, base int64, w int, vals, bm []byte) {
+	nulls := t.Nulls(c.Name)
+	if nulls != nil {
+		nulls = nulls[lo:hi]
+		for i, null := range nulls {
+			if null {
+				bm[i>>3] |= 1 << (i & 7)
+			}
+		}
+	}
+	if !c.Type.Integral() {
+		for i, v := range t.Reals(c.Name)[lo:hi] {
+			if nulls == nil || !nulls[i] {
+				binary.LittleEndian.PutUint64(vals[8*i:], math.Float64bits(v))
+			}
+		}
+		return
+	}
+	src := t.Ints(c.Name)[lo:hi]
+	switch w {
+	case 1:
+		for i, v := range src {
+			if nulls == nil || !nulls[i] {
+				vals[i] = byte(v - base)
+			}
+		}
+	case 2:
+		for i, v := range src {
+			if nulls == nil || !nulls[i] {
+				binary.LittleEndian.PutUint16(vals[2*i:], uint16(v-base))
+			}
+		}
+	case 4:
+		for i, v := range src {
+			if nulls == nil || !nulls[i] {
+				binary.LittleEndian.PutUint32(vals[4*i:], uint32(v-base))
+			}
+		}
+	default:
+		for i, v := range src {
+			if nulls == nil || !nulls[i] {
+				binary.LittleEndian.PutUint64(vals[8*i:], uint64(v-base))
+			}
+		}
+	}
 }
 
 func boolByte(b bool) byte {
@@ -256,7 +346,11 @@ func parseHeader(hdr []byte, totalSize int64) (segLayout, error) {
 	if int64(len(hdr)) < headerFixedLen {
 		return zero, corrupt("file of %d bytes is shorter than the %d-byte fixed header", totalSize, headerFixedLen)
 	}
-	if string(hdr[:8]) != segMagic {
+	switch string(hdr[:8]) {
+	case segMagic:
+	case segMagicV1:
+		return zero, corrupt("format version 1 (magic %q) is no longer read; rewrite the segment as %q", segMagicV1, segMagic)
+	default:
 		return zero, corrupt("bad magic %q (want %q)", hdr[:8], segMagic)
 	}
 	rows64 := binary.LittleEndian.Uint64(hdr[8:])
@@ -279,6 +373,7 @@ func parseHeader(hdr []byte, totalSize int64) (segLayout, error) {
 
 	catalog := hdr[headerFixedLen : headerFixedLen+int(catalogLen)]
 	cols := make([]predicate.Column, 0, colCount)
+	widths := make([]int, 0, colCount)
 	seen := make(map[string]bool, colCount)
 	for i := uint32(0); i < colCount; i++ {
 		if len(catalog) < 2 {
@@ -286,13 +381,13 @@ func parseHeader(hdr []byte, totalSize int64) (segLayout, error) {
 		}
 		nameLen := int(binary.LittleEndian.Uint16(catalog))
 		catalog = catalog[2:]
-		if nameLen == 0 || nameLen > maxColNameLen || len(catalog) < nameLen+2 {
+		if nameLen == 0 || nameLen > maxColNameLen || len(catalog) < nameLen+3 {
 			return zero, corrupt("catalog entry %d has name length %d with %d bytes left", i, nameLen, len(catalog))
 		}
 		name := string(catalog[:nameLen])
 		typ := predicate.Type(catalog[nameLen])
-		notNull := catalog[nameLen+1]
-		catalog = catalog[nameLen+2:]
+		notNull, width := catalog[nameLen+1], int(catalog[nameLen+2])
+		catalog = catalog[nameLen+3:]
 		if typ != predicate.TypeInteger && typ != predicate.TypeDouble &&
 			typ != predicate.TypeDate && typ != predicate.TypeTimestamp {
 			return zero, corrupt("column %q has unknown type %d", name, typ)
@@ -300,17 +395,24 @@ func parseHeader(hdr []byte, totalSize int64) (segLayout, error) {
 		if notNull > 1 {
 			return zero, corrupt("column %q has bad notNull byte %d", name, notNull)
 		}
+		if width != 1 && width != 2 && width != 4 && width != 8 {
+			return zero, corrupt("column %q has slot width %d (want 1, 2, 4 or 8)", name, width)
+		}
+		if !typ.Integral() && width != 8 {
+			return zero, corrupt("DOUBLE column %q has slot width %d (want 8)", name, width)
+		}
 		if seen[name] {
 			return zero, corrupt("duplicate column %q in catalog", name)
 		}
 		seen[name] = true
 		cols = append(cols, predicate.Column{Name: name, Type: typ, NotNull: notNull == 1})
+		widths = append(widths, width)
 	}
 	if len(catalog) != 0 {
 		return zero, corrupt("%d trailing bytes after the last catalog entry", len(catalog))
 	}
 
-	layout := computeLayout(int(rows64), cols, headerLen)
+	layout := computeLayout(int(rows64), cols, widths, headerLen)
 	if layout.size != totalSize {
 		return zero, corrupt("file is %d bytes, header implies %d (truncated or padded)", totalSize, layout.size)
 	}
@@ -355,48 +457,41 @@ func parseFooter(ft []byte, layout segLayout) ([]ZoneMap, error) {
 	return zones, nil
 }
 
-// newColumn allocates engine column arrays for n values of c.
-func newColumn(c predicate.Column, n int) engine.ColumnValues {
-	var cv engine.ColumnValues
-	if c.Type.Integral() {
-		cv.Ints = make([]int64, n)
-	} else {
-		cv.Reals = make([]float64, n)
+// decodeTable decodes the verified pages of the catalog columns idx,
+// pages[i] holding column i's values+bitmap, into a table named name
+// whose arrays come from the engine's column pool and whose overflow
+// bounds come from the zone maps.
+func (s *Segment) decodeTable(name string, idx []int, pages [][]byte) (*engine.Table, error) {
+	cols := make([]predicate.Column, len(idx))
+	values := make([]engine.ColumnValues, len(idx))
+	for j, i := range idx {
+		cols[j] = s.layout.cols[i]
+		values[j] = engine.NewColumnValues(cols[j], s.layout.rows)
+		values[j].MaxAbs = s.zones[i].maxAbs()
+		s.decodeRows(i, pages[i], nil, values[j], 0)
 	}
-	if !c.NotNull {
-		cv.Nulls = make([]bool, n)
-	}
-	return cv
+	return engine.NewTableFromColumns(name, predicate.NewSchema(cols...), s.layout.rows, values)
 }
 
-// decodeTable decodes whole verified pages (values + optional bitmap),
-// pages[j] holding column cols[j], into an engine table of rows rows.
-func decodeTable(name string, cols []predicate.Column, rows int, pages [][]byte) (*engine.Table, error) {
-	values := make([]engine.ColumnValues, len(cols))
-	for j, c := range cols {
-		values[j] = newColumn(c, rows)
-		decodeRows(c, rows, pages[j], nil, values[j], 0)
-	}
-	return engine.NewTableFromColumns(name, predicate.NewSchema(cols...), rows, values)
-}
-
-// decodeRows decodes the rows sel (every row when nil) of one column's
-// verified page, from a segment of rows rows, into dst from position off.
-// It is how a scan writes survivors straight into its output columns.
-func decodeRows(c predicate.Column, rows int, page []byte, sel []int, dst engine.ColumnValues, off int) {
-	n := rows
+// decodeRows decodes the rows sel (every row when nil) of catalog column
+// i's verified page into dst from position off, writing every slot of
+// dst it covers. It is how a scan writes survivors straight into its
+// output columns.
+func (s *Segment) decodeRows(i int, page []byte, sel []int, dst engine.ColumnValues, off int) {
+	c, p := s.layout.cols[i], s.layout.pages[i]
+	n := s.layout.rows
 	if sel != nil {
 		n = len(sel)
 	}
 	if c.Type.Integral() {
-		decodeInt64s(dst.Ints[off:off+n], page, sel)
+		decodeInts(dst.Ints[off:off+n], page, p.width, s.zones[i].base(), sel)
 	} else {
 		decodeFloat64s(dst.Reals[off:off+n], page, sel)
 	}
 	if c.NotNull {
 		return
 	}
-	bm, nulls := page[rows*8:], dst.Nulls[off:off+n]
+	bm, nulls := page[p.valLen:], dst.Nulls[off:off+n]
 	for i := range nulls {
 		r := i
 		if sel != nil {
@@ -406,20 +501,49 @@ func decodeRows(c predicate.Column, rows int, page []byte, sel []int, dst engine
 	}
 }
 
-// decodeInt64s fills dst from the little-endian 8-byte slots sel of src
-// (slot i for dst[i] when sel is nil) — the segment scan's innermost
-// decode loop.
-func decodeInt64s(dst []int64, src []byte, sel []int) {
-	for i := range dst {
-		r := i
-		if sel != nil {
-			r = sel[i]
+// decodeInts fills dst from the w-byte little-endian offsets in slots sel
+// of src (slot i for dst[i] when sel is nil), adding base back — the
+// segment scan's innermost decode loop. The width is switched on once,
+// outside the row loop.
+func decodeInts(dst []int64, src []byte, w int, base int64, sel []int) {
+	switch w {
+	case 1:
+		for i := range dst {
+			r := i
+			if sel != nil {
+				r = sel[i]
+			}
+			dst[i] = base + int64(src[r])
 		}
-		dst[i] = int64(binary.LittleEndian.Uint64(src[8*r:]))
+	case 2:
+		for i := range dst {
+			r := i
+			if sel != nil {
+				r = sel[i]
+			}
+			dst[i] = base + int64(binary.LittleEndian.Uint16(src[2*r:]))
+		}
+	case 4:
+		for i := range dst {
+			r := i
+			if sel != nil {
+				r = sel[i]
+			}
+			dst[i] = base + int64(binary.LittleEndian.Uint32(src[4*r:]))
+		}
+	default:
+		for i := range dst {
+			r := i
+			if sel != nil {
+				r = sel[i]
+			}
+			dst[i] = base + int64(binary.LittleEndian.Uint64(src[8*r:]))
+		}
 	}
 }
 
-// decodeFloat64s is decodeInt64s for float64 bit patterns.
+// decodeFloat64s fills dst from the float64 bit patterns in the 8-byte
+// slots sel of src (slot i for dst[i] when sel is nil).
 func decodeFloat64s(dst []float64, src []byte, sel []int) {
 	for i := range dst {
 		r := i
@@ -439,18 +563,22 @@ func DecodeSegment(name string, data []byte) (*engine.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := parseFooter(data[layout.footerOff:], layout); err != nil {
+	zones, err := parseFooter(data[layout.footerOff:], layout)
+	if err != nil {
 		return nil, err
 	}
+	seg := &Segment{layout: layout, zones: zones}
 	pages := make([][]byte, len(layout.cols))
+	idx := make([]int, len(layout.cols))
 	for i, c := range layout.cols {
+		idx[i] = i
 		page := data[layout.pages[i].off : layout.pages[i].off+layout.pages[i].dataLen()+4]
 		if err := verifyPage(c, page); err != nil {
 			return nil, err
 		}
 		pages[i] = page[:len(page)-4]
 	}
-	t, err := decodeTable(name, layout.cols, layout.rows, pages)
+	t, err := seg.decodeTable(name, idx, pages)
 	if err != nil {
 		return nil, corrupt("rebuilding table: %v", err)
 	}

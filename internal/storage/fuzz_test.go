@@ -10,6 +10,41 @@ import (
 	"sia/internal/predicate"
 )
 
+// fuzzSchema is the fuzz seeds' schema: a NOT NULL integer, a nullable
+// DOUBLE and a nullable integer.
+func fuzzSchema() *predicate.Schema {
+	return predicate.NewSchema(
+		predicate.Column{Name: "a", Type: predicate.TypeInteger, NotNull: true},
+		predicate.Column{Name: "b", Type: predicate.TypeDouble},
+		predicate.Column{Name: "c", Type: predicate.TypeInteger},
+	)
+}
+
+// fuzzWidthSteps space a's 64 values so its page takes each slot width in
+// turn: spans of 63, 63 000, 63·10⁶ and 63·10¹⁷.
+var fuzzWidthSteps = []int64{1, 1000, 1e6, 1e17}
+
+// fuzzSeed encodes a fuzzSchema segment of rows rows with a = step·i − 20.
+// b and c hold some NULLs, and c holds nothing else when cNull is set.
+func fuzzSeed(f *testing.F, rows int, step int64, cNull bool) []byte {
+	t := engine.NewTable("t", fuzzSchema())
+	for i := 0; i < rows; i++ {
+		b, c := predicate.RealVal(float64(i)*1.5), predicate.IntVal(int64(i%4))
+		if i%3 == 0 {
+			b = predicate.NullValue()
+		}
+		if cNull || i%5 == 0 {
+			c = predicate.NullValue()
+		}
+		t.AppendRow(predicate.IntVal(step*int64(i)-20), b, c)
+	}
+	buf, _, err := encodeSegment(t, 0, rows)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return buf
+}
+
 // FuzzReadSegment drives the byte-level segment decoder with hostile
 // input. The contract under fuzz is the library's no-panic guarantee: any
 // byte string either decodes to a table or returns an error — structural
@@ -17,29 +52,14 @@ import (
 // re-encode to an equal table (the decoder cannot invent or drop rows).
 func FuzzReadSegment(f *testing.F) {
 	// Seed with well-formed segments of a few shapes so the fuzzer mutates
-	// real structure instead of flailing at the magic check.
-	seed := func(rows int, nullable bool) []byte {
-		schema := predicate.NewSchema(
-			predicate.Column{Name: "a", Type: predicate.TypeInteger, NotNull: true},
-			predicate.Column{Name: "b", Type: predicate.TypeDouble, NotNull: !nullable},
-		)
-		t := engine.NewTable("t", schema)
-		for i := 0; i < rows; i++ {
-			b := predicate.RealVal(float64(i) * 1.5)
-			if nullable && i%3 == 0 {
-				b = predicate.NullValue()
-			}
-			t.AppendRow(predicate.IntVal(int64(i*7-20)), b)
-		}
-		buf, _, err := encodeSegment(t, 0, rows)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return buf
+	// real structure instead of flailing at the magic check: a at each slot
+	// width, and c, a nullable integer, with NULLs or none but NULLs.
+	f.Add(fuzzSeed(f, 0, 1, false))
+	f.Add(fuzzSeed(f, 5, 1, false))
+	for _, step := range fuzzWidthSteps {
+		f.Add(fuzzSeed(f, 64, step, false))
 	}
-	f.Add(seed(0, false))
-	f.Add(seed(5, false))
-	f.Add(seed(64, true))
+	f.Add(fuzzSeed(f, 64, 7, true))
 	f.Add([]byte(segMagic))
 	f.Add([]byte{})
 
@@ -73,32 +93,13 @@ func FuzzReadSegment(f *testing.F) {
 // scan must succeed or fail with ErrCorrupt, never panic; when the whole
 // image also decodes, the scan must equal the in-memory filter over it.
 func FuzzScanSegment(f *testing.F) {
-	schema := predicate.NewSchema(
-		predicate.Column{Name: "a", Type: predicate.TypeInteger, NotNull: true},
-		predicate.Column{Name: "b", Type: predicate.TypeDouble},
-		predicate.Column{Name: "c", Type: predicate.TypeInteger},
-	)
-	seed := func(rows int) []byte {
-		t := engine.NewTable("t", schema)
-		for i := 0; i < rows; i++ {
-			b, c := predicate.RealVal(float64(i)*1.5), predicate.IntVal(int64(i%4))
-			if i%3 == 0 {
-				b = predicate.NullValue()
-			}
-			if i%5 == 0 {
-				c = predicate.NullValue()
-			}
-			t.AppendRow(predicate.IntVal(int64(i*7-20)), b, c)
-		}
-		buf, _, err := encodeSegment(t, 0, rows)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return buf
+	schema := fuzzSchema()
+	f.Add(fuzzSeed(f, 0, 1, false))
+	f.Add(fuzzSeed(f, 5, 1, false))
+	for _, step := range fuzzWidthSteps {
+		f.Add(fuzzSeed(f, 64, step, false))
 	}
-	f.Add(seed(0))
-	f.Add(seed(5))
-	f.Add(seed(64))
+	f.Add(fuzzSeed(f, 64, 7, true))
 	f.Add([]byte(segMagic))
 	p := predicate.Cmp(predicate.CmpGT, predicate.Col("a", predicate.TypeInteger), predicate.IntConst(3))
 	spec := engine.ScanSpec{Pred: p, Cols: []string{"b"}}

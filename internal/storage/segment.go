@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"sia/internal/engine"
@@ -125,7 +124,7 @@ func (s *segScan) selectRows(name string, prog *predicate.Program, predCols, out
 				continue
 			}
 			page := s.seg.layout.pages[i]
-			buf := getPage(int(page.dataLen() + 4))
+			buf := pagePool.Get(int(page.dataLen() + 4))
 			if _, err := f.ReadAt(buf, page.off); err != nil {
 				return fmt.Errorf("storage: reading segment page: %w", err)
 			}
@@ -141,17 +140,13 @@ func (s *segScan) selectRows(name string, prog *predicate.Program, predCols, out
 		if err := read(predCols); err != nil {
 			return err
 		}
-		cols := make([]predicate.Column, len(predCols))
-		pages := make([][]byte, len(predCols))
-		for j, i := range predCols {
-			cols[j], pages[j] = s.seg.Columns()[i], s.pages[i]
-		}
-		t, err := decodeTable(name, cols, s.n, pages)
+		t, err := s.seg.decodeTable(name, predCols, s.pages)
 		if err != nil {
 			return err
 		}
 		s.spent = time.Since(start)
 		s.sel = engine.SelectRows(t, prog, 1)
+		engine.Release(t)
 		s.n = len(s.sel)
 		start = time.Now()
 	}
@@ -168,14 +163,14 @@ func (s *segScan) gather(outCols []int, values []engine.ColumnValues) {
 	start := time.Now()
 	for j, i := range outCols {
 		if s.n > 0 { // then every page of outCols was read
-			decodeRows(s.seg.Columns()[i], s.seg.NumRows(), s.pages[i], s.sel, values[j], s.off)
+			s.seg.decodeRows(i, s.pages[i], s.sel, values[j], s.off)
 		}
 	}
 	scanned := false
 	for _, p := range s.pages {
 		if p != nil {
-			scanned, p = true, p[:cap(p)]
-			pagePool.Put(&p)
+			scanned = true
+			pagePool.Put(p)
 		}
 	}
 	if scanned {
@@ -187,12 +182,4 @@ func (s *segScan) gather(outCols []int, values []engine.ColumnValues) {
 // pagePool recycles page buffers: a scan decodes every page it reads
 // before it returns, so none is referenced afterwards, and a fresh buffer
 // costs a zeroing pass that the read overwrites.
-var pagePool sync.Pool
-
-// getPage returns an n-byte buffer, a recycled one when it is big enough.
-func getPage(n int) []byte {
-	if b, ok := pagePool.Get().(*[]byte); ok && cap(*b) >= n {
-		return (*b)[:n]
-	}
-	return make([]byte, n)
-}
+var pagePool engine.SlicePool[byte]

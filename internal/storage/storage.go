@@ -8,11 +8,12 @@
 //
 // A logical table is a directory of immutable segment files, appended by
 // streaming ingestion and scanned in file order. Each segment is a
-// self-describing, mmap-friendly flat file: fixed-width little-endian
-// columns (int64 values; float64 bit patterns for DOUBLE) with optional
+// self-describing flat file: little-endian column pages with optional
 // null bitmaps, a header carrying magic/version/row-count/column catalog,
 // a CRC-32 checksum per column page, and a footer holding per-column
-// min/max zone maps and null counts. Writes are atomic and durable
+// min/max zone maps and null counts. An integral page stores each value
+// as its offset from the footer's minimum in 1, 2, 4 or 8 bytes, the
+// fewest its zone map allows; a DOUBLE page stores float64 bit patterns. Writes are atomic and durable
 // (tmp + fsync + rename + dir fsync via internal/fsatomic), so a crash
 // mid-append leaves the previous segment set intact.
 //

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"sia/internal/engine"
@@ -71,23 +73,87 @@ func scanSegment(path string, spec engine.ScanSpec, par int) (*engine.Table, err
 	return st.Scan(spec, par)
 }
 
+// widthEdges are the id spans at each slot width's edge: the widest span
+// a width holds, then one more, and the whole int64 range, with the width
+// each must be written at.
+var widthEdges = []struct {
+	span  uint64
+	width int
+}{
+	{255, 1}, {256, 2}, {65535, 2}, {65536, 4}, {1<<32 - 1, 4}, {1 << 32, 8}, {math.MaxUint64, 8},
+}
+
+// spanTable is a testSchema table whose id column spans exactly span from
+// lo (wrapping, so lo = MinInt64 with span MaxUint64 holds both int64
+// extremes) and whose ts column is entirely NULL when allNull is set.
+func spanTable(r *rand.Rand, rows int, lo int64, span uint64, allNull bool) *engine.Table {
+	tbl := engine.NewTable("t", testSchema())
+	for i := 0; i < rows; i++ {
+		off := r.Uint64() % (span/2 + 1) * 2 // even offsets up to span
+		switch i {
+		case 0:
+			off = 0
+		case 1:
+			off = span
+		}
+		ts := predicate.IntVal(r.Int63n(1e9))
+		if allNull || i%4 == 0 {
+			ts = predicate.NullValue()
+		}
+		x := predicate.RealVal(r.NormFloat64())
+		if i%3 == 0 {
+			x = predicate.NullValue()
+		}
+		tbl.AppendRow(predicate.IntVal(int64(uint64(lo)+off)), predicate.IntVal(int64(i)), ts, x)
+	}
+	return tbl
+}
+
 func TestSegmentRoundTrip(t *testing.T) {
+	type input struct {
+		name  string
+		tbl   *engine.Table
+		width []int // the slot width of each column, when pinned
+	}
+	var inputs []input
 	for _, rows := range []int{0, 1, 7, 8, 9, 1000} {
-		tbl := buildTable(t, rows, int64(rows)+1)
-		path := writeTestSegment(t, tbl)
+		inputs = append(inputs, input{name: fmt.Sprintf("rows=%d", rows), tbl: buildTable(t, rows, int64(rows)+1)})
+	}
+	r := rand.New(rand.NewSource(3))
+	for _, e := range widthEdges {
+		lo := -r.Int63n(1 << 40)
+		if e.span == math.MaxUint64 {
+			lo = math.MinInt64
+		}
+		// id at the edge, d at width 1, ts all NULL (width 1, reference
+		// 0), x a DOUBLE (width 8).
+		inputs = append(inputs, input{
+			name:  fmt.Sprintf("span=%d", e.span),
+			tbl:   spanTable(r, 100, lo, e.span, true),
+			width: []int{e.width, 1, 1, 8},
+		})
+	}
+	for _, in := range inputs {
+		rows := in.tbl.NumRows()
+		path := writeTestSegment(t, in.tbl)
 		seg, err := OpenSegment(path)
 		if err != nil {
-			t.Fatalf("rows=%d: open: %v", rows, err)
+			t.Fatalf("%s: open: %v", in.name, err)
 		}
 		if seg.NumRows() != rows {
-			t.Fatalf("rows=%d: segment reports %d rows", rows, seg.NumRows())
+			t.Fatalf("%s: segment reports %d rows", in.name, seg.NumRows())
+		}
+		for i, w := range in.width {
+			if got := seg.layout.pages[i].width; got != w {
+				t.Errorf("%s: column %s written at width %d, want %d", in.name, seg.Columns()[i].Name, got, w)
+			}
 		}
 		got, err := scanSegment(path, engine.ScanSpec{}, 1)
 		if err != nil {
-			t.Fatalf("rows=%d: scan: %v", rows, err)
+			t.Fatalf("%s: scan: %v", in.name, err)
 		}
-		if !engine.TablesEqual(tbl, got) {
-			t.Fatalf("rows=%d: decoded table differs from original", rows)
+		if !engine.TablesEqual(in.tbl, got) {
+			t.Fatalf("%s: decoded table differs from original", in.name)
 		}
 	}
 }
@@ -153,16 +219,24 @@ func TestCorruptSegmentsReturnErrCorrupt(t *testing.T) {
 		{"bad end magic", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }, true},
 		{"header crc flip", func(b []byte) []byte { b[9] ^= 0x01; return b }, true},
 		{"footer crc flip", func(b []byte) []byte { b[len(b)-20] ^= 0x01; return b }, true},
+		// The header edits below re-fix the header CRC, so the checksum
+		// passes and only the check named can catch them.
 		{"header size lie", func(b []byte) []byte {
-			// Bump the header row count and re-fix the header CRC, so the
-			// checksum passes and only the layout-vs-file-size cross-check
-			// can catch the lie.
 			rows := binary.LittleEndian.Uint64(b[8:])
 			binary.LittleEndian.PutUint64(b[8:], rows+1)
-			catalogLen := int(binary.LittleEndian.Uint32(b[20:]))
-			crcEnd := headerFixedLen + catalogLen
-			binary.LittleEndian.PutUint32(b[crcEnd:], crc32.ChecksumIEEE(b[:crcEnd]))
-			return b
+			return fixHeaderCRC(b)
+		}, true},
+		{"slot width 3", func(b []byte) []byte {
+			b[widthByte(b, 0)] = 3
+			return fixHeaderCRC(b)
+		}, true},
+		{"DOUBLE at width 4", func(b []byte) []byte {
+			b[widthByte(b, 3)] = 4
+			return fixHeaderCRC(b)
+		}, true},
+		{"format version 1", func(b []byte) []byte {
+			copy(b, "SIASEG01")
+			return fixHeaderCRC(b)
 		}, true},
 		{"page bit flip", func(b []byte) []byte {
 			// Flip a value byte in the first column page, far from any
@@ -170,6 +244,12 @@ func TestCorruptSegmentsReturnErrCorrupt(t *testing.T) {
 			b[256] ^= 0x40
 			return b
 		}, false},
+	}
+	// What the header edits must be rejected for.
+	wantMsg := map[string]string{
+		"slot width 3":      `column "id" has slot width 3`,
+		"DOUBLE at width 4": `DOUBLE column "x" has slot width 4`,
+		"format version 1":  "format version 1",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -186,6 +266,9 @@ func TestCorruptSegmentsReturnErrCorrupt(t *testing.T) {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("OpenSegment error = %v, want ErrCorrupt", err)
 				}
+				if msg := wantMsg[tc.name]; !strings.Contains(err.Error(), msg) {
+					t.Fatalf("OpenSegment error = %v, want it to say %q", err, msg)
+				}
 				return
 			}
 			if err != nil {
@@ -198,6 +281,26 @@ func TestCorruptSegmentsReturnErrCorrupt(t *testing.T) {
 				t.Fatalf("Scan error = %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// fixHeaderCRC recomputes the header checksum of segment image b.
+func fixHeaderCRC(b []byte) []byte {
+	crcEnd := headerFixedLen + int(binary.LittleEndian.Uint32(b[20:]))
+	binary.LittleEndian.PutUint32(b[crcEnd:], crc32.ChecksumIEEE(b[:crcEnd]))
+	return b
+}
+
+// widthByte returns the offset of catalog column col's slot-width byte in
+// segment image b.
+func widthByte(b []byte, col int) int {
+	off := headerFixedLen
+	for i := 0; ; i++ {
+		nameLen := int(binary.LittleEndian.Uint16(b[off:]))
+		if i == col {
+			return off + 2 + nameLen + 2
+		}
+		off += 2 + nameLen + 3
 	}
 }
 
@@ -270,7 +373,11 @@ func TestZoneMapSoundness(t *testing.T) {
 		if trial%10 == 0 {
 			rows = 2*4096 + 50
 		}
-		tbl := propTable(r, rows, trial%3 == 0, trial%7 == 0)
+		var span uint64 // every third trial puts id at a slot width's edge
+		if trial%3 == 1 {
+			span = widthEdges[trial/3%len(widthEdges)].span
+		}
+		tbl := propTable(r, rows, trial%3 == 0, span, trial%7 == 0)
 		checkSoundness(t, fmt.Sprintf("trial %d", trial), tbl, randPredicate(r, 3))
 	}
 }
@@ -330,16 +437,28 @@ func evalProgram(p *predicate.Program, tu predicate.Tuple) predicate.TriBool {
 }
 
 // propTable fills a testSchema table for the soundness property. id holds
-// small values, or — when edge is set — int64-edge values whose linear
-// forms trip the overflow bound; ts is nullable, and entirely NULL when
-// allNull is set; x is a nullable DOUBLE.
-func propTable(r *rand.Rand, rows int, edge, allNull bool) *engine.Table {
+// small values; or, when edge is set, int64-edge values whose linear forms
+// trip the overflow bound; or, when span is not 0, values spanning exactly
+// span from -1000 (MinInt64 when span is the whole range). ts is nullable,
+// and entirely NULL when allNull is set; x is a nullable DOUBLE.
+func propTable(r *rand.Rand, rows int, edge bool, span uint64, allNull bool) *engine.Table {
 	edges := []int64{math.MaxInt64, math.MinInt64, 1 << 62, -(1 << 62), (1 << 62) + 5, 0, 1}
+	lo := int64(-1000)
+	if span == math.MaxUint64 {
+		lo = math.MinInt64
+	}
 	tbl := engine.NewTable("t", testSchema())
 	for i := 0; i < rows; i++ {
 		id := predicate.IntVal(r.Int63n(200) - 100)
-		if edge {
+		switch {
+		case edge:
 			id = predicate.IntVal(edges[r.Intn(len(edges))])
+		case span != 0:
+			off := r.Uint64() % (span/2 + 1) * 2
+			if i < 2 {
+				off = uint64(i) * span
+			}
+			id = predicate.IntVal(int64(uint64(lo) + off))
 		}
 		ts := predicate.IntVal(r.Int63n(1e9))
 		if allNull || r.Intn(5) == 0 {
@@ -511,5 +630,76 @@ func TestAppendRangeRejectsSchemaMismatch(t *testing.T) {
 	}
 	if st.NumSegments() != 1 || st.NumRows() != 1 {
 		t.Fatalf("failed append changed the table: %d segments / %d rows", st.NumSegments(), st.NumRows())
+	}
+}
+
+// TestScanDuringAppend runs scans while segments are appended. Each scan
+// sees the table with some prefix of the appends, so it must equal the
+// in-memory filter of that prefix of the appended ranges; under make race
+// this is also where an append and a scan meet on the table's state.
+func TestScanDuringAppend(t *testing.T) {
+	const segRows = 200
+	full := buildTable(t, 12*segRows, 31)
+	p := predtest.MustParse("d < 0 OR x > 50", full.Schema())
+	rows := make([]int, full.NumRows())
+	for r := range rows {
+		rows[r] = r
+	}
+	var wants []*engine.Table // wants[m]: the filter over m ranges
+	for m := 0; m*segRows <= full.NumRows(); m++ {
+		prefix, err := engine.ReorderRows(full, rows[:m*segRows], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants = append(wants, engine.FilterPar(prefix, p, 1))
+	}
+	st, err := Open(t.TempDir(), "t", full.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				got, err := st.Scan(engine.ScanSpec{Pred: p}, 2)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !slices.ContainsFunc(wants, func(w *engine.Table) bool { return engine.TablesEqual(w, got) }) {
+					errs <- fmt.Errorf("a scan returned %d rows, the filter of no prefix of the appends", got.NumRows())
+					return
+				}
+			}
+		}()
+	}
+	for lo := 0; lo < full.NumRows() && len(errs) == 0; lo += segRows {
+		if err := st.AppendRange(full, lo, lo+segRows); err != nil {
+			errs <- err
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	got, err := st.Scan(engine.ScanSpec{Pred: p}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !engine.TablesEqual(wants[len(wants)-1], got) {
+		t.Fatalf("after the appends a scan returned %d rows, want %d", got.NumRows(), wants[len(wants)-1].NumRows())
 	}
 }

@@ -26,8 +26,12 @@ type SegmentTable struct {
 	name   string
 	schema *predicate.Schema
 
-	mu   sync.RWMutex
-	segs []*Segment
+	// appendMu serializes appenders, which number their files by the
+	// segment count and publish in that order; mu guards segs only, and
+	// is held just long enough to copy or extend it, never across I/O.
+	appendMu sync.Mutex
+	mu       sync.RWMutex
+	segs     []*Segment
 }
 
 // Open opens (or initializes, when dir is empty) the segment table named
@@ -98,14 +102,16 @@ func (st *SegmentTable) NumSegments() int {
 
 // AppendRange writes rows [lo, hi) of t as one new segment file, durably
 // and atomically. t's schema must equal the table schema. A failed append
-// leaves the table unchanged.
+// leaves the table unchanged. Scans running meanwhile are not held up by
+// the encode or the fsyncs: they see the table with or without the new
+// segment.
 func (st *SegmentTable) AppendRange(t *engine.Table, lo, hi int) error {
 	if err := matchSchema(st.schema, t.Schema().Columns()); err != nil {
 		return fmt.Errorf("storage: appending to %s: %w", st.name, err)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	path := filepath.Join(st.dir, fmt.Sprintf("seg-%06d%s", len(st.segs), segFileExt))
+	st.appendMu.Lock()
+	defer st.appendMu.Unlock()
+	path := filepath.Join(st.dir, fmt.Sprintf("seg-%06d%s", st.NumSegments(), segFileExt))
 	if _, err := WriteSegment(path, t, lo, hi); err != nil {
 		return err
 	}
@@ -113,7 +119,9 @@ func (st *SegmentTable) AppendRange(t *engine.Table, lo, hi int) error {
 	if err != nil {
 		return err
 	}
+	st.mu.Lock()
 	st.segs = append(st.segs, seg)
+	st.mu.Unlock()
 	return nil
 }
 
@@ -166,7 +174,12 @@ func (st *SegmentTable) Scan(spec engine.ScanSpec, par int) (*engine.Table, erro
 	values := make([]engine.ColumnValues, len(outCols))
 	for j, i := range outCols {
 		cols[j] = st.schema.Columns()[i]
-		values[j] = newColumn(cols[j], total)
+		values[j] = engine.NewColumnValues(cols[j], total)
+		for k := range scans { // the bound of the segments that contribute rows
+			if scans[k].n > 0 {
+				values[j].MaxAbs = max(values[j].MaxAbs, segs[k].zones[i].maxAbs())
+			}
+		}
 	}
 	engine.ForEachTask(len(segs), par, func(i int) { scans[i].gather(outCols, values) })
 	return engine.NewTableFromColumns(st.name, predicate.NewSchema(cols...), total, values)

@@ -109,7 +109,7 @@ func (s *Segment) linearTruth(p *predicate.Program) truthSet {
 	lo, hi := p.K, p.K
 	for i, name := range p.Cols {
 		_, zm, _ := s.column(name) // present and integral: Cols ⊆ Refs
-		maxAbs[i] = max(predicate.AbsUint64(zm.Min), predicate.AbsUint64(zm.Max))
+		maxAbs[i] = zm.maxAbs()
 		// These wrap only when FitsInt64 fails below and discards them.
 		atMin, atMax := p.Coefs[i]*zm.Min, p.Coefs[i]*zm.Max
 		if p.Coefs[i] < 0 {
