@@ -224,3 +224,15 @@ func TestCompactPairsAllocs(t *testing.T) {
 	}
 	wantAllocs(t, 0, func() { compactPairs(sel, brows, prows) })
 }
+
+// TestSlicePoolRoundTripAllocs pins a warm Get and Put at zero
+// allocations: the pointer a class keeps a slice in is recycled with it.
+func TestSlicePoolRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	var p SlicePool[int64]
+	for _, n := range []int{0, 1, 1000, morselRows} {
+		wantAllocs(t, 0, func() { p.Put(p.Get(n)) })
+	}
+}

@@ -19,6 +19,7 @@ func FilterPar(t *Table, p predicate.Predicate, par int) *Table {
 	out := NewTable(t.Name, t.schema)
 	out.nRows = len(rows)
 	gatherInto(out, t, t.order, rows, par)
+	rowPool.Put(rows)
 	return out
 }
 
@@ -44,18 +45,24 @@ type ScanSpec struct {
 	Cols []string
 }
 
+// selectRows returns the ascending rows of t that prog keeps, in a list
+// drawn from the row pool.
 func selectRows(t *Table, prog *predicate.Program, par int) []int {
-	rows := selectedRows(selectProgram(t, prog, par), par)
+	sel := selectProgram(t, prog, par)
+	rows := selectedRows(sel, par)
+	nullPool.Put(sel)
 	countFiltered(t.nRows, len(rows))
 	return rows
 }
 
 // selectedRows converts an acceptance bitmap into the (ascending) list of
 // selected row indices: per-morsel counts, an exclusive prefix sum, then a
-// parallel fill of each morsel's slot range.
+// parallel fill of each morsel's slot range. The list comes from the row
+// pool.
 func selectedRows(sel []bool, par int) []int {
 	n := len(sel)
-	ends := make([]int, morselCount(n)) // first counts, then each morsel's end offset
+	ends := rowPool.Get(morselCount(n)) // first counts, then each morsel's end offset
+	defer rowPool.Put(ends)
 	forEachMorsel(n, par, func(_, m, lo, hi int) {
 		c := 0
 		for _, ok := range sel[lo:hi] {
@@ -70,7 +77,7 @@ func selectedRows(sel []bool, par int) []int {
 		total += c
 		ends[m] = total
 	}
-	rows := make([]int, total)
+	rows := rowPool.Get(total)
 	forEachMorsel(n, par, func(_, m, lo, _ int) {
 		idx := 0
 		if m > 0 {

@@ -53,6 +53,11 @@ type JoinStats struct {
 // Time spent evaluating the side predicates and the residual is observed
 // as operator "filter", the rest as "join"; the residual's share is the
 // workers' summed time divided by the worker count.
+//
+// Every array the join works in — the sides' row lists, the join table,
+// the probe workers' buffers and the stitched pairs — is drawn from the
+// engine's pools and handed back before the join returns, on every path
+// out. Only the output table is freshly allocated, and the caller owns it.
 func HashJoinWherePar(l, r *Table, spec JoinSpec, par int) (*Table, JoinStats, error) {
 	start := time.Now()
 	var filterTime time.Duration
@@ -71,6 +76,10 @@ func HashJoinWherePar(l, r *Table, spec JoinSpec, par int) (*Table, JoinStats, e
 	if err != nil {
 		return nil, stats, err
 	}
+	defer func() {
+		left.release()
+		right.release()
+	}()
 	outCols := predicate.Merge(l.schema, r.schema).Columns()
 	if spec.Cols != nil {
 		for _, name := range spec.Cols {
@@ -102,6 +111,7 @@ func HashJoinWherePar(l, r *Table, spec JoinSpec, par int) (*Table, JoinStats, e
 		res.buildLeft = build == left
 	}
 	jt := buildJoinTable(build, par)
+	defer jt.release()
 
 	// Probe: every morsel of the probe side's rows counts its matches,
 	// fills its worker's pair buffers, lets the residual cut them, and keeps
@@ -113,7 +123,7 @@ func HashJoinWherePar(l, r *Table, spec JoinSpec, par int) (*Table, JoinStats, e
 	nWorkers := forEachMorsel(probe.in, par, func(w, m, lo, hi int) {
 		ws := &workers[w]
 		if ws.first == nil {
-			ws.first, ws.matches = make([]int32, morselRows), make([]int32, morselRows)
+			ws.first, ws.matches = slotPool.Get(morselRows), slotPool.Get(morselRows)
 		}
 		c := jt.count(pk, probe.rows, lo, hi, ws.first, ws.matches)
 		if c == 0 {
@@ -130,20 +140,28 @@ func HashJoinWherePar(l, r *Table, spec JoinSpec, par int) (*Table, JoinStats, e
 				return
 			}
 		}
-		p := make([]int, 2*c)
+		p := rowPool.Get(2 * c)
 		copy(p, ws.brows[:c])
 		copy(p[c:], ws.prows[:c])
 		pairs[m] = p
 	})
 	filterTime += time.Duration(residualNanos.Load() / int64(nWorkers))
+	for i := range workers {
+		workers[i].release()
+	}
 
 	total := 0
 	for _, p := range pairs {
 		total += len(p) / 2
 	}
-	brows, prows := make([]int, 0, total), make([]int, 0, total)
+	brows, prows := rowPool.Get(total), rowPool.Get(total)
+	at := 0
 	for _, p := range pairs {
-		brows, prows = append(brows, p[:len(p)/2]...), append(prows, p[len(p)/2:]...)
+		c := len(p) / 2
+		copy(brows[at:], p[:c])
+		copy(prows[at:], p[c:])
+		at += c
+		rowPool.Put(p)
 	}
 	lrows, rrows := brows, prows
 	if build == right {
@@ -160,6 +178,8 @@ func HashJoinWherePar(l, r *Table, spec JoinSpec, par int) (*Table, JoinStats, e
 	out.nRows = total
 	gatherInto(out, l, lcols, lrows, par)
 	gatherInto(out, r, rcols, rrows, par)
+	rowPool.Put(brows)
+	rowPool.Put(prows)
 	return out, stats, nil
 }
 
@@ -168,7 +188,7 @@ func HashJoinWherePar(l, r *Table, spec JoinSpec, par int) (*Table, JoinStats, e
 type joinSide struct {
 	t    *Table
 	key  *colData
-	rows []int // the rows taking part, ascending; nil when every row does
+	rows []int // the rows taking part, ascending, from the row pool; nil when every row does
 	in   int   // how many rows take part
 }
 
@@ -205,16 +225,20 @@ func (s *joinSide) selectRows(pred predicate.Predicate, par int) time.Duration {
 		spent = time.Since(start)
 	}
 	if nulls := s.key.nulls; nulls != nil {
-		kept := make([]int, 0, s.in)
+		kept := rowPool.Get(s.in)[:0]
 		for i := 0; i < s.in; i++ {
 			if row := rowAt(s.rows, i); !nulls[row] {
 				kept = append(kept, row)
 			}
 		}
+		rowPool.Put(s.rows)
 		s.rows, s.in = kept, len(kept)
 	}
 	return spent
 }
+
+// release hands the side's row list back to the row pool.
+func (s *joinSide) release() { rowPool.Put(s.rows) }
 
 // joinTable is the build side of a hash join as a flat chained table over
 // the build key column: head[slot] is 1 + the first build row of the slot's
@@ -263,18 +287,23 @@ func buildJoinTable(build *joinSide, par int) *joinTable {
 	for 1<<slotBits < build.in>>partBits {
 		slotBits++
 	}
+	// Only head and hist are read before they are written: a chain ends at
+	// a zero head, and the histogram counts up from zero. next and the
+	// partition runs are written at every slot that is later read.
 	jt := &joinTable{
 		keys:      build.key.ints,
-		head:      make([]int32, nPart<<slotBits),
-		next:      make([]int32, build.t.nRows),
+		head:      slotPool.Get(nPart << slotBits),
+		next:      slotPool.Get(build.t.nRows),
 		partShift: 64 - partBits,
 		slotBits:  slotBits,
 	}
-	hist := make([]int, morselCount(build.in)*nPart)
+	clear(jt.head)
+	hist := rowPool.Get(morselCount(build.in) * nPart)
+	clear(hist)
 	forEachMorsel(build.in, par, func(_, m, lo, hi int) {
 		jt.histogram(hist[m*nPart:(m+1)*nPart], build.rows, lo, hi)
 	})
-	starts := make([]int, nPart+1)
+	starts := rowPool.Get(nPart + 1)
 	at := 0
 	for p := 0; p < nPart; p++ {
 		starts[p] = at
@@ -283,14 +312,24 @@ func buildJoinTable(build *joinSide, par int) *joinTable {
 		}
 	}
 	starts[nPart] = at
-	rows := make([]int32, at)
+	rows := slotPool.Get(at)
 	forEachMorsel(build.in, par, func(_, m, lo, hi int) {
 		jt.scatter(rows, hist[m*nPart:(m+1)*nPart], build.rows, lo, hi)
 	})
 	ForEachTask(nPart, par, func(p int) {
 		jt.insert(rows[starts[p]:starts[p+1]])
 	})
+	slotPool.Put(rows)
+	rowPool.Put(hist)
+	rowPool.Put(starts)
 	return jt
+}
+
+// release hands head and next back to the slot pool. keys is the build
+// table's own key column and stays with it.
+func (jt *joinTable) release() {
+	slotPool.Put(jt.head)
+	slotPool.Put(jt.next)
 }
 
 // histogram counts the build rows at positions [lo, hi) of rows per
@@ -405,7 +444,8 @@ func newResidual(p predicate.Predicate, l, r *Table) (*residual, error) {
 // probeScratch is one probe worker's reusable state: the candidate pairs
 // of the morsel it is working on and, under a residual, a table holding
 // the residual's columns for those pairs with the program bound to it.
-// The buffers only grow, so binding is redone only then.
+// The buffers only grow, so binding is redone only then. Every buffer is
+// drawn from the engine's pools, and release hands them all back.
 type probeScratch struct {
 	first, matches []int32 // per probe row of the morsel, from count to fill
 	brows, prows   []int
@@ -422,18 +462,38 @@ func (ws *probeScratch) grow(n int, res *residual) {
 		return
 	}
 	n = max(n, 2*len(ws.brows))
-	ws.brows, ws.prows = make([]int, n), make([]int, n)
+	ws.releasePairs()
+	ws.brows, ws.prows = rowPool.Get(n), rowPool.Get(n)
 	if res == nil {
 		return
 	}
 	ws.t = NewTable("", res.schema)
 	ws.t.nRows = n
 	for _, rc := range res.cols {
-		ws.t.cols[rc.name].allocLike(rc.src, n)
+		ws.t.cols[rc.name].drawLike(rc.src, n)
 	}
 	ws.root = bind(ws.t, res.prog)
-	ws.sel = make([]bool, n)
-	ws.or = make([]bool, 2*ws.root.orDepth*n)
+	ws.sel = nullPool.Get(n)
+	ws.or = nullPool.Get(2 * ws.root.orDepth * n)
+}
+
+// releasePairs hands back the buffers sized by the candidate pairs: the
+// pairs themselves and the residual's table, bitmap and scratch.
+func (ws *probeScratch) releasePairs() {
+	rowPool.Put(ws.brows)
+	rowPool.Put(ws.prows)
+	if ws.t != nil {
+		Release(ws.t)
+	}
+	nullPool.Put(ws.sel)
+	nullPool.Put(ws.or)
+}
+
+// release hands every buffer of ws back.
+func (ws *probeScratch) release() {
+	ws.releasePairs()
+	slotPool.Put(ws.first)
+	slotPool.Put(ws.matches)
 }
 
 // cut gathers the residual's columns for the first c candidate pairs of

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -136,7 +137,11 @@ func sameStrings(a, b []string) error {
 // TestHashJoinAgainstNestedLoop is the differential and metamorphic test
 // of the join: every case agrees with the nested-loop reference in rows
 // and in JoinStats, is byte-identical at every parLevels width, and yields
-// the same row multiset with l and r swapped.
+// the same row multiset with l and r swapped. Every case runs twice: first
+// drawing its scratch from poisoned pools, so a recycled array read before
+// it is written shows, then from the pools as the joins leave them. The
+// poisoned round goes first: a stale chain can loop, a poisoned one
+// indexes out of range.
 func TestHashJoinAgainstNestedLoop(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
 	l := joinTestTable(rnd, "l", 2*morselRows+77, 900, 0)
@@ -178,62 +183,77 @@ func TestHashJoinAgainstNestedLoop(t *testing.T) {
 		{name: "only the keys", l: l, r: r, cols: []string{"lk", "rk"}},
 		{name: "one side's columns", l: l, r: r, residue: "ln <> rn", cols: []string{"rn", "ra", "ra"}},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			spec := JoinSpec{
-				LeftKey: "lk", RightKey: "rk",
-				LeftPred: parse(c.lpred, c.l.Schema()), RightPred: parse(c.rpred, c.r.Schema()),
-				Residual: parse(c.residue, both), Cols: c.cols,
+	// Each case's nested loop runs once; its rows are never nil.
+	wants, wantStats := make([][]string, len(cases)), make([]JoinStats, len(cases))
+	// check runs case i, calling prepare before its first join.
+	check := func(t *testing.T, i int, prepare func()) {
+		c := cases[i]
+		spec := JoinSpec{
+			LeftKey: "lk", RightKey: "rk",
+			LeftPred: parse(c.lpred, c.l.Schema()), RightPred: parse(c.rpred, c.r.Schema()),
+			Residual: parse(c.residue, both), Cols: c.cols,
+		}
+		if wants[i] == nil {
+			wants[i], wantStats[i] = nestedLoopJoin(c.l, c.r, spec)
+		}
+		want := wants[i]
+		prepare()
+		ref, refStats, err := HashJoinWherePar(c.l, c.r, spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refStats != wantStats[i] {
+			t.Errorf("stats %+v, nested loop %+v", refStats, wantStats[i])
+		}
+		if err := sameStrings(rowStrings(ref), want); err != nil {
+			t.Fatalf("join vs nested loop: %v", err)
+		}
+		wantWidth := len(c.l.order) + len(c.r.order)
+		if c.cols != nil {
+			set := map[string]bool{}
+			for _, name := range c.cols {
+				set[name] = true
 			}
-			want, wantStats := nestedLoopJoin(c.l, c.r, spec)
-			ref, refStats, err := HashJoinWherePar(c.l, c.r, spec, 1)
+			wantWidth = len(set)
+		}
+		if got := len(ref.Schema().Columns()); got != wantWidth {
+			t.Errorf("output has %d columns, want %d", got, wantWidth)
+		}
+		for _, par := range parLevels() {
+			out, stats, err := HashJoinWherePar(c.l, c.r, spec, par)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if refStats != wantStats {
-				t.Errorf("stats %+v, nested loop %+v", refStats, wantStats)
+			if stats != refStats {
+				t.Errorf("par=%d: stats %+v vs %+v", par, stats, refStats)
 			}
-			if err := sameStrings(rowStrings(ref), want); err != nil {
-				t.Fatalf("join vs nested loop: %v", err)
+			if err := equalTables(ref, out); err != nil {
+				t.Fatalf("par=%d: join differs: %v", par, err)
 			}
-			wantWidth := len(c.l.order) + len(c.r.order)
-			if c.cols != nil {
-				set := map[string]bool{}
-				for _, name := range c.cols {
-					set[name] = true
-				}
-				wantWidth = len(set)
-			}
-			if got := len(ref.Schema().Columns()); got != wantWidth {
-				t.Errorf("output has %d columns, want %d", got, wantWidth)
-			}
-			for _, par := range parLevels() {
-				out, stats, err := HashJoinWherePar(c.l, c.r, spec, par)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats != refStats {
-					t.Errorf("par=%d: stats %+v vs %+v", par, stats, refStats)
-				}
-				if err := equalTables(ref, out); err != nil {
-					t.Fatalf("par=%d: join differs: %v", par, err)
-				}
-			}
-			swapped, swStats, err := HashJoinWherePar(c.r, c.l, JoinSpec{
-				LeftKey: "rk", RightKey: "lk",
-				LeftPred: spec.RightPred, RightPred: spec.LeftPred,
-				Residual: spec.Residual, Cols: spec.Cols,
-			}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if swStats.LeftIn != refStats.RightIn || swStats.RightIn != refStats.LeftIn {
-				t.Errorf("swapped stats %+v vs %+v", swStats, refStats)
-			}
-			if err := sameStrings(rowStrings(swapped), want); err != nil {
-				t.Fatalf("swapped join vs nested loop: %v", err)
-			}
-		})
+		}
+		swapped, swStats, err := HashJoinWherePar(c.r, c.l, JoinSpec{
+			LeftKey: "rk", RightKey: "lk",
+			LeftPred: spec.RightPred, RightPred: spec.LeftPred,
+			Residual: spec.Residual, Cols: spec.Cols,
+		}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if swStats.LeftIn != refStats.RightIn || swStats.RightIn != refStats.LeftIn {
+			t.Errorf("swapped stats %+v vs %+v", swStats, refStats)
+		}
+		if err := sameStrings(rowStrings(swapped), want); err != nil {
+			t.Fatalf("swapped join vs nested loop: %v", err)
+		}
+	}
+	t.Run("poisoned pools", func(t *testing.T) {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		for i, c := range cases {
+			t.Run(c.name, func(t *testing.T) { check(t, i, func() { poisonPools(poisonMaxClass) }) })
+		}
+	})
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) { check(t, i, func() {}) })
 	}
 }
 

@@ -10,20 +10,19 @@ import "sia/internal/predicate"
 // filter an order of magnitude cheaper than a hash probe — the cost
 // relationship predicate pushdown relies on. The bitmap is identical at
 // any worker count: rows are independent and each worker writes only its
-// own range.
+// own range. The bitmap and the OR scratch come from the engine's pool; the
+// caller hands the bitmap back once it has read it.
 func selectProgram(t *Table, prog *predicate.Program, par int) []bool {
 	root := bind(t, prog)
-	sel := make([]bool, t.nRows)
+	sel := nullPool.Get(t.nRows)
 	forEachMorsel(t.nRows, par, func(_, _, lo, hi int) {
 		chunk := sel[lo:hi]
 		for i := range chunk {
 			chunk[i] = true
 		}
-		var scratch []bool
-		if root.orDepth > 0 {
-			scratch = make([]bool, 2*root.orDepth*len(chunk))
-		}
+		scratch := nullPool.Get(2 * root.orDepth * len(chunk))
 		root.run(t, chunk, lo, scratch)
+		nullPool.Put(scratch)
 	})
 	return sel
 }

@@ -213,20 +213,55 @@ func TestSecondStatementReusesColumns(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	_, disk := poolCatalogs(t)
 	n := poolPlans(t, disk)["group"]
-	run := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, _, err := ExecuteOpts(n, disk, ExecOptions{Parallelism: 1}); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	first := run()
-	if second := run(); second > maxSecondStatementBytes {
+	first := statementBytes(t, n, disk)
+	if second := statementBytes(t, n, disk); second > maxSecondStatementBytes {
 		t.Errorf("second statement allocated %s, want at most %s (the first %s)",
 			kb(second), kb(maxSecondStatementBytes), kb(first))
 	}
+}
+
+// maxSecondMemStatementBytes bounds what each plan of poolPlans named here
+// allocates at par 1 when it runs a second time over the in-memory
+// catalog, so that the engine's scratch — selection bitmaps and row
+// lists, the join table, the probe's pair buffers — is drawn from what the
+// first run handed back and only the operators' outputs are new. Measured
+// on go1.24 linux/amd64 at 168 KB for "aggregate" and 68 KB for
+// "residual"; with the scratch freshly allocated they are 541 KB and
+// 183 KB.
+var maxSecondMemStatementBytes = map[string]uint64{
+	"aggregate": 220 << 10,
+	"residual":  100 << 10,
+}
+
+// TestSecondMemStatementReusesScratch pins the engine pools' effect on
+// in-memory plans: with the collector off, a second identical statement
+// allocates at most maxSecondMemStatementBytes.
+func TestSecondMemStatementReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mem, _ := poolCatalogs(t)
+	plans := poolPlans(t, mem)
+	for name, limit := range maxSecondMemStatementBytes {
+		first := statementBytes(t, plans[name], mem)
+		if second := statementBytes(t, plans[name], mem); second > limit {
+			t.Errorf("plan %s: second statement allocated %s, want at most %s (the first %s)",
+				name, kb(second), kb(limit), kb(first))
+		}
+	}
+}
+
+// statementBytes returns the bytes one run of n over c allocates at par 1.
+func statementBytes(t *testing.T, n Node, c *Catalog) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := ExecuteOpts(n, c, ExecOptions{Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func kb(b uint64) string { return fmt.Sprintf("%.1f KB", float64(b)/1024) }
