@@ -60,6 +60,7 @@ examples:
 
 fuzz-smoke:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -run='^$$' ./internal/predicate/
+	$(GO) test -fuzz='^FuzzRequestBounds$$' -fuzztime=10s -run='^$$' ./internal/serve/
 
 # Segment-reader fuzz smoke: corrupt inputs must produce ErrCorrupt,
 # never a panic. FuzzReadSegment decodes whole in-memory images, which

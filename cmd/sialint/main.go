@@ -10,9 +10,11 @@
 //	                   on every cycle (path-sensitive, over the CFG)
 //	err-wrap           sentinel errors are matched with errors.Is and wrapped
 //	                   with %w across exported boundaries
-//	taint-bound        request-derived values are clamped/validated before
-//	                   becoming timeouts, budgets, loop bounds, allocation
-//	                   sizes, or Options fields (// taint: escapes)
+//
+// Request bounds are checked by tests that run the code: serve's
+// TestRequestBounds and FuzzRequestBounds. Cancellation is also checked
+// that way, by smt's TestCancellationSweep and core's
+// TestSynthesizeContextCancellationSweep.
 //
 // Usage:
 //

@@ -3,8 +3,8 @@
 // (no external dependencies), then runs project-specific analyzers that
 // enforce invariants the Go compiler cannot: exhaustive dispatch over Sia's
 // AST interfaces, disciplined use of three-valued logic, panic hygiene and
-// error wrapping in library code, cancellation polling in the solver loops,
-// and bounds on request-derived values.
+// error wrapping in library code, and cancellation polling in the solver
+// loops.
 //
 // The framework is deliberately small: an Analyzer is a named function over
 // a type-checked Pass, and a Finding is a position plus a message. The
@@ -67,26 +67,6 @@ type Config struct {
 	// constructed, unwrapped error (errors.New or fmt.Errorf without %w)
 	// there can never match a sentinel with errors.Is.
 	ErrWrapBoundaryPackages []string
-
-	// TaintPackages are the package paths swept by the taint-bound
-	// analyzer: request-derived values must pass a clamp or sanitizer
-	// before reaching a timeout, allocation size, loop bound, or a field
-	// of a TaintBoundTypes value.
-	TaintPackages []string
-
-	// TaintSources are the fully qualified struct types ("pkgpath.Name")
-	// whose field reads produce tainted (request-controlled) values.
-	TaintSources []string
-
-	// TaintSanitizers are function or method names whose call returns a
-	// clean value and scrubs its receiver (validators and clamps such as
-	// Options.Validate or api.BuildOptions).
-	TaintSanitizers []string
-
-	// TaintBoundTypes are the fully qualified types whose fields must
-	// never be assigned a tainted value directly (e.g. core.Options —
-	// request options must go through a sanitizer).
-	TaintBoundTypes []string
 }
 
 // DefaultConfig returns the configuration for the Sia module itself.
@@ -114,15 +94,6 @@ func DefaultConfig() *Config {
 			"sia/internal/core",
 			"sia/internal/cache",
 		},
-		TaintPackages: []string{"sia/internal/serve", "sia/cmd/siad"},
-		TaintSources: []string{
-			"sia/internal/serve/api.SynthesizeRequest",
-			"sia/internal/serve/api.RequestOptions",
-			"sia/internal/serve/api.BatchRequest",
-			"sia/internal/serve/api.SchemaColumn",
-		},
-		TaintSanitizers: []string{"Validate", "BuildOptions", "BuildSchema"},
-		TaintBoundTypes: []string{"sia/internal/core.Options"},
 	}
 }
 
@@ -172,7 +143,6 @@ func Analyzers(cfg *Config) []*Analyzer {
 		NoPanicInLibrary(cfg),
 		CancelPoll(cfg),
 		ErrWrap(cfg),
-		TaintBound(cfg),
 	}
 }
 

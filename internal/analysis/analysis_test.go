@@ -62,15 +62,6 @@ func cancelCfg(mod string) *Config {
 	}
 }
 
-func taintCfg(mod string) *Config {
-	return &Config{
-		TaintPackages:   []string{mod + "/serve"},
-		TaintSources:    []string{mod + "/api.Request"},
-		TaintSanitizers: []string{"Validate", "BuildOptions"},
-		TaintBoundTypes: []string{mod + "/core.Options"},
-	}
-}
-
 // fixtureCases is the whole fixture suite: each analyzer against a good
 // module (zero findings) and a bad one (exact count plus message
 // substrings), with the Config retargeted at the fixture's module path.
@@ -97,9 +88,6 @@ var fixtureCases = []struct {
 	{"cancelpoll_bad", CancelPoll, cancelCfg("cpbad"), 6, []string{"poll"}},
 	{"errwrap_good", ErrWrap, &Config{ErrWrapBoundaryPackages: []string{"ewgood/api"}}, 0, nil},
 	{"errwrap_bad", ErrWrap, &Config{ErrWrapBoundaryPackages: []string{"ewbad/api"}}, 5, []string{"errors.Is", "%w", "errors.New"}},
-	{"taintbound_good", TaintBound, taintCfg("tagood"), 0, nil},
-	{"taintbound_bad", TaintBound, taintCfg("tabad"), 5, []string{
-		"WithTimeout", "make() size", "loop bound", "MaxIterations", "literal"}},
 }
 
 func TestFixtures(t *testing.T) {

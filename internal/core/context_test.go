@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sia/internal/predtest"
+	"sia/internal/smt"
 )
 
 func TestSynthesizeContextPreCancelled(t *testing.T) {
@@ -90,5 +91,88 @@ func TestSymbolicallyRelevantCancelled(t *testing.T) {
 	cancel()
 	if _, err := SymbolicallyRelevant(ctx, p, []string{"a"}, s); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("error %v does not match ErrTimeout", err)
+	}
+}
+
+// solverCalls is the sweep's clock: public solver calls completed so
+// far. Each call records its wall time on the way out, so the count moves
+// as a call returns.
+func solverCalls() int64 {
+	var n int64
+	for kind, q := range smt.Snapshot().Query {
+		if kind != "elimination" {
+			n += int64(q.Count)
+		}
+	}
+	return n
+}
+
+// cancelAtCall is a context cancelled once the clock reaches at, that is,
+// as a solver call returns. The run learns of it only at its next poll.
+type cancelAtCall struct {
+	context.Context
+	at int64
+}
+
+func (c *cancelAtCall) Err() error {
+	if solverCalls() >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
+// maxCallsAfterCancel bounds the solver calls that complete after the
+// cancellation: the one whose poll notices it.
+const maxCallsAfterCancel = 1
+
+// TestSynthesizeContextCancellationSweep cancels a synthesis run as each
+// of its solver calls returns, in turn. Every cancelled run must end in
+// ErrTimeout wrapping context.Canceled, never a completed Result, and stop
+// within maxCallsAfterCancel further solver calls. A run that makes no
+// solver call after the cancellation may finish; polled says whether the
+// run still polls ctx after its last solver call.
+//
+//   - "sampler" asks for more TRUE samples than enumeration yields, so 25
+//     of them come from the blocked ModelCtx loop (samples.go's slow path)
+//     before its UNSAT proves the region exhausted.
+//   - "loop" gives the run no time budget: the loop ends on its first
+//     check of Options.Timeout, and only its poll of ctx, made first,
+//     turns a cancellation after the last solver call into an error.
+//   - "cegis" runs the loop to its optimal result, which prune's solver
+//     calls end.
+func TestSynthesizeContextCancellationSweep(t *testing.T) {
+	cases := []struct {
+		name, pred string
+		cols       []string
+		opts       Options
+		polled     bool
+	}{
+		{"sampler", "a + b = 50 AND a >= 0 AND b >= 0 AND c > a", []string{"a", "b"}, Options{InitialTrue: 80}, false},
+		{"loop", "a - b < 20 AND b < 0 AND c > a", []string{"a", "b"}, Options{Timeout: time.Nanosecond}, true},
+		{"cegis", "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0", []string{"a1", "a2"}, Options{}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := intSchema("a", "b", "c", "a1", "a2", "b1")
+			p := predtest.MustParse(c.pred, s)
+			base := solverCalls()
+			if _, err := SynthesizeContext(context.Background(), p, c.cols, s, c.opts); err != nil {
+				t.Fatal(err)
+			}
+			last := solverCalls() - base - 1
+			if c.polled {
+				last++
+			}
+			for k := int64(0); k <= last; k += last/100 + 1 {
+				ctx := &cancelAtCall{Context: context.Background(), at: solverCalls() + k}
+				res, err := SynthesizeContext(ctx, p, c.cols, s, c.opts)
+				if res != nil || !errors.Is(err, ErrTimeout) || !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled after solver call %d: res=%v err=%v", k, res, err)
+				}
+				if after := solverCalls() - ctx.at; after > maxCallsAfterCancel {
+					t.Fatalf("cancelled after solver call %d: %d more completed, want at most %d", k, after, maxCallsAfterCancel)
+				}
+			}
+		})
 	}
 }

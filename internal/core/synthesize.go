@@ -330,7 +330,7 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 	// others, so the final predicate is minimal (pairwise eviction during
 	// the loop cannot catch conjuncts subsumed by a *combination* of
 	// later ones, e.g. a1 < 71 once a1 - a2 < 29 and a2 < 19 both hold).
-	prune := func() {
+	prune := func() error {
 		for i := 0; i < len(conjuncts); i++ {
 			rest := make([]smt.Formula, 0, len(conjuncts)-1)
 			for j, c := range conjuncts {
@@ -339,21 +339,30 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 				}
 			}
 			needed, err := l.sampler.solver.SatisfiableCtx(l.ctx, smt.NewAnd(smt.NewAnd(rest...), smt.NewNot(conjuncts[i].f)))
+			if errors.Is(err, smt.ErrInterrupted) {
+				return err
+			}
 			if err == nil && !needed {
 				conjuncts = append(conjuncts[:i], conjuncts[i+1:]...)
 				i--
 			}
 		}
+		return nil
 	}
 
-	finish := func(reason GiveUpReason) {
+	// finish ends the run with the best predicate found so far. Its error
+	// is prune's: the caller walked away while the predicate was pruned.
+	finish := func(reason GiveUpReason) error {
 		res.GaveUp = reason
 		if len(conjuncts) > 0 {
-			prune()
+			if err := prune(); err != nil {
+				return err
+			}
 			res.Predicate = validPred()
 			res.Valid = true
 		}
 		res.TrueSamples, res.FalseSamples = len(l.ts), len(l.fs)
+		return nil
 	}
 
 	loopStart := time.Now()
@@ -364,8 +373,7 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 			return fmt.Errorf("%w: %w", ErrTimeout, err)
 		}
 		if time.Since(loopStart) > l.opts.Timeout {
-			finish(ReasonTimeout)
-			return nil
+			return finish(ReasonTimeout)
 		}
 		res.Iterations = iter + 1
 
@@ -374,8 +382,7 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 		dur = time.Since(start)
 		res.Timing.Learning += dur
 		if errors.Is(err, errNotSeparable) {
-			finish(ReasonNotSeparable)
-			return nil
+			return finish(ReasonNotSeparable)
 		}
 		if err != nil {
 			return err
@@ -441,7 +448,9 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 			l.traceCounterexamples(iter+1, "false", len(fs1), exhausted, dur)
 			if len(fs1) == 0 && exhausted {
 				// No unsatisfaction tuple is accepted: optimal (Lemma 4).
-				prune()
+				if err := prune(); err != nil {
+					return err
+				}
 				res.Predicate = validPred()
 				res.Valid, res.Optimal = true, true
 				res.TrueSamples, res.FalseSamples = len(l.ts), len(l.fs)
@@ -463,14 +472,12 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 				// counter-example exists: the candidate only misbehaves
 				// on NULL-carrying tuples, which cannot be encoded as
 				// training samples.
-				finish(ReasonNullCounterexamples)
-				return nil
+				return finish(ReasonNullCounterexamples)
 			}
 			l.ts = append(l.ts, ts1...)
 		}
 	}
-	finish(ReasonMaxIterations)
-	return nil
+	return finish(ReasonMaxIterations)
 }
 
 // giveUp converts solver budget exhaustion into a clean non-result.
@@ -484,10 +491,9 @@ func (l *synthesisLoop) giveUp(err error) error {
 }
 
 // giveUpWith additionally preserves the best valid predicate found so far.
-func (l *synthesisLoop) giveUpWith(err error, finish func(GiveUpReason)) error {
+func (l *synthesisLoop) giveUpWith(err error, finish func(GiveUpReason) error) error {
 	if errors.Is(err, smt.ErrBudget) {
-		finish(ReasonSolverBudget)
-		return nil
+		return finish(ReasonSolverBudget)
 	}
 	return err
 }

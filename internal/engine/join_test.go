@@ -69,9 +69,11 @@ func rowStrings(t *Table) []string {
 	return out
 }
 
-// nestedLoopJoin is the reference: every pair of rows, predicate.Eval for
-// the side predicates and the residual, no hash table, no build side, no
-// early exit. It returns the projected rows in rowStrings form.
+// nestedLoopJoin is the reference: every pair of accepted rows with equal
+// keys (the right side's rows grouped by key in a Go map, not the
+// engine's join table), predicate.Eval for the side predicates and the
+// residual, no early exit. It returns the projected rows in rowStrings
+// form.
 func nestedLoopJoin(l, r *Table, spec JoinSpec) ([]string, JoinStats) {
 	accepted := func(t *Table, key string, pred predicate.Predicate) []int {
 		var rows []int
@@ -94,13 +96,14 @@ func nestedLoopJoin(l, r *Table, spec JoinSpec) ([]string, JoinStats) {
 	}
 	sort.Strings(names)
 	lk, rk := l.Ints(spec.LeftKey), r.Ints(spec.RightKey)
+	byKey := map[int64][]int{}
+	for _, rrow := range rrows {
+		byKey[rk[rrow]] = append(byKey[rk[rrow]], rrow)
+	}
 	out := []string{}
 	var sb strings.Builder
 	for _, lrow := range lrows {
-		for _, rrow := range rrows {
-			if lk[lrow] != rk[rrow] {
-				continue
-			}
+		for _, rrow := range byKey[lk[lrow]] {
 			tu := l.Tuple(lrow)
 			for name, v := range r.Tuple(rrow) {
 				tu[name] = v

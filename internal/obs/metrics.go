@@ -72,8 +72,8 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	// cancel: lock-free float accumulation; the CAS retries only under
-	// concurrent writers and each retry makes global progress.
+	// Lock-free float accumulation: the CAS retries only under
+	// concurrent writers, and each retry makes global progress.
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)

@@ -10,6 +10,7 @@ package api
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -290,13 +291,28 @@ func BuildOptions(o *RequestOptions) (core.Options, error) {
 		SamplesPerIteration: o.SamplesPerIteration,
 		MaxDenominator:      o.MaxDenominator,
 		NonZeroSamples:      o.NonZeroSamples,
-		SolverTimeout:       time.Duration(o.SolverTimeoutMS) * time.Millisecond,
-		Timeout:             time.Duration(o.TimeoutMS) * time.Millisecond,
+		SolverTimeout:       Millis(o.SolverTimeoutMS),
+		Timeout:             Millis(o.TimeoutMS),
 	}
 	if err := opts.Validate(); err != nil {
 		return core.Options{}, err
 	}
 	return opts, nil
+}
+
+// Millis converts a wire millisecond count to a Duration. A count past
+// ±292 years saturates instead of wrapping, so its sign survives the
+// conversion: time.Duration(ms) * time.Millisecond would turn
+// 9223372036855 ms into a negative Duration and 1<<62 ms into zero.
+func Millis(ms int64) time.Duration {
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	switch {
+	case ms > limit:
+		return math.MaxInt64
+	case ms < -limit:
+		return math.MinInt64
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // ResultResponse converts a library result to its wire form. Cached and

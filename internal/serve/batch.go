@@ -15,14 +15,16 @@ import (
 )
 
 // parsedRequest is a synthesis request after validation: the predicate is
-// parsed, the schema built, the options normalized and the canonical cache
-// key computed. Everything past the HTTP layer works on this form.
+// parsed, the schema built, the options normalized, the deadline clamped
+// and the canonical cache key computed. Everything past the HTTP layer
+// works on this form.
 type parsedRequest struct {
-	pred   predicate.Predicate
-	cols   []string
-	schema *predicate.Schema
-	opts   core.Options
-	key    string // canonical cache key (cache.KeyFor)
+	pred    predicate.Predicate
+	cols    []string
+	schema  *predicate.Schema
+	opts    core.Options
+	key     string        // canonical cache key (cache.KeyFor)
+	timeout time.Duration // in (0, Config.MaxTimeout]
 }
 
 // batchOutcome is what a waiter receives.

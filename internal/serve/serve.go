@@ -404,16 +404,7 @@ func (s *Server) process(ctx context.Context, req api.SynthesizeRequest, tenant 
 	if err != nil {
 		return resp, "", "", err
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	} else if req.TimeoutMS < 0 {
-		return resp, "", "", fmt.Errorf("%w: timeout_ms must be positive", core.ErrInvalidOptions)
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, pr.timeout)
 	defer cancel()
 
 	start := time.Now()
@@ -492,9 +483,17 @@ func (s *Server) forward(ctx context.Context, req api.SynthesizeRequest, tenant,
 	return out, meta.CacheOutcome, nil
 }
 
-// parse validates the wire request into the internal form.
+// parse validates the wire request into the internal form. A requested
+// deadline is capped at MaxTimeout; none means DefaultTimeout.
 func (s *Server) parse(req api.SynthesizeRequest) (parsedRequest, error) {
 	var pr parsedRequest
+	timeout := s.cfg.DefaultTimeout
+	switch {
+	case req.TimeoutMS < 0:
+		return pr, fmt.Errorf("%w: timeout_ms must be positive", core.ErrInvalidOptions)
+	case req.TimeoutMS > 0:
+		timeout = min(api.Millis(req.TimeoutMS), s.cfg.MaxTimeout)
+	}
 	schema, err := api.BuildSchema(req.Schema)
 	if err != nil {
 		return pr, err
@@ -513,7 +512,7 @@ func (s *Server) parse(req api.SynthesizeRequest) (parsedRequest, error) {
 		// is cacheable; reaching here is a programmer error.
 		return pr, fmt.Errorf("serve: request unexpectedly uncacheable")
 	}
-	pr = parsedRequest{pred: pred, cols: req.Cols, schema: schema, opts: opts, key: key}
+	pr = parsedRequest{pred: pred, cols: req.Cols, schema: schema, opts: opts, key: key, timeout: timeout}
 	return pr, nil
 }
 
@@ -547,8 +546,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// tick — that is the endpoint's point. Each item is admitted (one
 	// token each: a 100-item batch is 100 requests' worth of budget) and
 	// answered independently.
-	// taint: len(req.Items) is bounded by the 1 MiB MaxBytesReader cap
-	// that decodeBody applies before the request can parse at all.
+	// len(req.Items) is bounded by the MaxBodyBytes cap that decodeBody
+	// applies before the request can parse at all.
 	out := api.BatchResponse{Items: make([]api.BatchItem, len(req.Items))}
 	var wg sync.WaitGroup
 	for i := range req.Items {

@@ -48,7 +48,6 @@ func mul64(a, b int64) (int64, bool) {
 }
 
 // gcd64 returns gcd(|a|, |b|); both must be inside the fast domain.
-// cancel: Euclid's algorithm converges in at most ~90 steps on int64.
 func gcd64(a, b int64) int64 {
 	if a < 0 {
 		a = -a

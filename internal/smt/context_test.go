@@ -44,6 +44,22 @@ func TestSolverContextPreCancelled(t *testing.T) {
 	}
 }
 
+// cancelAfterErrs is a context whose Err() starts failing from the k-th
+// call onward, which lets a test land a cancellation deterministically on
+// every checkStop poll point in turn.
+type cancelAfterErrs struct {
+	context.Context
+	k     int32
+	calls atomic.Int32
+}
+
+func (c *cancelAfterErrs) Err() error {
+	if c.calls.Add(1) >= c.k {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
 // pauseAtPoll is a context whose k-th Err() call blocks until the wrapped
 // context is cancelled, so a cancellation from another goroutine is known
 // to arrive while the solver is inside the call, not before or after it.

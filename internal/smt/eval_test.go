@@ -195,9 +195,7 @@ func TestCanonAtomIntegerTightening(t *testing.T) {
 		t.Fatalf("tightening wrong: %s", got)
 	}
 	// Fractional equality over integers is impossible: 2x = 5.
-	tm2 := VarTerm(x)
-	tm2.Scale(big.NewRat(2, 1))
-	tm2.AddConst(big.NewRat(-5, 1))
+	tm2 := NewTerm(big.NewRat(-5, 1)).AddVar(x, big.NewRat(2, 1))
 	eq := Simplify(&Atom{Op: OpEQ, T: tm2})
 	if eq != Bool(false) {
 		t.Fatalf("2x=5 over Z should be false, got %s", eq)

@@ -48,7 +48,6 @@ var internTable [internShards]internShard
 // shardFor picks the shard for key (FNV-1a).
 func shardFor(key string) *internShard {
 	var h uint64 = fnvOffset
-	// cancel: bounded by the key length; rendering already paid more.
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint64(key[i])) * fnvPrime
 	}
@@ -94,7 +93,6 @@ func appendFormulaKey(b []byte, f Formula) []byte {
 		return x.T.appendKey(b)
 	case *And:
 		b = append(b, '&', '(')
-		// cancel: bounded by the child count of one connective node.
 		for _, g := range x.Fs {
 			b = appendFormulaKey(b, g)
 			b = append(b, ',')
@@ -102,7 +100,6 @@ func appendFormulaKey(b []byte, f Formula) []byte {
 		return append(b, ')')
 	case *Or:
 		b = append(b, 'o', '(')
-		// cancel: bounded by the child count of one connective node.
 		for _, g := range x.Fs {
 			b = appendFormulaKey(b, g)
 			b = append(b, ',')

@@ -3,27 +3,10 @@ package smt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
-	"runtime"
-	"sync/atomic"
 	"testing"
 )
-
-// cancelAfterErrs is a context whose Err() starts failing from the k-th
-// call onward, which lets a test land a cancellation deterministically on
-// every checkStop poll point in turn.
-type cancelAfterErrs struct {
-	context.Context
-	k     int32
-	calls atomic.Int32
-}
-
-func (c *cancelAfterErrs) Err() error {
-	if c.calls.Add(1) >= c.k {
-		return context.Canceled
-	}
-	return c.Context.Err()
-}
 
 // qeMemoTestFormula needs enough elimination structure that a cancellation
 // can land mid-way through nested eliminate calls.
@@ -41,48 +24,14 @@ func qeMemoTestFormula() Formula {
 }
 
 // TestQEMemoCancellationSweep is the poisoned-entry regression: a result
-// produced while the context was being cancelled must never be cached. The
-// sweep lands a cancellation on every checkStop poll point of a clean run
-// in turn, then re-runs on a fresh solver and context and requires the
-// answer the clean run produced — a poisoned memo entry would surface here
-// as a wrong or malformed result.
+// assembled while the context was dying must never be cached, so after
+// every cancelled call of TestCancellationSweep's sweep a rerun on a
+// fresh context answers as the clean run did.
 func TestQEMemoCancellationSweep(t *testing.T) {
-	f := qeMemoTestFormula()
-	qeMemo.Purge()
-	probe := &cancelAfterErrs{Context: context.Background(), k: 1 << 30}
-	want, err := New().SatisfiableCtx(probe, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	polls := probe.calls.Load()
-	if polls < 3 {
-		t.Fatalf("formula too shallow: only %d polls", polls)
-	}
-	step := int32(1)
-	if polls > 300 {
-		step = polls / 300
-	}
-	sawCancel := false
-	for k := int32(1); k <= polls; k += step {
-		qeMemo.Purge()
-		ctx := &cancelAfterErrs{Context: context.Background(), k: k}
-		if _, err := New().SatisfiableCtx(ctx, f); err != nil {
-			if !errors.Is(err, ErrInterrupted) {
-				t.Fatalf("k=%d: unexpected error kind: %v", k, err)
-			}
-			sawCancel = true
-		}
-		got, err := New().SatisfiableCtx(context.Background(), f)
-		if err != nil {
-			t.Fatalf("k=%d: rerun after cancellation failed: %v", k, err)
-		}
-		if got != want {
-			t.Fatalf("k=%d: rerun after cancellation answered %v, clean run answered %v", k, got, want)
-		}
-	}
-	if !sawCancel {
-		t.Fatal("sweep never landed a cancellation")
-	}
+	sweepCancellation(t, func(ctx context.Context) (string, error) {
+		ok, err := New().SatisfiableCtx(ctx, qeMemoTestFormula())
+		return fmt.Sprint(ok), err
+	})
 }
 
 // TestQEMemoBudgetErrorNotCached drives an elimination into ErrBudget
@@ -138,37 +87,5 @@ func TestQEMemoHitsServeSameAnswer(t *testing.T) {
 	}
 	if mQEMemoHits.Value() == hitsBefore {
 		t.Fatal("second identical query produced no memo hits")
-	}
-}
-
-// TestParallelDisjunctsMatchSerial pins the parallel outermost-Or
-// elimination to the serial loop's result, byte for byte.
-func TestParallelDisjunctsMatchSerial(t *testing.T) {
-	x, y := IntVar("px"), IntVar("py")
-	var disjuncts []Formula
-	for i := int64(0); i < 8; i++ {
-		disjuncts = append(disjuncts, NewAnd(
-			LT(VarTerm(x).Scale(big.NewRat(i+2, 1)).Add(VarTerm(y)), ConstTerm(3*i+1)),
-			LE(ConstTerm(-i), VarTerm(x)),
-			EQ(VarTerm(y).AddScaled(VarTerm(x), big.NewRat(-(i+1), 1)), ConstTerm(i)),
-		))
-	}
-	g := &Exists{V: x, F: NewOr(disjuncts...)}
-
-	old := runtime.GOMAXPROCS(1)
-	qeMemo.Purge()
-	serial, serialErr := New().QECtx(context.Background(), g)
-	runtime.GOMAXPROCS(old)
-	if serialErr != nil {
-		t.Fatal(serialErr)
-	}
-
-	qeMemo.Purge()
-	parallel, parallelErr := New().QECtx(context.Background(), g)
-	if parallelErr != nil {
-		t.Fatal(parallelErr)
-	}
-	if serial.String() != parallel.String() {
-		t.Fatalf("parallel elimination diverged:\n serial:   %s\n parallel: %s", serial, parallel)
 	}
 }

@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sia/internal/cache/memo"
@@ -60,10 +57,10 @@ type Solver struct {
 	// per outermost quantifier elimination. A nil Tracer is free.
 	Tracer *obs.Tracer
 
-	freshID   atomic.Int64
+	freshID   int64
 	ctx       context.Context
 	deadline  time.Time
-	elimDepth atomic.Int32
+	elimDepth int32
 }
 
 // arm binds the caller's context and starts the timeout clock for one
@@ -110,8 +107,8 @@ func New() *Solver { return &Solver{} }
 func (s *Solver) freshVar() Var {
 	// The counter only keeps generated names distinct; eliminated
 	// variables never appear in results.
-	id := s.freshID.Add(1)
-	return Var{Name: fmt.Sprintf("$q%d", id), Sort: SortInt}
+	s.freshID++
+	return Var{Name: fmt.Sprintf("$q%d", s.freshID), Sort: SortInt}
 }
 
 // QECtx returns a quantifier-free formula equivalent to f. Cancelling ctx
@@ -212,25 +209,25 @@ func qeMemoKey(v Var, f Formula) string {
 // formula, dispatching on the variable's sort. Existentials distribute over
 // disjunction, which keeps intermediate formulas small when the input is
 // already a union of cases (as Cooper's output is). Results of completed
-// eliminations are memoized in qeMemo; at the outermost level, independent
-// disjuncts are eliminated in parallel.
+// eliminations are memoized in qeMemo.
 //
 // Same arguments, same result: a completed elimination depends only on
 // (v, f), which is what lets qeMemo answer for it. The depth counter, the
 // wall clock, the counters and the spans feed metrics and traces only; a
 // memo hit returns exactly what recomputation would, and a result is stored
 // only when the call finished clean (TestQEMemoHitsServeSameAnswer,
-// TestQEMemoCancellationSweep, TestQEMemoBudgetErrorNotCached).
+// TestCancellationSweep, TestQEMemoBudgetErrorNotCached).
 func (s *Solver) eliminate(v Var, f Formula) (Formula, error) {
-	depth := s.elimDepth.Add(1)
+	s.elimDepth++
+	depth := s.elimDepth
 	if depth == 1 {
 		start := time.Now()
 		defer func() {
-			s.elimDepth.Add(-1)
+			s.elimDepth--
 			mQuerySeconds[opElimination].Observe(time.Since(start).Seconds())
 		}()
 	} else {
-		defer s.elimDepth.Add(-1)
+		defer func() { s.elimDepth-- }()
 	}
 	if err := s.checkStop(); err != nil {
 		return nil, err
@@ -280,9 +277,6 @@ func (s *Solver) traceQEMemo(depth int32, outcome string) {
 // distribution over disjunction and sort dispatch.
 func (s *Solver) eliminateUncached(depth int32, v Var, f Formula) (Formula, error) {
 	if or, ok := f.(*Or); ok {
-		if depth == 1 && len(or.Fs) >= parallelDisjunctMin && runtime.GOMAXPROCS(0) > 1 {
-			return s.eliminateDisjunctsParallel(v, or)
-		}
 		fs := make([]Formula, 0, len(or.Fs))
 		for _, g := range or.Fs {
 			r, err := s.eliminate(v, g)
@@ -300,83 +294,6 @@ func (s *Solver) eliminateUncached(depth int32, v Var, f Formula) (Formula, erro
 		return s.eliminateInt(v, f)
 	}
 	return s.eliminateReal(v, f)
-}
-
-// parallelDisjunctMin is the smallest outermost disjunct count worth
-// fanning out: below it the goroutine setup outweighs the per-disjunct
-// elimination work.
-const parallelDisjunctMin = 4
-
-// eliminateDisjunctsParallel eliminates v from each disjunct of or on a
-// pool of workers that claim disjunct indices off a shared counter (the
-// morsel pattern from internal/engine). Results are joined in index order
-// and folded exactly as the serial loop does, so the outcome — including
-// which error or early Bool(true) the caller observes — matches the
-// serial elimination: claims are issued in ascending order and a worker
-// finishes what it claimed, so every index before the first error/true
-// trigger is complete by the join.
-func (s *Solver) eliminateDisjunctsParallel(v Var, or *Or) (Formula, error) {
-	n := len(or.Fs)
-	results := make([]Formula, n)
-	errs := make([]error, n)
-	done := make([]bool, n)
-	var next atomic.Int64
-	var stop atomic.Bool
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// cancel: claim loop; the shared counter only grows, so each
-			// worker exits after at most n claims, and every claimed
-			// eliminate polls checkStop internally.
-			for {
-				// Check stop before claiming, never after: a claimed index
-				// is always computed, so the claimed prefix has no gaps and
-				// the ascending join below sees every index up to the first
-				// error/true trigger.
-				if stop.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				r, err := s.eliminate(v, or.Fs[i])
-				results[i], errs[i], done[i] = r, err, true
-				if err != nil {
-					stop.Store(true)
-					return
-				}
-				if b, ok := r.(Bool); ok && bool(b) {
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	fs := make([]Formula, 0, n)
-	for i, g := range or.Fs {
-		if !done[i] {
-			// Only reachable past the first trigger index (claims are
-			// ascending and always completed); compute in place so the
-			// scan never has to distinguish the two cases.
-			results[i], errs[i] = s.eliminate(v, g)
-		}
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if b, ok := results[i].(Bool); ok && bool(b) {
-			return Bool(true), nil
-		}
-		fs = append(fs, results[i])
-	}
-	return Simplify(NewOr(fs...)), nil
 }
 
 // SatisfiableCtx decides whether f has a model. Free variables are treated

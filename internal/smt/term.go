@@ -240,16 +240,6 @@ func (t *Term) AddVar(v Var, coeff *big.Rat) *Term {
 	return t
 }
 
-// AddConst adds c to the term's constant in place and returns the term.
-// c is read, never retained.
-func (t *Term) AddConst(c *big.Rat) *Term {
-	t.mutable()
-	var k coef
-	k.setRat(c)
-	t.konst.add(&k)
-	return t
-}
-
 // AddInt64 adds the integer n to the term's constant in place.
 func (t *Term) AddInt64(n int64) *Term {
 	t.mutable()
