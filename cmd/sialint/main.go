@@ -6,15 +6,12 @@
 //	                   and smt.Formula cover every AST node or declare a default
 //	tribool-misuse     three-valued logic is never silently collapsed to bool
 //	no-panic           library panics are package-prefixed dispatch panics only
-//	cancel-poll        while-style loops in solver/engine code poll cancellation
-//	                   on every cycle (path-sensitive, over the CFG)
 //	err-wrap           sentinel errors are matched with errors.Is and wrapped
 //	                   with %w across exported boundaries
 //
-// Request bounds are checked by tests that run the code: serve's
-// TestRequestBounds and FuzzRequestBounds. Cancellation is also checked
-// that way, by smt's TestCancellationSweep and core's
-// TestSynthesizeContextCancellationSweep.
+// Request bounds and cancellation have no analyzer; tests that run the code
+// check them: serve's TestRequestBounds and FuzzRequestBounds, smt's
+// TestCancellationSweep and core's TestSynthesizeContextCancellationSweep.
 //
 // Usage:
 //

@@ -15,7 +15,7 @@ func TestListIncludesNewAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errs); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errs.String())
 	}
-	want := []string{"exhaustive-switch", "tribool-misuse", "no-panic", "cancel-poll", "err-wrap"}
+	want := []string{"exhaustive-switch", "tribool-misuse", "no-panic", "err-wrap"}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != len(want) {
 		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), out.String())

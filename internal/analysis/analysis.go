@@ -2,9 +2,8 @@
 // loads and type-checks the module's packages with go/parser and go/types
 // (no external dependencies), then runs project-specific analyzers that
 // enforce invariants the Go compiler cannot: exhaustive dispatch over Sia's
-// AST interfaces, disciplined use of three-valued logic, panic hygiene and
-// error wrapping in library code, and cancellation polling in the solver
-// loops.
+// AST interfaces, disciplined use of three-valued logic, and panic hygiene
+// and error wrapping in library code.
 //
 // The framework is deliberately small: an Analyzer is a named function over
 // a type-checked Pass, and a Finding is a position plus a message. The
@@ -50,18 +49,6 @@ type Config struct {
 	// the public API).
 	ExtraPanicPrefixes []string
 
-	// CancelPackages are the package paths whose while-style loops (a for
-	// statement with no post clause: `for {...}` and `for cond {...}`) must
-	// poll cancellation on every cycle or carry a `// cancel:`
-	// justification.
-	CancelPackages []string
-
-	// CancelFunctions are function or method names whose call counts as a
-	// cancellation poll, in addition to the built-in forms (a method call
-	// on a context.Context, any call passing a context.Context argument,
-	// and a decrement of a budget-named variable).
-	CancelFunctions []string
-
 	// ErrWrapBoundaryPackages are the package paths whose exported
 	// functions form the public error surface: a return of a freshly
 	// constructed, unwrapped error (errors.New or fmt.Errorf without %w)
@@ -83,12 +70,6 @@ func DefaultConfig() *Config {
 		TriBoolPkg:         "sia/internal/predicate",
 		LibraryPrefixes:    []string{"sia/internal/"},
 		ExtraPanicPrefixes: []string{"sia"},
-		CancelPackages: []string{
-			"sia/internal/smt",
-			"sia/internal/core",
-			"sia/internal/engine",
-		},
-		CancelFunctions: []string{"checkStop"},
 		ErrWrapBoundaryPackages: []string{
 			"sia",
 			"sia/internal/core",
@@ -141,7 +122,6 @@ func Analyzers(cfg *Config) []*Analyzer {
 		ExhaustiveSwitch(cfg),
 		TriBoolMisuse(cfg),
 		NoPanicInLibrary(cfg),
-		CancelPoll(cfg),
 		ErrWrap(cfg),
 	}
 }
@@ -222,8 +202,8 @@ func stringIn(s string, set []string) bool {
 // commentedWith reports whether the line of pos, or the comment block ending
 // on the line directly above it, carries an escape for marker: a comment line
 // that starts with the marker and gives a non-empty reason after it
-// ("// cancel: bounded by len(xs)"). A comment that merely mentions the
-// marker mid-sentence, or a bare "// cancel:", justifies nothing.
+// ("// tribool: Unknown is handled above"). A comment that merely mentions
+// the marker mid-sentence, or a bare "// tribool:", justifies nothing.
 func (pkg *Package) commentedWith(pos token.Pos, marker string) bool {
 	file := pkg.fileAt(pos)
 	if file == nil {

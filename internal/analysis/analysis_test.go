@@ -55,13 +55,6 @@ func triCfg(mod string) *Config {
 	}
 }
 
-func cancelCfg(mod string) *Config {
-	return &Config{
-		CancelPackages:  []string{mod + "/solver"},
-		CancelFunctions: []string{"checkStop"},
-	}
-}
-
 // fixtureCases is the whole fixture suite: each analyzer against a good
 // module (zero findings) and a bad one (exact count plus message
 // substrings), with the Config retargeted at the fixture's module path.
@@ -83,9 +76,6 @@ var fixtureCases = []struct {
 	{"tribool_bad/use", TriBoolMisuse, triCfg("tbbad"), 6, []string{"Unknown", "conversion"}},
 	{"nopanic_good", NoPanicInLibrary, &Config{LibraryPrefixes: []string{"npgood/internal/"}}, 0, nil},
 	{"nopanic_bad", NoPanicInLibrary, &Config{LibraryPrefixes: []string{"npbad/internal/"}}, 2, []string{"panic"}},
-	{"cancelpoll_good", CancelPoll, cancelCfg("cpgood"), 0, nil},
-	// 4 poll-free loops + a mid-sentence "cancel:" + a bare "// cancel:".
-	{"cancelpoll_bad", CancelPoll, cancelCfg("cpbad"), 6, []string{"poll"}},
 	{"errwrap_good", ErrWrap, &Config{ErrWrapBoundaryPackages: []string{"ewgood/api"}}, 0, nil},
 	{"errwrap_bad", ErrWrap, &Config{ErrWrapBoundaryPackages: []string{"ewbad/api"}}, 5, []string{"errors.Is", "%w", "errors.New"}},
 }

@@ -90,7 +90,7 @@ func NewSynthesizer(capacity int) *Synthesizer {
 
 // Synthesize is core.SynthesizeContext memoized through the cache. cached
 // reports whether the result was served without running a CEGIS loop for
-// this call. Uncacheable requests (a Trace hook or Tracer — see KeyFor)
+// this call. Uncacheable requests (a Tracer — see KeyFor)
 // bypass the cache entirely.
 func (c *Synthesizer) Synthesize(ctx context.Context, p predicate.Predicate, cols []string, schema *predicate.Schema, opts core.Options) (res *core.Result, cached bool, err error) {
 	key, ok := KeyFor(p, cols, schema, opts)

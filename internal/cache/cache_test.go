@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"sia/internal/core"
+	"sia/internal/obs"
 	"sia/internal/predicate"
 	"sia/internal/predtest"
 )
@@ -309,9 +311,11 @@ func TestKeyFor(t *testing.T) {
 	if k5 == k1 {
 		t.Fatal("different options share a key")
 	}
-	// A trace hook ⇒ uncacheable.
-	if _, ok := KeyFor(p, []string{"a"}, schema, core.Options{Trace: func(int, fmt.Stringer, bool) {}}); ok {
-		t.Fatal("trace hook should be uncacheable")
+	// A tracer ⇒ uncacheable.
+	tr := obs.NewTracer(io.Discard)
+	defer tr.Close()
+	if _, ok := KeyFor(p, []string{"a"}, schema, core.Options{Tracer: tr}); ok {
+		t.Fatal("a traced request should be uncacheable")
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 )
 
 // KeyFor returns the canonical cache key for a synthesis request, or
-// ok=false when the request is uncacheable: a Trace hook or Tracer (whose
-// side effects must run on every call) bypasses the cache.
+// ok=false when the request is uncacheable: a Tracer (whose side effects
+// must run on every call) bypasses the cache.
 //
 // The key is syntactic, not semantic: two predicates that are logically
 // equivalent but print differently (e.g. "a < 1 AND b < 2" vs
@@ -31,14 +31,14 @@ import (
 // sorted before hashing. Of the schema, only the columns the request can
 // observe — those of the predicate and the target set — contribute, making
 // keys stable when unrelated columns are added to a catalog. Options
-// contribute via their Fingerprint (defaults applied, Trace/Tracer
+// contribute via their Fingerprint (defaults applied, Tracer
 // excluded).
 //
 // Same arguments, same result: KeyFor reads nothing but its arguments, so
 // equal requests always share a key (TestKeyFor,
 // TestCacheHitIdenticalToColdRun).
 func KeyFor(p predicate.Predicate, cols []string, schema *predicate.Schema, opts core.Options) (key string, ok bool) {
-	if opts.Trace != nil || opts.Tracer != nil {
+	if opts.Tracer != nil {
 		return "", false
 	}
 	sortedCols := append([]string(nil), cols...)

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"sia/internal/obs"
+	"sia/internal/predicate"
 	"sia/internal/predtest"
 	"sia/internal/smt"
 )
@@ -28,35 +31,34 @@ func TestSynthesizeContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSynthesizeContextCancelMidLoop cancels from inside the Trace hook —
-// i.e. between iterations, with solver work still pending — and asserts the
-// loop notices within one solver call rather than running its remaining
-// iterations.
+// TestSynthesizeContextCancelMidLoop cancels as the first verification
+// returns — i.e. between iterations, with solver work still pending — and
+// asserts the loop notices within one solver call rather than running its
+// remaining iterations.
 func TestSynthesizeContextCancelMidLoop(t *testing.T) {
 	s := intSchema("a1", "a2", "b1")
 	p := predtest.MustParse("a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0", s)
+	cols := []string{"a1", "a2"}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	var cancelled time.Time
-	iterations := 0
-	opts := Options{Trace: func(int, fmt.Stringer, bool) {
-		iterations++
-		if iterations == 1 {
-			cancelled = time.Now()
-			cancel()
-		}
-	}}
-	res, err := SynthesizeContext(ctx, p, []string{"a1", "a2"}, s, opts)
+	k := firstVerifyCall(t, p, cols, s)
+	ctx := &cancelAtCall{Context: context.Background(), at: solverCalls() + k}
+	var trace bytes.Buffer
+	tr := obs.NewTracer(&trace)
+	res, err := SynthesizeContext(ctx, p, cols, s, Options{Tracer: tr})
+	returned := time.Now()
+	if cerr := tr.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
 	if res != nil || !errors.Is(err, ErrTimeout) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-loop cancel: res=%v err=%v", res, err)
 	}
-	if iterations != 1 {
+	if iterations := strings.Count(trace.String(), `"event":"verify"`); iterations != 1 {
 		t.Fatalf("loop ran %d iterations after cancellation, want 1", iterations)
 	}
 	// "Promptly": a single solver call on this problem takes microseconds;
 	// a second's grace keeps the bound unflaky while still catching a loop
 	// that ignores ctx until its iteration budget runs out.
-	if waited := time.Since(cancelled); waited > time.Second {
+	if waited := returned.Sub(ctx.noticed); waited > time.Second {
 		t.Fatalf("cancellation took %v to propagate", waited)
 	}
 }
@@ -108,17 +110,36 @@ func solverCalls() int64 {
 }
 
 // cancelAtCall is a context cancelled once the clock reaches at, that is,
-// as a solver call returns. The run learns of it only at its next poll.
+// as a solver call returns. The run learns of it only at its next poll;
+// noticed is the time of that poll.
 type cancelAtCall struct {
 	context.Context
-	at int64
+	at      int64
+	noticed time.Time
 }
 
 func (c *cancelAtCall) Err() error {
 	if solverCalls() >= c.at {
+		if c.noticed.IsZero() {
+			c.noticed = time.Now()
+		}
 		return context.Canceled
 	}
 	return nil
+}
+
+// firstVerifyCall returns how many solver calls a run of p makes up to and
+// including its first verification. A run whose loop ends on its first
+// check of a 1 ns Timeout makes exactly the calls that come before the
+// loop, and the loop's first solver call is the verification: learning
+// makes none.
+func firstVerifyCall(t *testing.T, p predicate.Predicate, cols []string, s *predicate.Schema) int64 {
+	t.Helper()
+	base := solverCalls()
+	if _, err := SynthesizeContext(context.Background(), p, cols, s, Options{Timeout: time.Nanosecond}); err != nil {
+		t.Fatal(err)
+	}
+	return solverCalls() - base + 1
 }
 
 // maxCallsAfterCancel bounds the solver calls that complete after the

@@ -27,8 +27,9 @@ var (
 	ErrBudget = fmt.Errorf("sia: solver budget exhausted: %w", smt.ErrBudget)
 
 	// ErrInvalidOptions is returned for a nonsensical request: negative
-	// Options fields, an empty target column set, or target columns that do
-	// not occur in the predicate.
+	// Options fields, a MaxDenominator above MaxDenominatorLimit, an empty
+	// target column set, or target columns that do not occur in the
+	// predicate.
 	ErrInvalidOptions = errors.New("sia: invalid options")
 )
 

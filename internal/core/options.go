@@ -42,7 +42,8 @@ type Options struct {
 	// MaxDenominator bounds the integer coefficient magnitudes used when
 	// converting SVM weights to exact half-planes. Smaller values give
 	// simpler predicates and much cheaper verification (Cooper's
-	// elimination cost grows with coefficient LCMs). Default 8.
+	// elimination cost grows with coefficient LCMs). Default 8; at most
+	// MaxDenominatorLimit.
 	MaxDenominator int64
 	// NonZeroSamples applies the paper's sampling heuristic that forces
 	// generated values away from zero, which improves SVM conditioning
@@ -56,17 +57,21 @@ type Options struct {
 	// Timeout bounds the whole synthesis; on expiry the best valid
 	// predicate found so far is returned. Default 30s.
 	Timeout time.Duration
-	// Trace, when set, is invoked once per learning-loop iteration with
-	// the candidate and the verification verdict — for debugging and for
-	// the experiment harness's convergence diagnostics.
-	Trace func(iteration int, candidate fmt.Stringer, valid bool)
 	// Tracer, when set, records structured JSONL spans for every CEGIS
 	// event (iterations, verify verdicts, counter-example batches, the
 	// final outcome). A nil Tracer is free: the hot path performs no
-	// allocations and no work. Like Trace, a non-nil Tracer makes a run
-	// uncacheable (cache.KeyFor detects it).
+	// allocations and no work. A non-nil Tracer makes a run uncacheable
+	// (cache.KeyFor detects it).
 	Tracer *obs.Tracer
 }
+
+// MaxDenominatorLimit is the largest MaxDenominator Validate accepts. Every
+// SVM fit turns into 3 candidate planes per scale k = 1..MaxDenominator
+// (svm.IntegerizePlane), each scored against every sample, with no solver
+// call and so no poll of the context in between: the limit keeps one fit
+// at 3 072 planes. It also keeps the learner's bound on plane constants,
+// MaxDenominator·(len(cols)+2), far inside int64.
+const MaxDenominatorLimit = 1024
 
 // normalized fills in the defaults. The synthesis loop and Fingerprint both
 // read options through it, so the two can never disagree on what the zero
@@ -96,10 +101,11 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// Validate rejects nonsensical configurations: any negative field. It
-// returns nil or a single error matching ErrInvalidOptions that names every
-// offending field. The zero value (and any field left zero) is always
-// valid — zero means "use the default".
+// Validate rejects nonsensical configurations: any negative field, and a
+// MaxDenominator above MaxDenominatorLimit. It returns nil or a single error
+// matching ErrInvalidOptions that names every offending field. The zero
+// value (and any field left zero) is always valid — zero means "use the
+// default".
 func (o Options) Validate() error {
 	var bad []string
 	if o.MaxIterations < 0 {
@@ -123,8 +129,15 @@ func (o Options) Validate() error {
 	if o.Timeout < 0 {
 		bad = append(bad, "Timeout")
 	}
+	var problems []string
 	if len(bad) > 0 {
-		return fmt.Errorf("%w: negative %s", ErrInvalidOptions, strings.Join(bad, ", "))
+		problems = append(problems, "negative "+strings.Join(bad, ", "))
+	}
+	if o.MaxDenominator > MaxDenominatorLimit {
+		problems = append(problems, fmt.Sprintf("MaxDenominator %d above %d", o.MaxDenominator, MaxDenominatorLimit))
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("%w: %s", ErrInvalidOptions, strings.Join(problems, "; "))
 	}
 	return nil
 }
@@ -132,8 +145,8 @@ func (o Options) Validate() error {
 // Fingerprint returns a canonical string identifying every option that can
 // influence a synthesis result, with defaults applied — two Options with
 // equal fingerprints produce identical Results for the same (predicate,
-// cols, schema) input. Trace and Tracer are deliberately excluded: a trace
-// hook makes a run uncacheable, which cache.KeyFor detects separately.
+// cols, schema) input. Tracer is deliberately excluded: a tracer makes a
+// run uncacheable, which cache.KeyFor detects separately.
 func (o Options) Fingerprint() string {
 	n := o.normalized()
 	return fmt.Sprintf("iters=%d|t0=%d|f0=%d|per=%d|maxden=%d|nonzero=%t|solvertimeout=%s|timeout=%s",

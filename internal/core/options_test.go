@@ -3,45 +3,12 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"sia/internal/predtest"
 )
-
-func TestTraceHook(t *testing.T) {
-	s := intSchema("a", "b")
-	p := predtest.MustParse("a - b < 20 AND b < 0", s)
-	var calls int
-	var sawValid bool
-	opts := Options{Trace: func(iter int, cand fmt.Stringer, valid bool) {
-		calls++
-		if cand.String() == "" {
-			t.Error("empty candidate in trace")
-		}
-		if valid {
-			sawValid = true
-		}
-	}}
-	res, err := SynthesizeContext(context.Background(), p, []string{"a"}, s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Predicate == nil {
-		t.Fatalf("synthesis failed: %+v", res)
-	}
-	if calls == 0 {
-		t.Fatal("trace hook never invoked")
-	}
-	if calls != res.Iterations {
-		t.Fatalf("trace calls %d != iterations %d", calls, res.Iterations)
-	}
-	if !sawValid {
-		t.Fatal("no valid candidate ever traced despite a valid result")
-	}
-}
 
 func TestSynthesisTimeout(t *testing.T) {
 	s := intSchema("a1", "a2", "b1")
@@ -110,6 +77,16 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("error %q does not name %s", err, field)
 		}
 	}
+	// MaxDenominator is capped as well as non-negative: 1024 is accepted,
+	// and anything above it is rejected without running synthesis.
+	if err := (Options{MaxDenominator: 1024}).Validate(); err != nil {
+		t.Fatalf("MaxDenominator at the cap rejected: %v", err)
+	}
+	for _, md := range []int64{1025, 1 << 40} {
+		if err := (Options{MaxDenominator: md}).Validate(); !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), "MaxDenominator") {
+			t.Errorf("MaxDenominator %d: Validate = %v, want ErrInvalidOptions naming MaxDenominator", md, err)
+		}
+	}
 	// SynthesizeContext rejects them before doing any work.
 	s := intSchema("a", "b")
 	p := predtest.MustParse("a - b < 20 AND b < 0", s)
@@ -137,11 +114,6 @@ func TestOptionsFingerprint(t *testing.T) {
 	const presetSIA = "iters=41|t0=10|f0=10|per=5|maxden=8|nonzero=false|solvertimeout=2s|timeout=30s"
 	if got := PresetSIA().Fingerprint(); got != presetSIA {
 		t.Fatalf("PresetSIA fingerprint = %q, want %q", got, presetSIA)
-	}
-	// Trace is excluded (the cache handles it separately).
-	withTrace := Options{Trace: func(int, fmt.Stringer, bool) {}}
-	if withTrace.Fingerprint() != (Options{}).Fingerprint() {
-		t.Fatal("Trace leaked into the fingerprint")
 	}
 }
 

@@ -398,9 +398,6 @@ func (l *synthesisLoop) run(p predicate.Predicate) error {
 			return l.giveUpWith(err, finish)
 		}
 		l.traceVerify(iter+1, valid, dur)
-		if l.opts.Trace != nil {
-			l.opts.Trace(iter, candidate, valid)
-		}
 
 		candFormula, err := l.enc.Encode(candidate)
 		if err != nil {

@@ -277,13 +277,11 @@ func (jt *joinTable) slot(h uint64) int {
 // itself is the same at any width.
 func buildJoinTable(build *joinSide, par int) *joinTable {
 	partBits := uint(0)
-	// cancel: at most log2(maxJoinPartitions) doublings.
 	for 1<<partBits < maxJoinPartitions && build.in>>partBits > morselRows {
 		partBits++
 	}
 	nPart := 1 << partBits
 	slotBits := uint(0)
-	// cancel: doubles up to the expected partition size.
 	for 1<<slotBits < build.in>>partBits {
 		slotBits++
 	}

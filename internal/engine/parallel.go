@@ -82,7 +82,7 @@ func claimTasks(n, par int, fn func(worker, task int)) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			// cancel: claim loop; the shared counter only grows, so each
+			// The claim loop ends: the shared counter only grows, so each
 			// worker exits after at most n claims. Cancellation is the
 			// caller's business at task granularity, not per claim.
 			for {

@@ -17,10 +17,15 @@ import (
 // to a negative Duration, to zero, and to 448µs.
 var boundedTimeouts = []int64{0, 1, -1, math.MaxInt64, math.MinInt64, 9223372036855, 1 << 62, 18446744073710}
 
+// maxDenominatorCap is core.MaxDenominatorLimit, written out so that the
+// bounds hold the server to the figure itself.
+const maxDenominatorCap = 1024
+
 // checkBounds asserts the serving contract for one request: parse either
 // rejects it as invalid options (a 400) or yields a deadline in
-// (0, MaxTimeout] and core.Options with no negative field. It returns
-// whether the request was accepted.
+// (0, MaxTimeout] and core.Options with no negative field and a
+// MaxDenominator of at most maxDenominatorCap. It returns whether the
+// request was accepted.
 func checkBounds(t *testing.T, s *Server, req api.SynthesizeRequest) bool {
 	t.Helper()
 	pr, err := s.parse(req)
@@ -38,6 +43,9 @@ func checkBounds(t *testing.T, s *Server, req api.SynthesizeRequest) bool {
 		o.MaxDenominator < 0 || o.SolverTimeout < 0 || o.Timeout < 0 {
 		t.Fatalf("options %+v became core.Options %+v with a negative field", req.Options, o)
 	}
+	if o.MaxDenominator > maxDenominatorCap {
+		t.Fatalf("options %+v accepted with MaxDenominator %d above %d", req.Options, o.MaxDenominator, maxDenominatorCap)
+	}
 	return true
 }
 
@@ -54,7 +62,8 @@ func boundsRequest(timeoutMS int64, opts *api.RequestOptions) api.SynthesizeRequ
 // TestRequestBounds sends every boundedTimeouts value as the request's
 // deadline and as both option durations, and every option at -1, to a
 // fresh server each, so every accepted request runs a synthesis under the
-// deadline the server derived. A negative value is refused with 400;
+// deadline the server derived, and max_denominator at the cap and far
+// above it. A negative value or one above the cap is refused with 400;
 // everything else is answered 200. The 1 ms deadline alone may also end
 // in 504, the answer to a deadline that passes mid-synthesis.
 func TestRequestBounds(t *testing.T) {
@@ -75,7 +84,9 @@ func TestRequestBounds(t *testing.T) {
 		row{"initial_true=-1", 0, &api.RequestOptions{InitialTrue: -1}, true},
 		row{"initial_false=-1", 0, &api.RequestOptions{InitialFalse: -1}, true},
 		row{"samples_per_iteration=-1", 0, &api.RequestOptions{SamplesPerIteration: -1}, true},
-		row{"max_denominator=-1", 0, &api.RequestOptions{MaxDenominator: -1}, true})
+		row{"max_denominator=-1", 0, &api.RequestOptions{MaxDenominator: -1}, true},
+		row{"max_denominator=1<<40", 0, &api.RequestOptions{MaxDenominator: 1 << 40}, true},
+		row{fmt.Sprintf("max_denominator=%d", maxDenominatorCap), 0, &api.RequestOptions{MaxDenominator: maxDenominatorCap}, false})
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			srv, ts := newTestServer(t, testConfig())
@@ -106,6 +117,7 @@ func FuzzRequestBounds(f *testing.F) {
 		f.Add(v, 0, 0, 0, 0, int64(0), v, v)
 	}
 	f.Add(int64(-1), -1, -1, -1, -1, int64(-1), int64(-1), int64(-1))
+	f.Add(int64(0), 0, 0, 0, 0, int64(1<<40), int64(0), int64(0))
 	srv, err := New(testConfig())
 	if err != nil {
 		f.Fatal(err)

@@ -508,7 +508,7 @@ func (s *Server) parse(req api.SynthesizeRequest) (parsedRequest, error) {
 	}
 	key, ok := cache.KeyFor(pred, req.Cols, schema, opts)
 	if !ok {
-		// Wire requests cannot carry a Trace hook or Tracer, so every one
+		// Wire requests cannot carry a Tracer, so every one
 		// is cacheable; reaching here is a programmer error.
 		return pr, fmt.Errorf("serve: request unexpectedly uncacheable")
 	}

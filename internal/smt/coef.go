@@ -55,7 +55,7 @@ func gcd64(a, b int64) int64 {
 	if b < 0 {
 		b = -b
 	}
-	// cancel: Euclid's loop converges in at most ~90 steps on int64.
+	// Euclid's loop converges in at most ~90 steps on int64.
 	for b != 0 {
 		a, b = b, a%b
 	}

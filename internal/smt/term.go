@@ -380,7 +380,7 @@ func substTermCopy(t *Term, v Var, repl *Term) *Term {
 	}
 	pop := func() { res.cells = res.cells[:len(res.cells)-1] }
 	a, b := 0, 0
-	// cancel: every iteration advances a or b, so the merge finishes in
+	// Every iteration advances a or b, so the merge finishes in
 	// len(t.cells)+len(repl.cells) steps.
 	for a < len(t.cells) || b < len(repl.cells) {
 		if a == i {

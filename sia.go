@@ -53,7 +53,8 @@ var (
 	// (formula size, elimination blow-up) from which no partial result
 	// could be salvaged.
 	ErrBudget = core.ErrBudget
-	// ErrInvalidOptions reports malformed Options (negative budgets) or
+	// ErrInvalidOptions reports malformed Options (negative budgets, a
+	// MaxDenominator above core.MaxDenominatorLimit) or
 	// malformed arguments (unknown target columns, nil schema).
 	ErrInvalidOptions = core.ErrInvalidOptions
 )

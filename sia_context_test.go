@@ -3,12 +3,12 @@ package sia_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"sia"
+	"sia/internal/smt"
 )
 
 func quickstartPredicate(t *testing.T) (sia.Predicate, *sia.Schema) {
@@ -25,23 +25,51 @@ func quickstartPredicate(t *testing.T) (sia.Predicate, *sia.Schema) {
 	return pred, schema
 }
 
+// solverCalls counts the public solver calls completed so far. Each call
+// records its wall time on the way out, so the count moves as a call
+// returns.
+func solverCalls() int64 {
+	var n int64
+	for kind, q := range smt.Snapshot().Query {
+		if kind != "elimination" {
+			n += int64(q.Count)
+		}
+	}
+	return n
+}
+
+// cancelAtCall is a context cancelled once solverCalls reaches at.
+type cancelAtCall struct {
+	context.Context
+	at int64
+}
+
+func (c *cancelAtCall) Err() error {
+	if solverCalls() >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestSynthesizeContextCancellation is the acceptance check: cancelling ctx
 // during synthesis returns an ErrTimeout-compatible error promptly and
-// leaks no goroutines.
+// leaks no goroutines. The context is cancelled as the first verification
+// returns. A run whose loop ends on its first check of a 1 ns Timeout makes
+// exactly the solver calls that come before the loop, and the loop's first
+// solver call is the verification.
 func TestSynthesizeContextCancellation(t *testing.T) {
 	pred, schema := quickstartPredicate(t)
+	cols := []string{"l_commitdate", "l_shipdate"}
+	base := solverCalls()
+	if _, err := sia.SynthesizeContext(context.Background(), pred, cols, schema, sia.Options{Timeout: time.Nanosecond}); err != nil {
+		t.Fatal(err)
+	}
+	firstVerify := solverCalls() - base + 1
+	ctx := &cancelAtCall{Context: context.Background(), at: solverCalls() + firstVerify}
 	baseline := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	fired := false
-	opts := sia.Options{Trace: func(int, fmt.Stringer, bool) {
-		if !fired {
-			fired = true
-			cancel()
-		}
-	}}
 	start := time.Now()
-	res, err := sia.SynthesizeContext(ctx, pred, []string{"l_commitdate", "l_shipdate"}, schema, opts)
+	res, err := sia.SynthesizeContext(ctx, pred, cols, schema, sia.Options{})
 	if res != nil {
 		t.Fatalf("cancelled synthesis returned a result: %+v", res)
 	}
