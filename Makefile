@@ -1,17 +1,15 @@
 GO ?= go
 
-.PHONY: build vet test test-bench bench-compare race lint examples fuzz-smoke fuzz-storage smoke-siad smoke-cluster check clean
+.PHONY: build vet test test-bench bench-compare race examples fuzz-smoke fuzz-storage smoke-siad smoke-cluster check clean
 
 build:
 	$(GO) build ./...
 
-# go vet is also what stands for copied sync types: its copylocks pass
-# reports them in every package, so sialint carries no analyzer for that.
-# Every tracked Go file must be gofmt-clean; the testdata fixtures are
-# malformed on purpose and are left out.
+# go vet's copylocks pass also reports copied sync types in every
+# package. Every tracked Go file must be gofmt-clean.
 vet:
 	$(GO) vet ./...
-	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # The plain run: the engine pools' allocation bounds skip themselves under
 # the race detector, which makes sync.Pool drop items at random, so race
@@ -42,11 +40,6 @@ race:
 	$(GO) test -race -count=1 ./...
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/engine/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/engine/
-
-# The one lint gate: sialint runs every analyzer (`sialint -list`) over
-# every package, including its own.
-lint:
-	$(GO) run ./cmd/sialint ./...
 
 # The four examples, run end to end: each prints its before/after
 # narrative and exits non-zero on a wrong result. tpch_rewrite is the Sia
@@ -84,7 +77,7 @@ smoke-cluster:
 # check is the full CI gate: everything must pass before merging. It runs
 # every step CI runs except the paired benchmark comparison, which needs a
 # base ref (make bench-compare BASE=<ref>).
-check: build vet test test-bench race lint examples fuzz-storage fuzz-smoke smoke-siad smoke-cluster
+check: build vet test test-bench race examples fuzz-storage fuzz-smoke smoke-siad smoke-cluster
 
 clean:
 	$(GO) clean ./...

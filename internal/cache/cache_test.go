@@ -206,6 +206,29 @@ func TestWaiterCancellation(t *testing.T) {
 	}
 }
 
+// TestSynthesizeDeadContext: a caller whose context is already cancelled
+// gets an error matching both core.ErrTimeout and context.Canceled, on a
+// cached key as on an uncached one, and no computation starts.
+func TestSynthesizeDeadContext(t *testing.T) {
+	schema := intSchema("a", "b")
+	p := predtest.MustParse("a - b < 20 AND b < 0", schema)
+	s := NewSynthesizer(8)
+	if _, _, err := s.Synthesize(context.Background(), p, []string{"a"}, schema, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, cols := range map[string][]string{"cached": {"a"}, "uncached": {"b"}} {
+		res, _, err := s.Synthesize(ctx, p, cols, schema, core.Options{})
+		if res != nil || !errors.Is(err, core.ErrTimeout) || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s key: res=%v err=%v, want ErrTimeout wrapping context.Canceled", name, res, err)
+		}
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("a dead context reached the cache: %+v", st)
+	}
+}
+
 // TestAbandonedComputationCancelled: when every waiter gives up, the
 // runner's context is cancelled so the computation stops, and a later
 // request starts fresh rather than inheriting the cancelled run.

@@ -137,6 +137,51 @@ func TestEncode3VLNullability(t *testing.T) {
 	}
 }
 
+// TestEncodeIsTrueMatchesEval: on every tuple, NULLs included, the
+// IS TRUE encoding is satisfiable exactly when the predicate accepts the
+// tuple. Under NOT this needs the FALSE encoding of the operand, not the
+// two-valued negation of its TRUE encoding (NOT of Unknown is Unknown).
+func TestEncodeIsTrueMatchesEval(t *testing.T) {
+	s := nullableSchema("a", "b")
+	null := predicate.NullValue()
+	vals := []predicate.Value{null, predicate.IntVal(-1), predicate.IntVal(0), predicate.IntVal(2)}
+	solver := smt.New()
+	for _, src := range []string{
+		"NOT (a < b)",
+		"NOT (a < b AND b > 0)",
+		"NOT (a < b OR b > 0)",
+		"a < b OR NOT (b > 0)",
+		"NOT (NOT (a = b))",
+	} {
+		p := predtest.MustParse(src, s)
+		f, err := newEncoder(s).EncodeIsTrue(p)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		for _, a := range vals {
+			for _, b := range vals {
+				tu := predicate.Tuple{"a": a, "b": b}
+				g := f
+				for name, v := range tu {
+					isNull := int64(0)
+					if v.Null {
+						isNull = 1
+					}
+					g = smt.Subst(g, smt.IntVar(name), smt.ConstTerm(v.Int))
+					g = smt.Subst(g, nullVar(name), smt.ConstTerm(isNull))
+				}
+				sat, err := solver.SatisfiableCtx(context.Background(), g)
+				if err != nil {
+					t.Fatalf("%s: %v", src, err)
+				}
+				if want := predicate.Satisfies(p, tu); sat != want {
+					t.Errorf("%s on %v: IS TRUE encoding satisfiable=%v, Satisfies=%v", src, tu, sat, want)
+				}
+			}
+		}
+	}
+}
+
 func TestVerifyBasic(t *testing.T) {
 	s := intSchema("a", "b")
 	p := predtest.MustParse("a > 0 AND b > 0", s)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"sia/internal/predicate"
@@ -194,14 +195,22 @@ func TestSynthesizeUnsatisfiablePredicate(t *testing.T) {
 	}
 }
 
+// TestSynthesizeColumnValidation: a target column set that is empty or
+// names a column the predicate does not mention is the caller's error, so
+// it must match ErrInvalidOptions (a 400 on the wire), not a bare error.
 func TestSynthesizeColumnValidation(t *testing.T) {
-	s := intSchema("a", "b")
+	s := intSchema("a", "b", "c")
 	p := predtest.MustParse("a > b", s)
-	if _, err := SynthesizeContext(context.Background(), p, []string{"zzz"}, s, Options{}); err == nil {
-		t.Fatal("columns outside the predicate should be rejected")
-	}
-	if _, err := SynthesizeContext(context.Background(), p, nil, s, Options{}); err == nil {
-		t.Fatal("empty column set should be rejected")
+	for name, cols := range map[string][]string{
+		"nil":                  nil,
+		"empty":                {},
+		"not in the schema":    {"zzz"},
+		"not in the predicate": {"a", "c"},
+	} {
+		res, err := SynthesizeContext(context.Background(), p, cols, s, Options{})
+		if res != nil || !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("%s: res=%v err=%v, want ErrInvalidOptions", name, res, err)
+		}
 	}
 }
 

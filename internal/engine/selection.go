@@ -157,8 +157,8 @@ func (n *boundNode) run(t *Table, sel []bool, lo int, scratch []bool) {
 	case nodeEval:
 		for i, ok := range sel {
 			if ok {
-				// tribool: WHERE semantics — a row is accepted exactly when
-				// the predicate is True; Unknown rejects like False.
+				// WHERE semantics: a row is accepted exactly when the
+				// predicate is True; Unknown rejects like False.
 				sel[i] = predicate.Eval(n.pred, t.Tuple(lo+i)) == predicate.True
 			}
 		}

@@ -142,15 +142,18 @@ func TestConstantPropagation(t *testing.T) {
 		predicate.Column{Name: "x", Type: predicate.TypeInteger, NotNull: true},
 		predicate.Column{Name: "y", Type: predicate.TypeInteger, NotNull: true},
 	)
-	p := predtest.MustParse("x = 5 AND x + y = 20", s)
+	p := predtest.MustParse("x = 5 AND x + y = 20 AND NOT (x > y)", s)
 	out := ConstantPropagation(p)
-	// After propagation, the second conjunct should not mention x.
+	// After propagation, no conjunct but the defining one mentions x,
+	// including the one under NOT.
 	conjs := predicate.Conjuncts(out)
-	if len(conjs) != 2 {
+	if len(conjs) != 3 {
 		t.Fatalf("conjunct count changed: %s", out)
 	}
-	if got := predicate.Columns(conjs[1]); len(got) != 1 || got[0] != "y" {
-		t.Fatalf("x not propagated: %s", out)
+	for _, c := range conjs[1:] {
+		if got := predicate.Columns(c); len(got) != 1 || got[0] != "y" {
+			t.Fatalf("x not propagated into %s: %s", c, out)
+		}
 	}
 	// Semantics preserved.
 	for _, tu := range []predicate.Tuple{

@@ -211,6 +211,9 @@ func TestSecondStatementReusesColumns(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: sync.Pool keeps a private item per P, which a second run
+	// scheduled on another P cannot reach.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, disk := poolCatalogs(t)
 	n := poolPlans(t, disk)["group"]
 	first := statementBytes(t, n, disk)
@@ -241,6 +244,9 @@ func TestSecondMemStatementReusesScratch(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: sync.Pool keeps a private item per P, which a second run
+	// scheduled on another P cannot reach.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mem, _ := poolCatalogs(t)
 	plans := poolPlans(t, mem)
 	for name, limit := range maxSecondMemStatementBytes {

@@ -181,7 +181,7 @@ func Eval(p Predicate, t Tuple) TriBool {
 		res := True
 		for _, q := range x.Preds {
 			res = res.And(Eval(q, t))
-			// tribool: False is AND's absorbing element; Unknown must keep
+			// False is AND's absorbing element; Unknown must keep
 			// evaluating, and does.
 			if res == False {
 				return False
@@ -192,7 +192,7 @@ func Eval(p Predicate, t Tuple) TriBool {
 		res := False
 		for _, q := range x.Preds {
 			res = res.Or(Eval(q, t))
-			// tribool: True is OR's absorbing element; Unknown must keep
+			// True is OR's absorbing element; Unknown must keep
 			// evaluating, and does.
 			if res == True {
 				return True
@@ -213,7 +213,7 @@ func Eval(p Predicate, t Tuple) TriBool {
 
 // Satisfies reports whether the tuple satisfies the predicate (Eval == True).
 // This is SQL's WHERE-clause collapse: Unknown rejects the row like False.
-func Satisfies(p Predicate, t Tuple) bool { return Eval(p, t) == True } // tribool: WHERE semantics
+func Satisfies(p Predicate, t Tuple) bool { return Eval(p, t) == True }
 
 func compareNums(op CmpOp, l, r evalNum) TriBool {
 	var c int

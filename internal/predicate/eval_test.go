@@ -126,6 +126,23 @@ func TestEvalNullPropagation(t *testing.T) {
 	}
 }
 
+// TestSatisfiesRejectsUnknown: Satisfies is the WHERE collapse, so a
+// tuple on which the predicate is Unknown is rejected, and so is it under
+// NOT (NOT Unknown is Unknown, not True).
+func TestSatisfiesRejectsUnknown(t *testing.T) {
+	a, b := Col("a", TypeInteger), Col("b", TypeInteger)
+	withNull := Tuple{"a": NullValue(), "b": IntVal(1)}
+	u := Cmp(CmpLT, a, b)
+	for _, p := range []Predicate{u, NewNot(u)} {
+		if Satisfies(p, withNull) {
+			t.Errorf("Satisfies(%s) on %v = true, want false (Eval = %v)", p, withNull, Eval(p, withNull))
+		}
+	}
+	if !Satisfies(NewNot(Cmp(CmpLT, b, IntConst(0))), withNull) {
+		t.Error("Satisfies(NOT b < 0) on b = 1 = false, want true")
+	}
+}
+
 func TestTriBoolTables(t *testing.T) {
 	vals := []TriBool{False, Unknown, True}
 	for _, x := range vals {

@@ -145,6 +145,8 @@ func predicateSchema(p predicate.Predicate) []api.SchemaColumn {
 			expr(x.Left)
 			expr(x.Right)
 		case *predicate.Const:
+		default:
+			panic(fmt.Sprintf("serve: unknown expression %T", e))
 		}
 	}
 	var walk func(predicate.Predicate)
@@ -164,6 +166,8 @@ func predicateSchema(p predicate.Predicate) []api.SchemaColumn {
 		case *predicate.Not:
 			walk(x.P)
 		case *predicate.Literal:
+		default:
+			panic(fmt.Sprintf("serve: unknown predicate %T", p))
 		}
 	}
 	walk(p)

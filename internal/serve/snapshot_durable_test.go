@@ -88,7 +88,21 @@ func TestSnapshotRoundTripsColumnTypes(t *testing.T) {
 	}
 	srvA.Synth().Put("typed", &core.Result{Predicate: p, Valid: true})
 	srvA.Synth().Put("trivial", &core.Result{Valid: true})
-	if n, err := srvA.WriteSnapshot(); err != nil || n != 2 {
+	// x occurs only under NOT, d only inside arithmetic: each must still
+	// reach the entry's schema, or the entry cannot be parsed back.
+	partial := map[string]predicate.Predicate{}
+	for key, text := range map[string]string{
+		"negated": "NOT (x > 0.5)",
+		"arith":   "d + 7 < DATE '1995-03-15'",
+	} {
+		q, err := predicate.Parse(text, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partial[key] = q
+		srvA.Synth().Put(key, &core.Result{Predicate: q, Valid: true})
+	}
+	if n, err := srvA.WriteSnapshot(); err != nil || n != 4 {
 		t.Fatalf("snapshot write: n=%d err=%v", n, err)
 	}
 	srvA.Close()
@@ -102,8 +116,14 @@ func TestSnapshotRoundTripsColumnTypes(t *testing.T) {
 		t.Cleanup(srv.Close)
 		return srv
 	}
-	if got, ok := restore(t).Synth().Peek("typed"); !ok || !same(got.Predicate) {
+	srvB := restore(t)
+	if got, ok := srvB.Synth().Peek("typed"); !ok || !same(got.Predicate) {
 		t.Fatalf("stored %q, restored %v", p, got)
+	}
+	for key, q := range partial {
+		if got, ok := srvB.Synth().Peek(key); !ok || got.Predicate == nil || got.Predicate.String() != q.String() {
+			t.Errorf("stored %q, restored %v", q, got)
+		}
 	}
 
 	quoted, err := json.Marshal(p.String())

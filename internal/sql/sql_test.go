@@ -69,16 +69,17 @@ func TestParseGroupBy(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cat := testCatalog(t)
-	for _, stmt := range []string{
-		"DELETE FROM lineitem",
-		"SELECT * FROM nope WHERE 1 = 1",
-		"SELECT zzz FROM lineitem",
-		"SELECT * FROM lineitem WHERE zzz > 1",
-		"SELECT *",
-		"SELECT * FROM lineitem GROUP BY zzz",
+	for _, tc := range []struct{ stmt, want string }{
+		{"DELETE FROM lineitem", "must start with SELECT"},
+		{"SELECT * FROM nope WHERE 1 = 1", "nope"},
+		{"SELECT zzz FROM lineitem", "unknown column"},
+		{"SELECT * FROM lineitem WHERE zzz > 1", "zzz"},
+		{"SELECT *", "missing FROM"},
+		{"SELECT * FROM lineitem GROUP BY zzz", "unknown column"},
+		{"SELECT a FROM WHERE a > 1", "empty FROM clause"},
 	} {
-		if _, err := Parse(stmt, cat); err == nil {
-			t.Errorf("expected error for %q", stmt)
+		if _, err := Parse(tc.stmt, cat); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%q) = %v, want an error containing %q", tc.stmt, err, tc.want)
 		}
 	}
 }

@@ -396,7 +396,7 @@ func checkSoundness(t *testing.T, name string, tbl *engine.Table, p predicate.Pr
 	for row := 0; row < tbl.NumRows(); row++ {
 		tu := tbl.Tuple(row)
 		got := predicate.Eval(p, tu)
-		if got == predicate.True { // tribool: collecting the WHERE-accepted rows
+		if got == predicate.True { // collecting the WHERE-accepted rows
 			trueRows = append(trueRows, row)
 		}
 		if set&triBit(got) == 0 {
